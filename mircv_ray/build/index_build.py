@@ -69,6 +69,19 @@ BLOCK_STRUCT = pa.struct([
     ("ids", pa.binary()), ("tfs", pa.binary()),
 ])
 
+# Postings files are written in row groups of at most this many (term,
+# seg) rows. Each file is term-sorted, so row-group term ranges are
+# disjoint, and a reader looking up one term decodes one small row group
+# instead of the whole shard file: the row group stands in for the
+# reference's per-term posting-list offsets (LexiconEntry.java:13-21).
+# Readers prune by the term column's min/max only, so no other column
+# carries statistics, and no column is dictionary-encoded (a dictionary
+# page per small column chunk costs space and decode time; terms are
+# unique per file anyway). The positions sidecar writes the same layout.
+POSTINGS_ROW_GROUP_ROWS = 128
+TERM_ROW_GROUPS = {"row_group_size": POSTINGS_ROW_GROUP_ROWS,
+                   "write_statistics": ["term"], "use_dictionary": False}
+
 _worker_cache: dict = {}
 
 # above this many (term, seg) metadata rows the lexicon aggregation runs as
@@ -785,7 +798,7 @@ def _reduce_build_write(build_fn, out_dir: str, shard: int, seg: int,
     d = Path(out_dir) / f"shard={shard}"
     d.mkdir(parents=True, exist_ok=True)
     tmp = d / f".seg-{seg}.parquet.tmp"
-    pq.write_table(out.drop_columns(["shard"]), str(tmp))
+    pq.write_table(out.drop_columns(["shard"]), str(tmp), **TERM_ROW_GROUPS)
     os.replace(tmp, d / f"seg-{seg}.parquet")  # atomic publish
     return {"rows": out.num_rows, "sec": time.time() - t0,
             "concat_s": round(t_concat - t0, 3),
@@ -1393,7 +1406,7 @@ def _encode_partials(posts, out: Path, cfg: IndexConfig, n_docs: int,
         seg_ds = posts.groupby(["seg", "shard"]).map_groups(
             build_fn, batch_format="pyarrow")
         seg_ds.write_parquet(str(out / "postings"),
-                             partition_cols=["shard"])
+                             partition_cols=["shard"], **TERM_ROW_GROUPS)
         try:
             # operator-level execution breakdown (explode wall, sort
             # shuffle, encode+write) for the scaling-efficiency audit —

@@ -47,8 +47,8 @@ from ..config import IndexConfig
 from ..text.tokenizer import Tokenizer, tokenize_text
 from ..util import (crc32_column, packed_tf_dtype, packed_tf_values,
                     sort_pairs)
-from .index_build import (AttachIds, _broadcast_mapping, _ids_dtype,
-                          _packed_runs, _term_shards_memo)
+from .index_build import (TERM_ROW_GROUPS, AttachIds, _broadcast_mapping,
+                          _ids_dtype, _packed_runs, _term_shards_memo)
 
 __all__ = ["build_positions_index", "phrase_match_positional",
            "read_term_positions"]
@@ -164,7 +164,13 @@ def _encode_pos_group(group: pa.Table, out_dir: str, n_docs: int) -> dict:
     denc = terms.dictionary_encode()
     if isinstance(denc, pa.ChunkedArray):
         denc = denc.combine_chunks()
-    tcodes = denc.indices.to_numpy()
+    # codes are term RANKS, so the (term, docId) sort below writes the
+    # file term-sorted and its row groups hold disjoint term ranges
+    dorder = pc.sort_indices(denc.dictionary).to_numpy()
+    rank = np.empty(len(dorder), dtype=np.int64)
+    rank[dorder] = np.arange(len(dorder))
+    vocab = denc.dictionary.take(pa.array(dorder))
+    tcodes = rank[denc.indices.to_numpy()]
     n_runs = group["n"].to_numpy()
     # flatten the packed partial streams — one zero-copy typed view per
     # column (same contract as the main build's build_segments)
@@ -220,7 +226,7 @@ def _encode_pos_group(group: pa.Table, out_dir: str, n_docs: int) -> dict:
             [None, pa.py_buffer(offs), pa.py_buffer(buf)])
 
     out = pa.table({
-        "term": denc.dictionary.take(pa.array(t_o[tchange])),
+        "term": vocab.take(pa.array(t_o[tchange])),
         "n": pa.array((tends - tchange).astype(np.int64)),
         "ids_raw": runs(ids_buf, id_ends),
         "cnt_raw": runs(cnt_buf, cnt_ends),
@@ -228,7 +234,7 @@ def _encode_pos_group(group: pa.Table, out_dir: str, n_docs: int) -> dict:
     })
     dest.parent.mkdir(parents=True, exist_ok=True)
     tmp = dest.parent / f".{dest.name}.tmp{os.getpid()}"
-    pq.write_table(out, str(tmp))
+    pq.write_table(out, str(tmp), **TERM_ROW_GROUPS)
     os.replace(tmp, dest)
     return {"rows": out.num_rows}
 

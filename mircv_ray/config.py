@@ -30,13 +30,17 @@ class IndexConfig:
     explode_batch_size: int = 8192      # docs per SPIMI-partial batch (bigger
                                         # batches consolidate partial lists)
     exchange: str = "groupby"           # postings exchange: "groupby"
-                                        # (ds.groupby.map_groups — wins on a
-                                        # single node) | "mr" (direct
-                                        # map/reduce over object-store refs;
-                                        # measured SLOWER here: 256x256 small
-                                        # objects cost more than the sort,
-                                        # kept as the explicit-exchange
-                                        # reference implementation)
+                                        # (ds.groupby.map_groups) | "mr"
+                                        # (direct map/reduce over object-
+                                        # store refs; fused with the
+                                        # explode when the build has a
+                                        # token stream). The fused mr path
+                                        # is bench.py's default and the
+                                        # measured scaling fix for the
+                                        # sort shuffle's fixed coordination
+                                        # wall (BASELINE.md, round 4);
+                                        # both produce identical postings
+                                        # and lexicon
     group_batch_size: int = 4096        # (term[,seg]) groups per build batch
     mr2_tree_fanin: int = 0             # mr exchange two-level reduce merge
                                         # tree: when the map-task count

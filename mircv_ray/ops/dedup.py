@@ -830,11 +830,11 @@ def _sigs_from_sets(batch: pa.Table, id_col: str, num_perm: int,
 
 
 def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
-                        star_neg_probes: bool = False,
                         threshold: float = 0.5, shingle_k: int = 3,
                         num_perm: int = _NUM_PERM, bands: int = 16,
                         seed: int = 1, join_partitions: int | None = None,
-                        max_bucket: int = 200):
+                        max_bucket: int = 200, *,
+                        star_neg_probes: bool = False):
     """Near-dup pairs with EXACT n-gram (shingle-set) Jaccard >= threshold.
 
     Candidates come from the same MinHash-LSH banding as

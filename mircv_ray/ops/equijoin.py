@@ -1,5 +1,7 @@
-"""General distributed equi-join — the one relational primitive Ray
-Data (2.49) does not ship. Every sided operator in this repo
+"""General distributed equi-join. Ray Data 2.49 ships ``Dataset.join``
+(the build's docId attach uses it, ``build/index_build.py``); this
+module predates that and is kept for its broadcast path and its raw-
+task partitioned path. Every sided operator in this repo
 (dedup verify, LM count attach, as-of carry, line-dedup rebuild)
 hand-rolls its own tagged-union join tuned to its row shapes; this
 module is the GENERIC pair: SQL ``INNER`` / ``LEFT OUTER`` join of two

@@ -118,6 +118,11 @@ def ltr_features(index_dir: str, emb_ds, term_queries: list[list[str]],
                 continue
             q_known += 1
             ids, tfs = reader.decoded(t)
+            if not len(ids):
+                # a known term with no postings (pruning/vacuum edge
+                # state) matches no candidate; like the QLD evaluator it
+                # still counts in |q|
+                continue
             pos = np.minimum(np.searchsorted(ids, target), len(ids) - 1)
             hit = ids[pos] == target
             tf_c = tfs[pos]

@@ -18,16 +18,19 @@ Mirrors the reference's query lifecycle
 
 Batch path: ``run_queries`` maps a queries Dataset through a
 ``QueryScorer`` actor pool — each actor pays the index load once in
-``__init__`` and scores per batch. Posting fetches hit the term-hash-
-partitioned postings Parquet with shard + term predicate pushdown, with
-an LRU cache of decoded terms per actor.
+``__init__`` and scores per batch. Posting fetches read the term's
+hash shard and, within it, only the small row groups whose term range
+holds the term, with an LRU cache of decoded terms per actor.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left
 from collections import OrderedDict
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -251,9 +254,11 @@ class IndexReader:
         from ..build.tombstones import load_tombstones
         self.tombstones = load_tombstones(index_dir)
         # per-shard parquet handles + row-group term ranges, built lazily
-        # on first access (metadata-only) — per-term fetches then read
-        # just the matching row group(s) instead of planning a filtered
-        # dataset scan over every fragment (which costs 40-120 ms/query)
+        # on first access (metadata-only). Postings files are term-sorted
+        # in row groups of at most POSTINGS_ROW_GROUP_ROWS rows, so a
+        # term fetch reads one small row group per (shard, seg) file, not
+        # a whole file and not a filtered dataset scan over every
+        # fragment (which costs 40-120 ms/query)
         self._shard_meta_cache: dict[int, list] = {}
         self._cache: OrderedDict[str, tuple] = OrderedDict()
         self._cache_size = term_cache_size
@@ -346,29 +351,31 @@ class IndexReader:
         self._shard_meta_cache[shard] = meta
         return meta
 
-    def _read_terms_in_shard(self, shard: int, terms: list[str]) -> pa.Table:
-        """Read the union of row groups whose [min, max] term range can
-        contain any of ``terms`` (statistics pruning instead of a
-        filtered dataset scan), then exact-filter."""
-        picks = []  # (file_idx, rg_idx)
-        meta = self._shard_meta(shard)
-        for fi, (pf, mins, maxs) in enumerate(meta):
-            for ri in range(len(mins)):
-                if any(mins[ri] <= t <= maxs[ri] for t in terms):
-                    picks.append((fi, ri))
-        if not picks:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "seg": pa.array([], pa.int64()),
-                             "blocks": pa.array([], pa.list_(pa.struct([])))})
-        tbls = []
-        by_file: dict[int, list[int]] = {}
-        for fi, ri in picks:
-            by_file.setdefault(fi, []).append(ri)
-        for fi, rgs in by_file.items():
-            tbls.append(meta[fi][0].read_row_groups(
-                rgs, columns=["term", "seg", "blocks"]))
-        tbl = pa.concat_tables(tbls)
-        return tbl.filter(pc.is_in(tbl["term"], pa.array(terms)))
+    def _read_terms_in_shard(self, shard: int,
+                             terms: list[str]) -> list[tuple]:
+        """(term, seg, blocks) rows of ``terms`` in one shard, in file
+        order. Row-group statistics pick the row groups whose [min, max]
+        term range holds a wanted term; of those, only the matching rows
+        are converted to Python. Any row-group layout reads correctly
+        (an index written with one row group per file reads it whole)."""
+        want = sorted(set(terms))
+        value_set = pa.array(want, pa.string())
+        rows = []
+        for pf, mins, maxs in self._shard_meta(shard):
+            rgs = [ri for ri, (lo, hi) in enumerate(zip(mins, maxs))
+                   if (i := bisect_left(want, lo)) < len(want)
+                   and want[i] <= hi]
+            if not rgs:
+                continue
+            # a few small row groups: Arrow's decode thread pool costs
+            # more than it overlaps (prefetch overlaps shards itself)
+            term, seg, blocks = pf.read_row_groups(
+                rgs, columns=["term", "seg", "blocks"],
+                use_threads=False).columns
+            hit = pc.indices_nonzero(pc.is_in(term, value_set=value_set))
+            rows.extend((term[i].as_py(), seg[i].as_py(), blocks[i].as_py())
+                        for i in hit.to_pylist())
+        return rows
 
     def prefetch(self, terms: list[str]) -> None:
         """One row-group-pruned read per shard for every not-yet-cached
@@ -390,33 +397,18 @@ class IndexReader:
                     lambda it: self._read_terms_in_shard(*it), items))
         else:
             parts = [self._read_terms_in_shard(s, ts) for s, ts in items]
-        # a shard with no matching row group returns a stub whose empty
-        # blocks type (list<struct<>>) won't concat with real rows —
-        # and index formats differ across versions, so schema-match by
-        # dropping empty parts instead of constructing a "right" stub
-        parts = [p for p in parts if p.num_rows]
-        if not parts:
-            return
-        tbl = pa.concat_tables(parts)
-        tbl = tbl.take(pc.sort_indices(
-            tbl, sort_keys=[("term", "ascending"), ("seg", "ascending")]))
-        terms_col = tbl["term"].to_pylist()
-        blocks_col = tbl["blocks"].to_pylist()
-        i = 0
-        while i < len(terms_col):
-            j = i
-            while j < len(terms_col) and terms_col[j] == terms_col[i]:
-                j += 1
-            self._store(terms_col[i], blocks_col[i:j])
-            i = j
+        rows = sorted((r for part in parts for r in part),
+                      key=itemgetter(0, 1))       # term, then seg
+        for term, grp in groupby(rows, key=itemgetter(0)):
+            self._store(term, [blocks for _, _, blocks in grp])
 
     def _fetch_blocks(self, term: str, shard: int):
         if term in self._cache:
             self._cache.move_to_end(term)
             return self._cache[term]
-        tbl = self._read_terms_in_shard(shard, [term])
-        tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[("seg", "ascending")]))
-        return self._store(term, tbl["blocks"].to_pylist())
+        rows = sorted(self._read_terms_in_shard(shard, [term]),
+                      key=itemgetter(1))          # seg ascending
+        return self._store(term, [blocks for _, _, blocks in rows])
 
     def decoded(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         """Full decoded (doc_ids, tfs) arrays for a term (LRU-cached)."""

@@ -38,16 +38,24 @@ QUERIES = [["hot", "rare3"], ["warm"], ["hot", "warm", "rare1"],
 
 
 @pytest.fixture(scope="module")
-def ltr_setup(ray_session, tmp_path_factory):
+def ltr_index(ray_session, tmp_path_factory):
     import ray.data as rd
 
     from mircv_ray.build import build_index
-    from mircv_ray.ops import ltr_features
     rows = _corpus()
     out = str(tmp_path_factory.mktemp("ltridx"))
     build_index(rd.from_items(rows), out,
                 IndexConfig(parse=False, squeeze=False, num_shards=2,
                             salt_buckets=1))
+    return rows, out
+
+
+@pytest.fixture(scope="module")
+def ltr_setup(ltr_index):
+    import ray.data as rd
+
+    from mircv_ray.ops import ltr_features
+    rows, out = ltr_index
     oracle = OracleIndex.build(rows, parse=False, squeeze=False)
     tbl, m = _emb()
     qv = m[: len(QUERIES)]
@@ -101,3 +109,35 @@ def test_dense_and_meta_features(ltr_setup):
         n_match = sum(1 for t in set(QUERIES[r["qid"]])
                       if (d + 1) in oracle.postings.get(t, {}))
         assert r["n_match"] == n_match
+
+
+def test_empty_decoded_list_matches_nothing(ltr_index, monkeypatch):
+    """A lexicon term whose decoded posting list is empty (a pruning or
+    vacuum edge state) adds no score to any candidate instead of raising
+    IndexError; it still counts in the QLD query length, as in the
+    engine's QLD evaluator."""
+    import ray.data as rd
+
+    from mircv_ray.config import QueryConfig
+    from mircv_ray.ops import ltr_features
+    from mircv_ray.query import IndexReader, QueryEngine
+    _, out = ltr_index
+    tbl, m = _emb()
+    qv = m[:1]
+    want = ltr_features(out, rd.from_arrow(tbl), [["hot"]], qv,
+                        k=10).to_pylist()
+    orig = IndexReader.decoded
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
+    monkeypatch.setattr(IndexReader, "decoded", lambda self, t:
+                        empty if t == "warm" else orig(self, t))
+    got = ltr_features(out, rd.from_arrow(tbl), [["hot", "warm"]], qv,
+                       k=10).to_pylist()
+    qld = dict(QueryEngine(out, QueryConfig(
+        standard="QLD", k=10**6, parse=False, squeeze=False))
+        .score_terms(["hot", "warm"]))
+    keys = ("doc_id", "bm25", "tfidf", "cosine", "dl", "n_match")
+    assert [{k: r[k] for k in keys} for r in got] == \
+        [{k: r[k] for k in keys} for r in want]
+    for r in got:
+        assert r["qld"] == pytest.approx(qld.get(r["doc_id"] + 1, 0.0),
+                                         rel=1e-9, abs=1e-12)

@@ -78,6 +78,19 @@ class TestDedup:
             if j == 1.0:
                 assert (a, b) in got
 
+    def test_ngram_jaccard_pairs_star_neg_probes_keyword_only(self):
+        """A positional value can never bind to star_neg_probes: the 4th
+        positional parameter is threshold, and one past the last
+        positional parameter raises instead of binding silently."""
+        import inspect
+
+        from mircv_ray.ops import ngram_jaccard_pairs
+        params = list(inspect.signature(ngram_jaccard_pairs).parameters)
+        assert params[3] == "threshold"
+        with pytest.raises(TypeError):
+            ngram_jaccard_pairs(None, "text", "doc_id", 0.5, 3, 128, 16, 1,
+                                None, 200, True)
+
     def test_minhash_pairs_find_exact_dups(self, ray_session):
         from mircv_ray.ops import minhash_candidate_pairs
         tbl = _docs_table()
