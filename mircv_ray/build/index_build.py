@@ -147,48 +147,6 @@ def _make_assign_ids(bases_ref):
     return assign_ids
 
 
-# above this many docs the id assignment runs as a Ray groupby over the
-# slim key table instead of one driver-side Arrow sort
-DRIVER_IDMAP_MAX_ROWS = 5_000_000
-
-_EMPTY_MAPPING = pa.table({"repo": pa.array([], pa.string()),
-                           "path": pa.array([], pa.string()),
-                           "doc_id": pa.array([], pa.int64())})
-
-
-def _driver_id_mapping(slim, ray_mod) -> pa.Table:
-    """Driver-side mapping (small key sets): pull the slim keys, sort,
-    rank. docId = 1 + rank in (repo, path) order."""
-    tbls = [t for t in ray_mod.get(slim.to_arrow_refs()) if t.num_rows]
-    if not tbls:
-        return _EMPTY_MAPPING
-    keys = pa.concat_tables(tbls).combine_chunks()
-    try:
-        # polars sorts multithreaded (byte-order on strings, same as
-        # arrow); the driver sort is on the critical path
-        import polars as pl
-        keys = pl.from_arrow(keys).sort(["repo", "path"]).to_arrow()
-        keys = keys.cast(pa.schema([("repo", pa.string()),
-                                    ("path", pa.string())]))
-    except ImportError:
-        keys = keys.take(pc.sort_indices(
-            keys, sort_keys=[("repo", "ascending"),
-                             ("path", "ascending")]))
-    joined = pc.binary_join_element_wise(keys["repo"], keys["path"],
-                                         "\x00")
-    jn = joined.to_numpy(zero_copy_only=False)
-    if len(jn) > 1 and (jn[1:] == jn[:-1]).any():
-        dup = jn[1:][jn[1:] == jn[:-1]][0]
-        raise ValueError(
-            "corpus has duplicate (repo, path) keys (e.g. "
-            f"{dup.replace(chr(0), '/')}); docId assignment requires "
-            "unique keys — dedupe the corpus first "
-            "(e.g. ops.exact_dedup_keep)")
-    return keys.append_column(
-        "doc_id", pa.array(np.arange(1, keys.num_rows + 1,
-                                     dtype=np.int64)))
-
-
 def build_id_mapping_ds(slim, ray_mod):
     """Distributed docId mapping as a DATASET (repo, path, doc_id) — for
     key sets too large for one driver heap. Per-repo base offsets (repo
@@ -204,35 +162,6 @@ def build_id_mapping_ds(slim, ray_mod):
     bases_ref = ray_mod.put(bases)
     return slim.groupby("repo").map_groups(
         _make_assign_ids(bases_ref), batch_format="pyarrow")
-
-
-def build_id_mapping(slim, ray_mod) -> pa.Table:
-    """Deterministic docId mapping TABLE from a SLIM (repo, path) dataset.
-
-    ``slim`` must already be blank-filtered (blank docs never consume a
-    docId, InvertedIndex.java:45-47) and projected to the two key columns
-    — pass e.g. ``tok.select_columns(["repo", "path"])`` over the
-    materialized token stream so content is scanned exactly once per
-    build. docId = 1 + rank in (repo, path) order: data-dependent only,
-    identical at any parallelism.
-
-    This driver-table form exists for broadcast-scale key sets; above
-    ``DRIVER_IDMAP_MAX_ROWS`` the BUILD uses ``build_id_mapping_ds`` +
-    ``attach_ids_via_join`` instead (nothing driver-side). Calling this
-    on a large set still works (distributed rank, then one pull) but is
-    not the scale path.
-    """
-    if slim.count() <= DRIVER_IDMAP_MAX_ROWS:
-        return _driver_id_mapping(slim, ray_mod)
-    mapping_ds = build_id_mapping_ds(slim, ray_mod)
-    tbls = [t for t in ray_mod.get(mapping_ds.to_arrow_refs()) if t.num_rows]
-    if not tbls:
-        return _EMPTY_MAPPING
-    tbl = pa.concat_tables(tbls).combine_chunks()
-    # groups arrive in arbitrary block order; doc_id order IS (repo, path)
-    # order, so a cheap numeric sort restores the invariant _mapping_keys
-    # relies on
-    return tbl.take(pc.sort_indices(tbl["doc_id"]))
 
 
 def _pack_token_lists(batch: pa.Table) -> pa.Table:
@@ -325,30 +254,75 @@ def _fixed_width_keys(joined, width: int) -> np.ndarray:
                          count=len(fixed), offset=fixed.offset * width)
 
 
-def _broadcast_mapping(mapping_tbl: pa.Table, ray_mod):
-    """ray.put the broadcast id mapping as (key byte width, sorted
-    'S<w>' key array, parallel doc_id array) — the lookup-ready form.
-    Built ONCE on the driver: every worker then reads the key buffer
-    zero-copy from the object store instead of re-deriving it (the old
-    per-worker build materialized a mapping-sized Python-object array
-    in every worker — the dominant warmup cost at high worker counts).
-    ``mapping_tbl`` MUST be sorted by (repo, path) — build_id_mapping
-    guarantees it and the resume path re-sorts the checkpointed table
-    ('\\x00' sorts below every other byte, so joined-key order equals
-    the two-column order)."""
-    joined = pc.binary_join_element_wise(mapping_tbl["repo"],
-                                         mapping_tbl["path"], "\x00")
+# above this many docs the id assignment runs as a Ray groupby + join
+# over the slim key table instead of one task that sorts every key
+DRIVER_IDMAP_MAX_ROWS = 5_000_000
+
+_EMPTY_KEYS = pa.table({"repo": pa.array([], pa.string()),
+                        "path": pa.array([], pa.string()),
+                        "doc_len": pa.array([], pa.int64()),
+                        "doc_id": pa.array([], pa.int64())})
+
+
+@ray.remote
+def _block_keys(block: pa.Table) -> pa.Table:
+    """The id-assignment columns of one token block. Runs beside the
+    block, so only keys and lengths travel to the assign task."""
+    return block.select(["repo", "path", "doc_len"])
+
+
+@ray.remote(num_returns=2)
+def _assign_ids(docs_dir, sidecar, *parts):
+    """Sort the (repo, path) keys and return the broadcast id mapping in
+    its lookup-ready form, (key byte width, sorted 'S<w>' key array,
+    parallel doc_id array), plus the collection length. Workers read
+    the key buffer zero-copy from the object store; the driver only
+    passes the ref on.
+
+    Fed ``parts`` (per-block repo, path, doc_len tables of a fresh
+    build): docId = 1 + rank in (repo, path) order (the reference's
+    arrival counter, InvertedIndex.java:51, made data-dependent),
+    duplicate keys raise, and ``sidecar = (out, salt)`` writes the
+    per-seg doc-length sidecar from the same sorted table. Fed
+    ``docs_dir`` (a written doc table): its own doc_ids are kept.
+    ('\\x00' sorts below every other byte, so the joined-key order is
+    the two-column order.)"""
+    parts = [t for t in parts if t.num_rows]
+    # a zero-doc build writes no docs/ files
+    if docs_dir is not None and any(Path(docs_dir).glob("*.parquet")):
+        parts = [pq.read_table(docs_dir, columns=["repo", "path", "doc_id"])]
+    keys = pa.concat_tables(parts) if parts else _EMPTY_KEYS
+    joined = pc.binary_join_element_wise(keys["repo"], keys["path"], "\x00")
     width = max(int(pc.max(pc.binary_length(joined)).as_py() or 1), 1)
-    return ray_mod.put((width, _fixed_width_keys(joined, width),
-                        mapping_tbl["doc_id"].to_numpy()))
+    fixed = _fixed_width_keys(joined, width)
+    order = np.argsort(fixed, kind="stable")
+    fixed = fixed[order]
+    n = len(fixed)
+    if docs_dir is not None:
+        return (width, fixed,
+                keys["doc_id"].to_numpy()[order]), 0
+    dup = fixed[1:][fixed[1:] == fixed[:-1]]
+    if len(dup):
+        key = dup[0].replace(b"\x00", b"/").decode(errors="replace")
+        raise ValueError(
+            f"corpus has duplicate (repo, path) keys (e.g. {key}); docId "
+            "assignment requires unique keys — dedupe the corpus first "
+            "(e.g. ops.exact_dedup_keep)")
+    ids = np.arange(1, n + 1, dtype=np.int64)
+    lens = keys["doc_len"].take(pa.array(order))
+    out, salt = sidecar
+    d = _fresh_doc_lens_dir(out, salt)
+    if n:
+        _write_doc_len_slices(d, pa.table({"doc_id": ids, "doc_len": lens}),
+                              n, salt)
+    write_manifest(str(out), "doc_lens", {"n_docs": n, "salt_buckets": salt})
+    return (width, fixed, ids), int(pc.sum(lens).as_py() or 0)
 
 
 def _mapping_keys(mapping_ref) -> tuple[int, np.ndarray, np.ndarray]:
-    """Worker-side read of a :func:`_broadcast_mapping` object —
+    """Worker-side read of an :func:`_assign_ids` mapping —
     zero-copy from the object store, memoized per worker."""
     return _cached_get(mapping_ref)
-
-
 
 
 class AttachIdsTokenizeHash:
@@ -1481,43 +1455,53 @@ def _seg_bounds(seg: int, n_docs: int, salt: int) -> tuple[int, int]:
     return -(-seg * n_docs // salt), -(-(seg + 1) * n_docs // salt)
 
 
-def _write_doc_len_sidecar(out: Path, n_docs: int, salt: int,
-                           src=None) -> int:
-    """doc_lens/seg=N parquet sidecar: (doc_id, doc_len) partitioned by
-    salt segment, derived DISTRIBUTEDLY (nothing lands on the driver)
-    from ``src`` (the build's already-materialized token stream — an
-    object-store read, no disk re-scan) or, on the resume path, from the
-    docs parquet. The same pass computes and returns the A3 collection
-    length (per-batch partial sums -> one tiny aggregate) so the docs
-    stage needs no separate sum job. Each posting-build segment later
-    loads only its own sidecar partition."""
-    import uuid
-    import ray.data as rd
+def _fresh_doc_lens_dir(out: Path, salt: int) -> Path:
+    """Empty doc_lens/ with one seg=N dir per salt segment."""
     d = out / "doc_lens"
     if d.exists():
         shutil.rmtree(d, ignore_errors=True)
     for s in range(salt):
         (d / f"seg={s}").mkdir(parents=True, exist_ok=True)
+    return d
+
+
+def _write_doc_len_slices(d: Path, tbl: pa.Table, n_docs: int,
+                          salt: int) -> None:
+    """Write a (doc_id, doc_len) table into the sidecar: one file per
+    salt segment the table touches, named by a fresh uuid so concurrent
+    writers never collide."""
+    import uuid
+    did = tbl["doc_id"].to_numpy()
+    seg = (did - 1) * salt // n_docs
+    order = np.argsort(seg, kind="stable")
+    b = tbl.take(pa.array(order))
+    bounds = np.searchsorted(seg[order], np.arange(salt + 1))
+    name = uuid.uuid4().hex
+    for s in range(salt):
+        lo, hi = int(bounds[s]), int(bounds[s + 1])
+        if hi > lo:
+            pq.write_table(b.slice(lo, hi - lo),
+                           str(d / f"seg={s}" / f"{name}.parquet"))
+
+
+def _write_doc_len_sidecar(out: Path, n_docs: int, salt: int) -> int:
+    """doc_lens/seg=N parquet sidecar: (doc_id, doc_len) partitioned by
+    salt segment, derived DISTRIBUTEDLY from the docs parquet (nothing
+    lands on the driver). The same pass computes and returns the A3
+    collection length (per-batch partial sums -> one tiny aggregate).
+    Each posting-build segment later loads only its own sidecar
+    partition. A fresh broadcast-path build writes the sidecar inside
+    :func:`_assign_ids` instead; vacuum, merge and the scale path use
+    this job."""
+    import ray.data as rd
+    d = _fresh_doc_lens_dir(out, salt)
     total = 0
     if n_docs > 0:
-        ds = (src.select_columns(["doc_id", "doc_len"]) if src is not None
-              else rd.read_parquet(str(out / "docs"),
-                                   columns=["doc_id", "doc_len"]))
+        ds = rd.read_parquet(str(out / "docs"), columns=["doc_id", "doc_len"])
 
         def write_segs(batch: pa.Table) -> pa.Table:
+            _write_doc_len_slices(d, batch, n_docs, salt)
             part = int(pc.sum(batch["doc_len"]).as_py() or 0)
-            did = batch["doc_id"].to_numpy()
-            seg = (did - 1) * salt // n_docs
-            order = np.argsort(seg, kind="stable")
-            b = batch.take(pa.array(order))
-            segs = seg[order]
-            bounds = np.searchsorted(segs, np.arange(salt + 1))
-            name = uuid.uuid4().hex
-            for s in range(salt):
-                lo, hi = int(bounds[s]), int(bounds[s + 1])
-                if hi > lo:
-                    pq.write_table(b.slice(lo, hi - lo),
-                                   str(d / f"seg={s}" / f"{name}.parquet"))
             return pa.table({"part": pa.array([part], type=pa.int64())})
         # batch_size=None: one batch per block — one sidecar file per
         # (block, seg), NOT per default-sized micro-batch (a per-batch
@@ -1694,15 +1678,20 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
             TokenizeHashDropBlank(cfg), batch_format="pyarrow",
             batch_size=cfg.tokenize_batch_size).materialize()
         sub["tokenize_s"] = round(time.time() - t0, 3)
-        # docIds from the SLIM materialized keys (no second content pass)
-        slim = tok0.select_columns(["repo", "path"])
-        n_keys = slim.count()
+        n_keys = tok0.count()  # block metadata of the materialized stream
         tm = time.time()
         if n_keys <= DRIVER_IDMAP_MAX_ROWS:
-            # broadcast path: mapping table fits a worker heap — ray.put
-            # once, binary-search per batch
-            mapping_tbl = _driver_id_mapping(slim, ray)
-            mapping_ref = _broadcast_mapping(mapping_tbl, ray)
+            # broadcast path: docIds AND doc lengths come from ONE task,
+            # as the reference's SPIMI pass hands out ids and collects
+            # lengths together. Per-block tasks beside the token blocks
+            # cut them to (repo, path, doc_len); the assign task sorts the
+            # keys, numbers the docs, writes the doc-length sidecar and
+            # returns the lookup-ready mapping, whose ref AttachIds reads
+            # (the driver sees the ref and the collection length only)
+            keys = [_block_keys.remote(b) for b in tok0.to_arrow_refs()]
+            mapping_ref, total_ref = _assign_ids.remote(
+                None, (out, cfg.salt_buckets), *keys)
+            total0 = ray.get(total_ref)
             tok_mat = tok0.map_batches(AttachIds(mapping_ref),
                                        batch_format="pyarrow")
         else:
@@ -1711,6 +1700,7 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
             # never lands on the driver or any single heap. Materialized
             # so the docs write AND the postings stage both read the
             # joined stream without re-running the join.
+            slim = tok0.select_columns(["repo", "path"])
             mapping_ds = build_id_mapping_ds(slim, ray)
             tok_mat = attach_ids_via_join(tok0, mapping_ds).materialize()
             tok0 = None  # release the pre-join token blocks
@@ -1720,12 +1710,11 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
             str(out / "docs"), min_rows_per_file=200_000)
         sub["docs_write_s"] = round(time.time() - tm, 3)
         tm = time.time()
-        # A3 collection length + the per-seg doc-length sidecar in ONE
-        # job over the just-written docs parquet (slim 2-column pruned
-        # read — measured cheaper than re-routing the token-bearing
-        # blocks through AttachIds again); the driver sees only
-        # per-batch partial sums
-        total0 = _write_doc_len_sidecar(out, n_keys, cfg.salt_buckets)
+        if mapping_ref is None:
+            # scale path: A3 collection length + the per-seg doc-length
+            # sidecar in ONE job over the just-written docs parquet (slim
+            # 2-column pruned read); the driver sees only per-batch sums
+            total0 = _write_doc_len_sidecar(out, n_keys, cfg.salt_buckets)
         sub["sidecar_s"] = round(time.time() - tm, 3)
         write_manifest(out_dir, "docs", {
             "lineage": lineage or {}, "n_docs": n_keys,
@@ -1767,14 +1756,10 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
             # token stream — the id mapping comes from the checkpointed doc
             # table, tokenization is deterministic.
             if n_docs <= DRIVER_IDMAP_MAX_ROWS:
-                mapping_tbl = pq.read_table(str(out / "docs"),
-                                            columns=["repo", "path", "doc_id"])
-                mapping_tbl = mapping_tbl.take(
-                    pc.sort_indices(mapping_tbl["doc_id"]))  # _mapping_keys invariant
+                # the doc table is read and sorted inside the assign task
+                mapping_ref, _ = _assign_ids.remote(str(out / "docs"), None)
                 tok_mat = corpus.map_batches(
-                    AttachIdsTokenizeHash(cfg,
-                                          _broadcast_mapping(mapping_tbl,
-                                                             ray)),
+                    AttachIdsTokenizeHash(cfg, mapping_ref),
                     batch_format="pyarrow", batch_size=cfg.tokenize_batch_size)
             else:
                 # scale resume: join the re-derived token stream against

@@ -40,14 +40,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 
 from ..codecs.vbyte import vbyte_decode, vbyte_encode, vbyte_lengths
 from ..config import IndexConfig
 from ..text.tokenizer import Tokenizer, tokenize_text
 from ..util import (crc32_column, packed_tf_dtype, packed_tf_values,
                     sort_pairs)
-from .index_build import (TERM_ROW_GROUPS, AttachIds, _broadcast_mapping,
+from .index_build import (TERM_ROW_GROUPS, AttachIds, _assign_ids,
                           _ids_dtype, _packed_runs, _term_shards_memo)
 
 __all__ = ["build_positions_index", "phrase_match_positional",
@@ -250,7 +249,6 @@ def build_positions_index(index_dir: str, corpus, cfg: IndexConfig,
 
     import shutil
 
-    import ray.data as rd
     from .. import use_push_shuffle
     from .manifests import read_manifest
     stats = json.loads((Path(index_dir) / "stats.json").read_text())
@@ -273,12 +271,9 @@ def build_positions_index(index_dir: str, corpus, cfg: IndexConfig,
         return {"partitions": done, "resumed": True}
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     stamp_p.write_text(stamp)
-    mapping = pq.read_table(str(Path(index_dir) / "docs"),
-                            columns=["repo", "path", "doc_id"])
-    mapping = mapping.take(pc.sort_indices(
-        mapping, sort_keys=[("repo", "ascending"),
-                            ("path", "ascending")]))
-    mref = _broadcast_mapping(mapping, ray)
+    # the doc table is read and sorted inside one task; the driver holds
+    # only the mapping's ref
+    mref, _ = _assign_ids.remote(str(Path(index_dir) / "docs"), None)
     t0 = time.time()
     tok = corpus.map_batches(
         Tokenizer(parse=cfg.parse, squeeze=cfg.squeeze),

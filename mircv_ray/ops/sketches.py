@@ -31,7 +31,11 @@ import pyarrow.compute as pc
 
 def exact_distinct_per_group(ds, group_col: str, value_col: str,
                              alias: str = "n_distinct"):
-    """(group_col, n_distinct) — exact COUNT(DISTINCT value) per group."""
+    """(group_col, n_distinct) — exact COUNT(DISTINCT value) per group.
+
+    NULL rule, shared with :func:`hll_distinct_per_group`: a NULL group
+    key names no group, so its rows are dropped; NULL values never
+    count, and a group whose every value is NULL appears with 0."""
     from ray.data.aggregate import Sum
 
     from .. import use_push_shuffle
@@ -41,7 +45,8 @@ def exact_distinct_per_group(ds, group_col: str, value_col: str,
         # per-batch dedupe so only locally-unique pairs enter the
         # shuffle; NULL values are excluded like SQL COUNT(DISTINCT)
         t = batch.select([group_col, value_col])
-        return t.filter(pc.is_valid(t[value_col])) \
+        return t.filter(pc.and_(pc.is_valid(t[group_col]),
+                                pc.is_valid(t[value_col]))) \
                 .group_by([group_col, value_col]).aggregate([])
 
     uniq = (ds.map_batches(local_pairs, batch_format="pyarrow")
@@ -56,8 +61,9 @@ def exact_distinct_per_group(ds, group_col: str, value_col: str,
         # groups whose every value is NULL must still appear with 0
         # (SQL: SELECT g, COUNT(DISTINCT v) GROUP BY g) — emit one
         # zero partial per batch-distinct group
-        gonly = batch.select([group_col]).group_by(group_col) \
-            .aggregate([])
+        gonly = batch.select([group_col]) \
+            .filter(pc.is_valid(batch[group_col])) \
+            .group_by(group_col).aggregate([])
         return pa.table({group_col: gonly[group_col],
                          "c": pa.array(
                              np.zeros(gonly.num_rows, dtype=np.int64))})
@@ -128,7 +134,9 @@ def hll_distinct_per_group(ds, group_col: str, value_col: str,
     """(group_col, n_distinct_hll) — HyperLogLog estimate per group.
 
     Per batch: one register blob (2**p bytes) per group present; the
-    only shuffle moves those blobs. p=12 -> 4 KiB/blob, ~1.6% error."""
+    only shuffle moves those blobs. p=12 -> 4 KiB/blob, ~1.6% error.
+    NULLs follow :func:`exact_distinct_per_group`, so both return the
+    same groups."""
     if not 4 <= p <= 18:
         raise ValueError(f"p={p} outside [4, 18]")
     m = 1 << p
@@ -137,12 +145,9 @@ def hll_distinct_per_group(ds, group_col: str, value_col: str,
         if batch.num_rows == 0:
             return pa.table({group_col: batch[group_col],
                              "regs": pa.array([], pa.binary())})
-        # NULL group or value rows are dropped (a NULL value never
-        # counts toward COUNT(DISTINCT); null-key grouping is left to
-        # the exact operator) — without the filter the zero-copy
-        # index/hash paths raise ArrowInvalid mid-pipeline
-        ok = pc.and_(pc.is_valid(batch[group_col]),
-                     pc.is_valid(batch[value_col]))
+        # NULL-group rows are dropped — without the filter the
+        # zero-copy index/hash paths raise ArrowInvalid mid-pipeline
+        ok = pc.is_valid(batch[group_col])
         if not pc.all(ok).as_py():
             batch = batch.filter(ok)
             if batch.num_rows == 0:
@@ -156,12 +161,16 @@ def hll_distinct_per_group(ds, group_col: str, value_col: str,
             denc = denc.combine_chunks()
         codes = denc.indices.to_numpy().astype(np.int64)
         ng = len(denc.dictionary)
-        h = _hash_column(batch[value_col])
+        # a NULL value sets no register, but its group still emits a
+        # blob: an all-NULL group estimates 0, as the exact count is 0
+        vals = batch[value_col]
+        valid = pc.is_valid(vals).to_numpy(zero_copy_only=False)
+        h = _hash_column(vals.filter(pa.array(valid)))
         idx = (h >> np.uint64(64 - p)).astype(np.int64)
         w = (h << np.uint64(p)).astype(np.uint64)
         rho = (_clz64(w) + 1).clip(max=64 - p + 1).astype(np.uint8)
         regs = np.zeros((ng, m), dtype=np.uint8)
-        np.maximum.at(regs, (codes, idx), rho)
+        np.maximum.at(regs, (codes[valid], idx), rho)
         return pa.table({
             group_col: denc.dictionary,
             "regs": pa.array([regs[i].tobytes() for i in range(ng)],

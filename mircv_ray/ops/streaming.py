@@ -33,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .windows import US_PER_HOUR, _round_half_away
+from .windows import US_PER_HOUR, _round_half_away, _value_cents
 
 _EMPTY = pa.table({
     "window_start_us": pa.array([], pa.int64()),
@@ -77,8 +77,7 @@ class StreamingTumblingWindow:
             # integer sums associate, so stream batching is invisible
             t = pa.table({"w": pa.array(win, type=pa.int64()),
                           "event_type": batch["event_type"],
-                          "c": pa.array(_round_half_away(
-                              batch["value"].to_numpy() * 100.0))})
+                          "c": pa.array(_value_cents(batch["value"]))})
             a = t.group_by(["w", "event_type"]).aggregate(
                 [([], "count_all"), ("c", "sum")])
             ws = a["w"].to_numpy()

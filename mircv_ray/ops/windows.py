@@ -28,6 +28,13 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.trunc(x + np.copysign(0.5, x)).astype(np.int64)
 
 
+def _value_cents(value) -> np.ndarray:
+    """Per-event ``value`` in whole cents, rounded half away from zero.
+    A NULL value adds nothing to a window's sum (Arrow's null-aware sum
+    skips it) but the event still counts in n_events."""
+    return _round_half_away(pc.fill_null(value, 0).to_numpy() * 100.0)
+
+
 def tumbling_window_agg(events_ds, width_us: int = US_PER_HOUR):
     """(window_start_us, event_type) -> n_events, sum_value.
 
@@ -50,8 +57,7 @@ def tumbling_window_agg(events_ds, width_us: int = US_PER_HOUR):
         # for ANY float input, not just 2-decimal values
         t = pa.table({"window_start_us": pa.array(win, type=pa.int64()),
                       "event_type": batch["event_type"],
-                      "c": pa.array(_round_half_away(
-                          batch["value"].to_numpy() * 100.0))})
+                      "c": pa.array(_value_cents(batch["value"]))})
         a = t.group_by(["window_start_us", "event_type"]).aggregate(
             [([], "count_all"), ("c", "sum")])
         return pa.table({"window_start_us": a["window_start_us"],
@@ -94,8 +100,7 @@ def hopping_window_agg(events_ds, width_us: int = US_PER_HOUR,
             "event_type": pa.array(
                 np.repeat(batch["event_type"].to_numpy(zero_copy_only=False),
                           k)),
-            "c": pa.array(np.repeat(_round_half_away(
-                batch["value"].to_numpy() * 100.0), k)),
+            "c": pa.array(np.repeat(_value_cents(batch["value"]), k)),
         })
         a = t.group_by(["window_start_us", "event_type"]).aggregate(
             [([], "count_all"), ("c", "sum")])

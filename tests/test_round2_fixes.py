@@ -84,6 +84,56 @@ def test_distributed_assign_ids_rejects_duplicates(ray_session):
         fn(t)
 
 
+def _keyed_corpus(paths, contents):
+    n = len(paths)
+    return pa.table({"repo": pa.array(["r"] * n),
+                     "path": pa.array(paths),
+                     "commit": pa.array(["c"] * n),
+                     "lang": pa.array(["py"] * n),
+                     "content": pa.array(contents)})
+
+
+def test_broadcast_build_rejects_duplicates(ray_session, tmp_path):
+    """The default build (broadcast id mapping) refuses duplicate
+    (repo, path) keys, as the distributed assigner does."""
+    import ray.data as rd
+
+    from mircv_ray.build import build_index
+    from mircv_ray.config import IndexConfig
+    t = _keyed_corpus(["a", "b", "a"], ["alpha text", "beta", "gamma"])
+    with pytest.raises(ValueError, match="duplicate"):
+        build_index(rd.from_arrow(t), str(tmp_path / "idx"),
+                    IndexConfig(num_shards=2, salt_buckets=1))
+
+
+def test_all_blank_corpus_builds_empty_index(ray_session, tmp_path):
+    """Blank docs get no docId, so an all-blank corpus is a zero-doc
+    index: empty doc-length sidecar, one empty dir per salt segment."""
+    import ray.data as rd
+
+    from mircv_ray.build import build_index
+    from mircv_ray.build.manifests import read_manifest
+    from mircv_ray.config import IndexConfig
+    t = _keyed_corpus(["a", "b", "c", "d"], ["", "   ", None, "\n\t"])
+    out = tmp_path / "idx"
+    stats = build_index(rd.from_arrow(t), str(out),
+                        IndexConfig(num_shards=2, salt_buckets=3))
+    assert stats["n_docs"] == 0
+    assert stats["total_doc_len"] == 0
+    m = read_manifest(str(out), "doc_lens")
+    assert (m["n_docs"], m["salt_buckets"]) == (0, 3)
+    segs = sorted((out / "doc_lens").iterdir())
+    assert [d.name for d in segs] == ["seg=0", "seg=1", "seg=2"]
+    assert not any(f for d in segs for f in d.iterdir())
+    # resume with the docs stage done: the mapping comes from a doc
+    # table that has no files
+    for stage in ("postings", "lexicon"):
+        (out / "_manifests" / f"{stage}.json").unlink()
+    stats = build_index(rd.from_arrow(t), str(out),
+                        IndexConfig(num_shards=2, salt_buckets=3))
+    assert (stats["n_docs"], stats["total_doc_len"]) == (0, 0)
+
+
 # ----------------------------------------------------- stale-stage resumption
 
 def test_incomplete_stage_output_is_cleared(ray_session, tmp_path):
@@ -530,6 +580,64 @@ def test_hopping_window_covers_each_event_k_times(ray_session):
     with pytest.raises(ValueError, match="multiple"):
         hopping_window_agg(rd.from_arrow(t), width_us=3_000_000,
                            hop_us=2_000_000)
+
+
+def _events_with_null_value():
+    # one window [0, 4s) holding 1.25 + NULL + 2.5, so the NULL must add
+    # nothing to the sum and still count as an event
+    return pa.table({
+        "ts": pa.array([1_000_000, 2_000_000, 3_000_000],
+                       type=pa.timestamp("us")),
+        "event_type": pa.array(["a", "a", "a"]),
+        "value": pa.array([1.25, None, 2.5], type=pa.float64()),
+    })
+
+
+def test_tumbling_window_skips_null_value(ray_session):
+    import ray.data as rd
+
+    from mircv_ray.ops import tumbling_window_agg
+    out = tumbling_window_agg(rd.from_arrow(_events_with_null_value()),
+                              width_us=4_000_000).to_pandas()
+    assert out[["n_events", "sum_value_cents"]].values.tolist() == [[3, 375]]
+
+
+def test_hopping_window_skips_null_value(ray_session):
+    import ray.data as rd
+
+    from mircv_ray.ops import hopping_window_agg
+    out = hopping_window_agg(rd.from_arrow(_events_with_null_value()),
+                             width_us=4_000_000,
+                             hop_us=4_000_000).to_pandas()
+    assert out[["n_events", "sum_value_cents"]].values.tolist() == [[3, 375]]
+
+
+def test_streaming_window_skips_null_value():
+    from mircv_ray.ops.streaming import StreamingTumblingWindow
+    agg = StreamingTumblingWindow(width_us=4_000_000)
+    agg.ingest(_events_with_null_value())
+    out = agg.flush().to_pylist()
+    assert [(r["n_events"], r["sum_value_cents"]) for r in out] == [(3, 375)]
+
+
+def test_exact_and_hll_distinct_agree_on_null_groups(ray_session):
+    """Both distinct-count operators drop NULL-group rows and keep a
+    group whose every value is NULL (count 0)."""
+    import ray.data as rd
+
+    from mircv_ray.ops import exact_distinct_per_group, hll_distinct_per_group
+    t = pa.table({"g": ["a", None, "a", "b", None, "c"],
+                  "v": ["x", "y", "z", "x", None, None]})
+
+    def groups(ds, alias):
+        df = ds.to_pandas()
+        return dict(zip(df["g"], df[alias]))
+    exact = groups(exact_distinct_per_group(rd.from_arrow(t), "g", "v"),
+                   "n_distinct")
+    hll = groups(hll_distinct_per_group(rd.from_arrow(t), "g", "v"),
+                 "n_distinct_hll")
+    assert exact == {"a": 2, "b": 1, "c": 0}
+    assert hll == exact
 
 
 def test_strict_and_conjunctive(ray_session, tmp_path):
