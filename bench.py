@@ -129,8 +129,6 @@ def run_bench() -> dict:
     # num_shards is FIXED (not a function of cpu count) so the index
     # layout is identical across cluster sizes — the scaling runs must
     # produce the same artifact
-    # MIRCV_EXCHANGE A/Bs the postings exchange ("mr" = fused direct
-    # map/reduce, the round-4 scaling fix; "groupby" = Ray sort shuffle)
     # salt_buckets tracks CORPUS SIZE, like any partition count: at the
     # scaling corpus (mult=32, 1.6M docs) the hot term-hash key's build
     # was the 32-cpu reduce-phase straggler (2.7 s task vs 0.15 s p50;
@@ -142,8 +140,7 @@ def run_bench() -> dict:
     # batch-200 2.7->3.6 s, postings stage 0.56->0.93 s).
     cfg = IndexConfig(parse=True, codec="vbyte", num_shards=64,
                       salt_buckets=int(os.environ.get(
-                          "MIRCV_SALT_BUCKETS", "4")),
-                      exchange=os.environ.get("MIRCV_EXCHANGE", "mr"))
+                          "MIRCV_SALT_BUCKETS", "4")))
     # Build twice, report the BEST run (min wall): steady-state
     # throughput (warm worker pool, warm page cache) is the quantity a
     # long-running cluster job sees, and this sandbox VM has documented
@@ -336,35 +333,6 @@ def run_bench() -> dict:
     return result
 
 
-_DUR_UNITS = {"us": 1e-6, "ms": 1e-3, "s": 1.0, "m": 60.0}
-
-
-def _parse_busy(stats_path: str) -> dict[str, float]:
-    """Per-operator summed task ('busy') seconds from a Ray Data stats
-    text dump (postings_raystats.txt). The postings pipeline executes
-    IDENTICAL tasks at every cpu level (same blocks, same rows), so the
-    busy-total ratio between two levels is a direct measurement of the
-    per-core slowdown this box imposes at higher occupancy — memory
-    bandwidth + turbo sharing — on the job's own kernels."""
-    import re as _re
-    ops: dict[str, float] = {}
-    name = None
-    for line in Path(stats_path).read_text().splitlines():
-        m = _re.match(r"(?:Operator \d+ (.+?):|\tSuboperator \d+ (\S+))",
-                      line)
-        if m:
-            name = m.group(1) or m.group(2)
-            continue
-        m = _re.search(r"Remote wall time:.*?([\d.]+)(us|ms|s|m) total",
-                       line)
-        if m and name:
-            ops[name] = ops.get(name, 0.0) + \
-                float(m.group(1)) * _DUR_UNITS[m.group(2)]
-            name = None        # one total per (sub)operator block
-    ops["TOTAL"] = sum(v for k, v in ops.items() if k != "TOTAL")
-    return ops
-
-
 def _contention_factor(lo: int, hi: int) -> float:
     """Per-core slowdown of identical CPU work at hi-way vs lo-way
     occupancy of this single box (turbo scaling + SMT + shared cache).
@@ -431,28 +399,16 @@ def run_scaling() -> dict:
         out = subprocess.run([sys.executable, __file__], env=env,
                              capture_output=True, text=True, check=True).stdout
         res = json.loads(out.strip().splitlines()[-1])
-        # the run's own per-operator busy totals (postings pipeline)
-        stats_p = Path(f"/tmp/mircv_ray_bench/index_{ncpu}/_manifests"
-                       "/postings_raystats.txt")
-        if stats_p.exists():
-            try:
-                res["busy"] = {k: round(v, 2)
-                               for k, v in _parse_busy(stats_p).items()}
-            except Exception:  # noqa: BLE001 — diagnostics only
-                pass
-        else:
-            # mr exchange (raw tasks, no Ray Data stats dump): the
-            # fused maps and per-key reduces execute identical work at
-            # every cpu level, so their summed busy fills the same
-            # contention-probe role
-            sub = res.get("stage_sub", {}).get("postings_sub", {})
-            if sub.get("map_busy_s") and sub.get("reduce_busy_s"):
-                res["busy"] = {
-                    "mr2_map": round(sub["map_busy_s"], 2),
-                    "mr2_reduce": round(sub["reduce_busy_s"], 2),
-                    "TOTAL": round(sub["map_busy_s"]
-                                   + sub["reduce_busy_s"], 2),
-                }
+        # the exchange's maps and reduces execute identical work at
+        # every cpu level, so their summed busy is the contention probe
+        sub = res.get("stage_sub", {}).get("postings_sub", {})
+        if sub.get("map_busy_s") and sub.get("reduce_busy_s"):
+            res["busy"] = {
+                "map": round(sub["map_busy_s"], 2),
+                "reduce": round(sub["reduce_busy_s"], 2),
+                "TOTAL": round(sub["map_busy_s"]
+                               + sub["reduce_busy_s"], 2),
+            }
         return res
     # this sandbox VM has noisy neighbors (same-invocation builds vary up
     # to 2x) — interleave the levels, run each three times, and take the
@@ -708,18 +664,17 @@ back-to-back builds); walls below are every sample's best.
   which bounds — but cannot eliminate — the exposure.
 
 Round-5 structural additions:
-- **two-level reduce merge tree** (`_mr2_combine`,
-  `build/index_build.py`): past MR2_TREE_FANIN (256, env/IndexConfig
-  knob) map tasks, per-bucket combine tasks merge map-slice groups
+- **two-level reduce merge tree** (`_exchange_combine`,
+  `build/index_build.py`): past MR2_TREE_FANIN (256, a module
+  constant) map tasks, per-bucket combine tasks merge map-slice groups
   into single key-sorted objects before the key reduces, recursing
   per level, so reduce ref fan-in is bounded at ANY map count instead
   of growing linearly with data — the r4 verdict's one predictable
   100x-scale gap (at 100 TB, maps ~10^5 would otherwise put 10^5
-  refs + fetches on every reduce). Output bytes pinned identical to
-  groupby and plain mr with the tree FORCED on
-  (test_exchange_invariance, fan-in 2 over 9 maps, 3 levels). Bench
-  knob run at sf0.1x32 (MIRCV_MR2_TREE_FANIN=4, 7 maps, 128
-  combines): build 3.04 s / 1.57 M postings/s vs 1.96 s / 2.43 M on
+  refs + fetches on every reduce). Output pinned equal to the oracle
+  index with the tree FORCED on (test_exchange_invariance, fan-in 2
+  over 9 maps, 3 levels). A run at sf0.1x32 with the fan-in set to 4
+  (7 maps, 128 combines): build 3.04 s / 1.57 M postings/s vs 1.96 s / 2.43 M on
   the default path in the same session — the expected small-constant
   regression at a 7-map fleet where the tree only adds a hop; its
   win is bounded fan-in two orders of magnitude up. Default path
@@ -740,7 +695,7 @@ Round-5 structural additions:
   noise (the whole tf stream is ~4 MB there); the saving scales
   linearly with data where the exchange is bandwidth-bound. Output
   pinned: exchange-invariance pytest, a wide-tf (70,000x one term)
-  e2e across both exchanges, and a wide≡narrow full-index equality
+  e2e through the postings and positions exchanges, and a wide≡narrow full-index equality
   test that catches dtype-promotion drift (np.log10 over uint16
   computes in float32 without the explicit float64 pin — found and
   fixed by exactly that test).
@@ -750,8 +705,8 @@ the postings exchange's Dataset sort shuffle carried seconds of pure
 coordination wall that did NOT shrink with cores — measured in a
 healthy window at 32 cpus: 11.05 s sort wall holding only 2.4 s of
 task busy, and ~3.5 s coordination even in the cleanest sample. The
-fused direct exchange (`_mr2_exchange_build`, bench default
-MIRCV_EXCHANGE=mr) replaces it: attach+explode+bucket-split run INSIDE
+fused direct exchange (`_exchange`, now the only postings exchange)
+replaces it: attach+explode+bucket-split run INSIDE
 the map tasks over materialized token blocks, reduces take per-bucket
 nested ref lists, and the remaining fixed costs are measured at
 0.04-0.2 s map submit + 0.6-1.5 s reduce submit per build — everything
@@ -761,8 +716,7 @@ measurement (top-level ref args ~7x slower end-to-end; per-key ray.put
 blobs -> per-BUCKET blobs cut ref serialization 4x; unbounded reduce
 bursts spawned fresh workers that paid 10-16 s first-call warmups
 under reclaim waves -> sliding-window submission <= 2x cpus). The
-groupby path remains available (MIRCV_EXCHANGE=groupby) and
-byte-identical (pytest-pinned).
+groupby path has since been deleted; the oracle tests pin the output.
 
 Single-box caveat: running 4x the CORES of one machine is harsher than
 running 4x the NODES — per-core turbo drops and SMT/cache/memory

@@ -10,15 +10,16 @@ Pipeline (SURVEY.md §3 "Ray Data restatement"):
          data-dependent only, so identical at any parallelism)
       -> map_batches(Tokenizer) + sha256       (M2..M10, zero-copy Arrow)
       -> doc table parquet + collection stats  (D5/D6)
-      -> map_batches(explode)                  (M11: (term, doc_id, tf))
-      -> groupby(shard, seg).map_groups        (THE shuffle; replaces
-         SPIMI flush + k-way merge InvertedIndex.java:85-205)
+      -> explode + (shard, seg) map/reduce     (M11 partial posting lists;
+         THE shuffle, _exchange; replaces SPIMI flush + k-way merge
+         InvertedIndex.java:85-205)
       -> postings parquet (hash-partitioned by term shard)
-      -> lexicon = segment-meta groupby(term) + idf/UB columns (A1,A5-A8)
+      -> lexicon = segment-meta group_by on term + idf/UB columns (A1,A5-A8)
 
 Scale design:
-- the only full-data exchanges are the id-assignment groupby(repo) and the
-  postings groupby; everything else is map-side or metadata-sized.
+- the only full-data exchanges are the postings exchange and, past
+  DRIVER_IDMAP_MAX_ROWS docs, the id assignment's groupby on repo;
+  everything else is map-side or metadata-sized.
 - hot terms (code corpora: `def`, `return`, `0`) are split across
   ``salt_buckets`` docId-range segments: each (term, seg) encodes
   independently (segments are docId-disjoint ranges, so their
@@ -38,9 +39,11 @@ Scale design:
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
+import os
 import shutil
 import time
 from pathlib import Path
@@ -732,176 +735,106 @@ def _binary_from_bounds(data, bounds: np.ndarray) -> pa.Array:
         [None, pa.py_buffer(off), pa.py_buffer(data)])
 
 
-# ----------------------------------------------------- stage 2 MR exchange
+# ------------------------------------------------------ stage 2 exchange
 
-@ray.remote
-def _mr_map_split(tbl: pa.Table, num_parts: int, salt_buckets: int):
-    """Split one partial-lists block into per-(shard,seg) sub-tables.
-
-    Returns ``num_parts`` tables (many empty). This is the map side of a
-    direct object-store shuffle — used instead of ``groupby`` because
-    Ray's sort-based exchange pays a global sort the low-cardinality
-    (shard, seg) key doesn't need; the rows are already grouped the
-    moment their partition id is known."""
-    pkey = (tbl["shard"].to_numpy() * salt_buckets +
-            tbl["seg"].to_numpy()).astype(np.int64)
-    order = np.argsort(pkey, kind="stable")
-    tbl = tbl.take(pa.array(order))
-    pkey = pkey[order]
-    bounds = np.searchsorted(pkey, np.arange(num_parts + 1))
-    return tuple(tbl.slice(int(s), int(e - s))
-                 for s, e in zip(bounds[:-1], bounds[1:]))
-
-
-def _reduce_build_write(build_fn, out_dir: str, shard: int, seg: int,
-                        parts) -> dict:
-    """Reduce body: concat one partition's partials, build the final
-    block-encoded segments, write its parquet file ATOMICALLY (tmp +
-    rename into the hive shard layout) — the file's presence is the
-    partition's completion marker, so a crashed build resumes by
-    skipping exactly the partitions that finished."""
-    import os
-    t0 = time.time()
-    tbls = [t for t in parts if t.num_rows]
-    if not tbls:
-        return {"rows": 0, "sec": 0.0}
-    group = pa.concat_tables(tbls).combine_chunks()
-    t_concat = time.time()
-    out = build_fn(group)
-    t_build = time.time()
+def _write_partition(tbl: pa.Table, out_dir: str, shard: int,
+                     seg: int) -> None:
+    """Publish one (shard, seg) partition's parquet file ATOMICALLY (tmp
+    + rename into the hive shard layout): the file's presence is the
+    partition's completion marker, so a crashed run resumes by skipping
+    exactly the partitions that finished."""
     d = Path(out_dir) / f"shard={shard}"
     d.mkdir(parents=True, exist_ok=True)
     tmp = d / f".seg-{seg}.parquet.tmp"
-    pq.write_table(out.drop_columns(["shard"]), str(tmp), **TERM_ROW_GROUPS)
-    os.replace(tmp, d / f"seg-{seg}.parquet")  # atomic publish
-    return {"rows": out.num_rows, "sec": time.time() - t0,
-            "concat_s": round(t_concat - t0, 3),
-            "build_s": round(t_build - t_concat, 3),
+    pq.write_table(tbl, str(tmp), **TERM_ROW_GROUPS)
+    os.replace(tmp, d / f"seg-{seg}.parquet")
+
+
+def _write_postings_partition(build_fn, out_dir: str, group: pa.Table,
+                              shard: int, seg: int) -> dict:
+    """The postings write body of :func:`_exchange`: build one
+    partition's final block-encoded segments and publish them."""
+    t0 = time.time()
+    out = build_fn(group)
+    t_build = time.time()
+    _write_partition(out.drop_columns(["shard"]), out_dir, shard, seg)
+    return {"rows": out.num_rows, "build_s": round(t_build - t0, 3),
             "write_s": round(time.time() - t_build, 3)}
 
 
-@ray.remote
-def _mr_reduce_build(build_fn, out_dir: str, shard: int, seg: int,
-                     *parts: pa.Table) -> dict:
-    return _reduce_build_write(build_fn, out_dir, shard, seg, parts)
+class _TokensToPartials:
+    """Per-sub-batch map body of :func:`_exchange` over a token stream:
+    attach doc ids from the broadcast mapping (``mapping_ref`` is None
+    when the stream already carries ``doc_id``), then ``explode`` the
+    (doc_id, tokens) rows into partial posting rows."""
+
+    def __init__(self, explode, mapping_ref=None):
+        self.attach = None if mapping_ref is None else AttachIds(mapping_ref)
+        self.explode = explode
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.attach is not None:
+            batch = self.attach(batch)
+        return self.explode(batch.select(["doc_id", "tokens"]))
 
 
-def _mr_exchange_build(posts, build_fn, out_dir: str,
-                       cfg: IndexConfig) -> dict:
-    """Direct map/reduce exchange for the postings build (see
-    _mr_map_split). Map tasks emit per-partition slices as separate
-    object-store returns; one reduce task per (shard, seg) concatenates
-    its slices, builds and writes atomically. PARTITION-LEVEL RESUME: a
-    partition whose output file already exists (published atomically by
-    a previous run) is skipped — only the missing partitions re-reduce.
-    Returns the number of partitions actually (re)built. At multi-node
-    scale the object store moves each slice once, like any shuffle; a
-    two-level merge tree would bound reduce fan-in past ~10^3 map
-    tasks. Returns per-phase wall / task-skew stats (the scaling
-    evidence the efficiency audit reads)."""
-    num_parts = cfg.num_shards * cfg.salt_buckets
-    todo = [p for p in range(num_parts)
-            if not (Path(out_dir) / f"shard={p // cfg.salt_buckets}"
-                    / f"seg-{p % cfg.salt_buckets}.parquet").exists()]
-    if not todo:
-        return {"n_reduces": 0}
-    t0 = time.time()
-    block_refs = posts.to_arrow_refs()
-    t_refs = time.time()
-    split = _mr_map_split.options(num_returns=num_parts)
-    nested = [split.remote(ref, num_parts, cfg.salt_buckets)
-              for ref in block_refs]
-    reduce_refs = []
-    for p in todo:
-        parts = [nested[m][p] for m in range(len(nested))]
-        reduce_refs.append(_mr_reduce_build.remote(
-            build_fn, out_dir, p // cfg.salt_buckets,
-            p % cfg.salt_buckets, *parts))
-    t_submit = time.time()
-    res = ray.get(reduce_refs)
-    t_done = time.time()
-    secs = sorted(r["sec"] for r in res)
-    return {
-        "n_reduces": len(todo), "n_map_blocks": len(block_refs),
-        # explode + upstream execution (to_arrow_refs blocks on the plan)
-        "explode_wall_s": round(t_refs - t0, 3),
-        # driver-side task submission (serial fixed cost)
-        "submit_s": round(t_submit - t_refs, 3),
-        # split+reduce wall vs the reduce tasks' summed busy time: the
-        # gap is scheduling + wave-quantization + skew tail
-        "reduce_wall_s": round(t_done - t_submit, 3),
-        "reduce_busy_s": round(sum(secs), 3),
-        "reduce_max_s": round(secs[-1], 3),
-        "reduce_p50_s": round(secs[len(secs) // 2], 3),
-    }
-
-
-_POSTS_EMPTY_COLS = {
-    "term": pa.string(), "shard": pa.int64(), "seg": pa.int64(),
-    "n": pa.int64(), "ids_raw": pa.binary(), "tfs_raw": pa.binary(),
-}
-
-
-# reduce buckets of the fused exchange: maps return MR2_BUCKETS objects
+# reduce buckets of the exchange: maps return EXCHANGE_BUCKETS objects
 # (not one per (shard, seg) key) — the ObjectRef matrix is maps x buckets
 # and per-ref serialization (~40-80 us each, borrower registration) is
 # the exchange's only driver cost that grows with task count; 64 buckets
 # keeps it metadata-sized while reduces stay ~2x the cpu count
-MR2_BUCKETS = 64
+EXCHANGE_BUCKETS = 64
 # key -> bucket uses a coprime multiplier so one hot shard's salt
 # segments (consecutive key indices) land in DIFFERENT buckets (odd
 # multiplier, power-of-two bucket count => a permutation step)
-_MR2_PERM = 37
+_BUCKET_PERM = 37
 
 
-def _mr2_bucket_of(key_idx, n_buckets: int):
-    return (key_idx * _MR2_PERM) % n_buckets
+def _bucket_of(key_idx, n_buckets: int):
+    return (key_idx * _BUCKET_PERM) % n_buckets
+
+
+def _partition_keys(tbl: pa.Table, salt_buckets: int) -> np.ndarray:
+    """(shard, seg) of each partial row as one key index."""
+    return (tbl["shard"].to_numpy() * salt_buckets +
+            tbl["seg"].to_numpy()).astype(np.int64)
 
 
 @ray.remote
-def _mr2_map(chunks, batch_rows: int, mapping_box, num_shards: int,
-             salt_buckets: int, n_docs: int, n_buckets: int) -> tuple:
-    """Fused map side of the direct postings exchange: slice the
-    MATERIALIZED token blocks in ``chunks`` (list of (block_ref, start,
-    len) — nested refs, fetched zero-copy from plasma), attach doc ids
-    (broadcast path), explode to partial posting rows in ``batch_rows``
-    sub-batches (the radix fast path's sweet spot), split by reduce
-    bucket — all in ONE task, so the exchange's map phase IS the
-    explode compute (no intermediate dataset, no second scheduling
-    pass). Each bucket's rows are emitted (bucket, key)-sorted, so the
-    reduce side can slice one key's rows zero-copy. Returns
-    ``n_buckets`` tables plus a trailing ``{"busy_s": wall}`` stats
-    dict — the maps execute IDENTICAL work at every cpu level, so the
-    summed busy is the scaling audit's job-kernel contention probe
-    (the role ``postings_raystats.txt`` plays on the groupby path).
-    ``mapping_box`` is ``[mapping_ref]`` (nested so the broadcast
-    object arrives as a ref and is read zero-copy + memoized per
-    worker) or None when ``doc_id`` is already attached."""
+def _exchange_map(chunks, batch_rows: int, to_partials, num_shards: int,
+                  salt_buckets: int, n_buckets: int) -> tuple:
+    """Map side of the exchange: slice the MATERIALIZED blocks in
+    ``chunks`` (list of (block_ref, start, len) — nested refs, fetched
+    zero-copy from plasma), turn each ``batch_rows`` sub-batch into
+    partial rows with ``to_partials`` (None: the rows already are
+    partials), split by reduce bucket — all in ONE task, so for a token
+    stream the exchange's map phase IS the explode compute (no
+    intermediate dataset, no second scheduling pass). Each bucket's rows
+    are emitted (bucket, key)-sorted, so the reduce side can slice one
+    key's rows zero-copy. Returns ``n_buckets`` tables plus a trailing
+    stats dict: the task's busy wall (the maps execute IDENTICAL work at
+    every cpu level, so the summed busy is the scaling audit's
+    job-kernel contention probe) and its per-key posting counts."""
     t0 = time.time()
-    attach = AttachIds(mapping_box[0]) if mapping_box else None
-    explode = _make_explode(num_shards, salt_buckets, n_docs)
     num_parts = num_shards * salt_buckets
-    chunks_out = []
+    parts = []
     for ref, start, length in chunks:
-        tok_tbl = ray.get(ref)
-        end = min(start + length, tok_tbl.num_rows)
+        tbl = ray.get(ref)
+        end = min(start + length, tbl.num_rows)
         for off in range(start, end, batch_rows):
-            sub = tok_tbl.slice(off, min(batch_rows, end - off))
-            if attach is not None:
-                sub = attach(sub)
-            posts = explode(sub.select(["doc_id", "tokens"]))
-            if posts.num_rows:
-                chunks_out.append(posts)
-    empty = pa.table({k: pa.array([], type=t)
-                      for k, t in _POSTS_EMPTY_COLS.items()})
-    if not chunks_out:
-        return tuple(empty for _ in range(n_buckets)) + \
+            sub = tbl.slice(off, min(batch_rows, end - off))
+            if to_partials is not None:
+                sub = to_partials(sub)
+            if sub.num_rows:
+                parts.append(sub)
+    empty = pa.table({})
+    if not parts:
+        return (empty,) * n_buckets + \
             ({"busy_s": time.time() - t0,
               "key_postings": np.zeros(num_parts, dtype=np.int64)},)
-    posts = (chunks_out[0] if len(chunks_out) == 1
-             else pa.concat_tables(chunks_out).combine_chunks())
-    pkey = (posts["shard"].to_numpy() * salt_buckets +
-            posts["seg"].to_numpy()).astype(np.int64)
+    posts = (parts[0] if len(parts) == 1
+             else pa.concat_tables(parts).combine_chunks())
+    pkey = _partition_keys(posts, salt_buckets)
     # per-key posting counts (sum of run lengths): the driver sums these
     # across maps to order the reduces longest-first (LPT) — a hot
     # term-hash key's build otherwise lands late in the wave and sets
@@ -909,7 +842,7 @@ def _mr2_map(chunks, batch_rows: int, mapping_box, num_shards: int,
     key_postings = np.bincount(
         pkey, weights=posts["n"].to_numpy().astype(np.float64),
         minlength=num_parts).astype(np.int64)
-    bkt = _mr2_bucket_of(pkey, n_buckets)
+    bkt = _bucket_of(pkey, n_buckets)
     # ONE composite sort over the whole map output: grouped by bucket
     # for the return split AND key-sorted within each bucket — the
     # key-sorted invariant is per RETURN OBJECT, so it must hold across
@@ -923,26 +856,26 @@ def _mr2_map(chunks, batch_rows: int, mapping_box, num_shards: int,
         ({"busy_s": time.time() - t0, "key_postings": key_postings},)
 
 
-# two-level reduce merge tree (judge r4 item 1): with M map tasks every
-# key reduce fetches M bucket slices, so reduce ref fan-in and fetch
-# counts grow linearly with data (M ~ 10^5 at 100 TB). Above this map
-# count, intermediate combine levels per bucket merge slice groups of
-# <= MR2_TREE_FANIN into single objects, recursing until each bucket's
-# ref list fits one reduce's fan-in budget — one level up to fanin^2
-# (~65k) maps, two up to fanin^3, so fan-in stays bounded at ANY map
-# count while each level adds exactly one object-store hop.
+# reduce merge tree: with M map tasks every key reduce fetches M bucket
+# slices, so reduce ref fan-in and fetch counts grow linearly with data
+# (M ~ 10^5 at 100 TB). Above this map count, intermediate combine
+# levels per bucket merge slice groups of <= MR2_TREE_FANIN into single
+# objects, recursing until each bucket's ref list fits one reduce's
+# fan-in budget — one level up to fanin^2 (~65k) maps, two up to
+# fanin^3, so fan-in stays bounded at ANY map count while each level
+# adds exactly one object-store hop.
 MR2_TREE_FANIN = 256
 
 
 @ray.remote
-def _mr2_combine(salt_buckets: int, slice_refs) -> pa.Table:
-    """One node of the two-level reduce merge tree: concatenate one
-    map-slice GROUP's tables for one bucket (in map order) and
-    re-establish the bucket invariant — key-sorted rows, STABLE sort,
-    so within each key the rows keep map order and a key reduce slices
-    the combined object exactly as it would have walked the group's
-    slices in sequence (output bytes pinned by test_exchange_invariance
-    with the tree forced on)."""
+def _exchange_combine(salt_buckets: int, slice_refs) -> pa.Table:
+    """One node of the reduce merge tree: concatenate one map-slice
+    GROUP's tables for one bucket (in map order) and re-establish the
+    bucket invariant — key-sorted rows, STABLE sort, so within each key
+    the rows keep map order and a key reduce slices the combined object
+    exactly as it would have walked the group's slices in sequence
+    (output pinned by test_exchange_invariance with the tree forced
+    on)."""
     parts = ray.get(list(slice_refs))
     nonempty = [t for t in parts if t.num_rows]
     if not nonempty:
@@ -950,41 +883,34 @@ def _mr2_combine(salt_buckets: int, slice_refs) -> pa.Table:
     if len(nonempty) == 1:
         return nonempty[0]          # already key-sorted per map
     t = pa.concat_tables(nonempty)
-    pk = (t["shard"].to_numpy() * salt_buckets +
-          t["seg"].to_numpy()).astype(np.int64)
-    order = np.argsort(pk, kind="stable")
+    order = np.argsort(_partition_keys(t, salt_buckets), kind="stable")
     return t.take(pa.array(order)).combine_chunks()
 
 
 @ray.remote
-def _mr2_reduce(build_fn, out_dir: str, salt_buckets: int, keys,
-                part_refs) -> list:
-    """Reduce one bucket: fetch its slices, locate each still-missing
-    key's rows with a zero-copy searchsorted slice per part (parts
-    arrive key-sorted from the maps), build + write that partition
+def _exchange_reduce(write_part, salt_buckets: int, keys,
+                     part_refs) -> list:
+    """Reduce one bin of a bucket's keys: fetch the bucket's slices,
+    locate each key's rows with a zero-copy searchsorted slice per part
+    (parts arrive key-sorted from the maps), concatenate them and hand
+    the partition to ``write_part(group, shard, seg)``, which writes it
     atomically. ``part_refs`` is a LIST of ObjectRefs — nested on
     purpose, twice over: reduces x maps TOP-LEVEL args were measured
     ~7x slower end-to-end (small per-key outputs get inlined into
     every task spec, copying the whole exchange payload through the
     driver) and cost seconds of serial submit. The task is only
-    submitted after every map completed (ray.wait in the driver), so
+    submitted after every map completed (a barrier in the driver), so
     the ray.get here never blocks a CPU slot waiting on upstream."""
-    import os
     # cold-worker audit: a reduce landing on a process that has not run
     # one before pays numpy/pyarrow page-in + allocator warmup that
     # busy-ratio contention does NOT explain; the driver sums cold vs
     # warm busy so the scaling analysis can attribute it
-    cold = not _worker_cache.get("_mr2_reduce_warm", False)
-    _worker_cache["_mr2_reduce_warm"] = True
+    cold = not _worker_cache.get("_reduce_warm", False)
+    _worker_cache["_reduce_warm"] = True
     t_f0 = time.time()
     parts = [t for t in ray.get(list(part_refs)) if t.num_rows]
     fetch_s = time.time() - t_f0
-    if not parts:
-        return [{"rows": 0, "sec": 0.0, "fetch_s": fetch_s,
-                 "pid": os.getpid(), "cold": cold}
-                for _ in keys]
-    pkeys = [(t["shard"].to_numpy() * salt_buckets +
-              t["seg"].to_numpy()).astype(np.int64) for t in parts]
+    pkeys = [_partition_keys(t, salt_buckets) for t in parts]
     out = []
     for shard, seg in keys:
         k = shard * salt_buckets + seg
@@ -993,10 +919,15 @@ def _mr2_reduce(build_fn, out_dir: str, salt_buckets: int, keys,
             lo, hi = np.searchsorted(pk, [k, k + 1])
             if hi > lo:
                 slices.append(t.slice(int(lo), int(hi - lo)))
-        r = _reduce_build_write(build_fn, out_dir, shard, seg, slices)
-        r["fetch_s"] = fetch_s
-        r["pid"] = os.getpid()
-        r["cold"] = cold
+        t0 = time.time()
+        r = {"rows": 0}
+        if slices:
+            group = pa.concat_tables(slices).combine_chunks()
+            t_concat = time.time()
+            r = write_part(group, shard, seg)
+            r["concat_s"] = round(t_concat - t0, 3)
+        r.update(sec=time.time() - t0, fetch_s=fetch_s, pid=os.getpid(),
+                 cold=cold)
         cold = False
         out.append(r)
     task_sec = fetch_s + sum(r["sec"] for r in out)
@@ -1005,75 +936,85 @@ def _mr2_reduce(build_fn, out_dir: str, salt_buckets: int, keys,
     return out
 
 
-def _mr2_exchange_build(tok_ds, mapping_ref, build_fn, out_dir: str,
-                        cfg: IndexConfig, n_docs: int) -> dict:
-    """Fused direct map/reduce postings exchange (the scale-selected
-    path): map tasks run attach+explode+split over fixed-size slices of
-    the materialized token blocks; one reduce per (shard, seg) builds +
-    writes its partition atomically (same per-partition resume contract
-    as :func:`_mr_exchange_build`).
+def _exchange(ds, to_partials, write_part, out_dir: str, num_shards: int,
+              salt_buckets: int, batch_rows: int) -> dict:
+    """The one partition exchange of every posting-producing pipeline
+    (the build, vacuum, merge and prune — reshard and upsert through
+    them — and the positions sidecar): a direct map/reduce over the
+    blocks of the MATERIALIZED Dataset ``ds`` (materialized here if
+    lazy). Map tasks run ``to_partials`` + bucket split over fixed-size
+    slices of the blocks; reduces write each (shard, seg) partition
+    under ``out_dir`` through ``write_part(group, shard, seg)``.
+    PARTITION-LEVEL RESUME: a partition whose file already exists
+    (published atomically by a previous run) is skipped.
 
     Why not the Dataset ``groupby``: Ray's sort exchange wall carries
     seconds of pure coordination that does NOT shrink with cores
     (measured 3.5-9 s of non-busy sort wall at 32 cpus depending on
     host weather) — the single biggest scaling-efficiency loss in the
     build (BASELINE.md, round-4 audit). Here the only non-compute
-    costs are one ray.wait barrier (inherent to any all-to-all) and
-    the reduce submission, kept metadata-sized by the bucket fan-in
-    (refs = maps x MR2_BUCKETS, ~40-80 us per ref).
+    costs are one barrier (inherent to any all-to-all) and the reduce
+    submission, kept metadata-sized by the bucket fan-in (refs = maps
+    x EXCHANGE_BUCKETS, ~40-80 us per ref).
 
-    Map task size is a FIXED row target (explode_batch_size docs,
-    grouping small blocks / slicing big ones), not a function of
-    cluster size — every cpu level executes the identical physical
-    plan, which the scaling audit requires. At multi-node scale each
-    bucket slice moves once through the object store; past
-    MR2_TREE_FANIN map tasks the two-level reduce merge tree activates
-    (per-bucket combine tasks over map-slice groups — see
-    :func:`_mr2_combine`), bounding every key reduce's ref fan-in at
-    ceil(maps / fanin) instead of letting it grow linearly with data."""
-    num_parts = cfg.num_shards * cfg.salt_buckets
-    n_buckets = min(MR2_BUCKETS, num_parts)
+    Map task size is a FIXED row target (``batch_rows``, grouping
+    small blocks / slicing big ones), not a function of cluster size —
+    every cpu level executes the identical physical plan, which the
+    scaling audit requires. At multi-node scale each bucket slice
+    moves once through the object store; past MR2_TREE_FANIN map tasks
+    the reduce merge tree activates (per-bucket combine tasks over
+    map-slice groups — see :func:`_exchange_combine`), bounding every
+    key reduce's ref fan-in at ceil(maps / fanin) instead of letting it
+    grow linearly with data. Returns per-phase wall / task-skew stats
+    (the scaling evidence the efficiency audit reads)."""
+    from ray.data.dataset import MaterializedDataset
+    num_parts = num_shards * salt_buckets
+    n_buckets = min(EXCHANGE_BUCKETS, num_parts)
     todo = [p for p in range(num_parts)
-            if not (Path(out_dir) / f"shard={p // cfg.salt_buckets}"
-                    / f"seg-{p % cfg.salt_buckets}.parquet").exists()]
+            if not (Path(out_dir) / f"shard={p // salt_buckets}"
+                    / f"seg-{p % salt_buckets}.parquet").exists()]
     if not todo:
-        return {"n_reduces": 0}
+        return {"n_reduces": 0, "rows": 0}
     keys_by_bucket: dict[int, list] = {}
     for p in todo:
-        keys_by_bucket.setdefault(int(_mr2_bucket_of(p, n_buckets)), []) \
-            .append((p // cfg.salt_buckets, p % cfg.salt_buckets))
+        keys_by_bucket.setdefault(int(_bucket_of(p, n_buckets)), []) \
+            .append((p // salt_buckets, p % salt_buckets))
+    t_in = time.time()
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
     t0 = time.time()
     # block refs + row counts from the materialized dataset's metadata —
     # no block is fetched to the driver
     refs_rows = []
-    for bundle in tok_ds.iter_internal_ref_bundles():
+    for bundle in ds.iter_internal_ref_bundles():
         for ref, meta in bundle.blocks:
             refs_rows.append((ref, meta.num_rows))
-    # pack blocks into ~explode_batch_size-doc map tasks: group small
+    # pack blocks into ~batch_rows-row map tasks: group small
     # consecutive blocks, slice large ones — task count tracks the DATA,
     # never the cluster size
-    target = cfg.explode_batch_size
     groups: list[list] = []
     cur: list = []
     cur_rows = 0
     for ref, n_rows in refs_rows:
         off = 0
         while off < n_rows:
-            take = min(n_rows - off, target - cur_rows)
+            take = min(n_rows - off, batch_rows - cur_rows)
             cur.append((ref, off, take))
             cur_rows += take
             off += take
-            if cur_rows >= target:
+            if cur_rows >= batch_rows:
                 groups.append(cur)
                 cur, cur_rows = [], 0
     if cur:
         groups.append(cur)
-    mbox = [mapping_ref] if mapping_ref is not None else None
-    # +1 return: a trailing per-task busy stats dict (scaling audit)
-    mapper = _mr2_map.options(num_returns=n_buckets + 1)
-    map_refs = [mapper.remote(g, cfg.explode_batch_size, mbox,
-                              cfg.num_shards, cfg.salt_buckets, n_docs,
-                              n_buckets)
+    # the map body ships once through the object store instead of being
+    # pickled into every task spec (top-level ref args are resolved by
+    # Ray before the task runs)
+    to_partials_ref = ray.put(to_partials)
+    # +1 return: a trailing per-task stats dict
+    mapper = _exchange_map.options(num_returns=n_buckets + 1)
+    map_refs = [mapper.remote(g, batch_rows, to_partials_ref, num_shards,
+                              salt_buckets, n_buckets)
                 for g in groups]
     t_submit_maps = time.time()
     # barrier WITHOUT fetching the data: every reduce needs every map's
@@ -1082,20 +1023,10 @@ def _mr2_exchange_build(tok_ds, mapping_ref, build_fn, out_dir: str,
     # slots in ray.get. The stats dicts fetched ARE tiny.
     map_stats = ray.get([m[n_buckets] for m in map_refs])
     t_maps = time.time()
-    # two-level reduce merge tree above the fan-in threshold: combine
-    # tasks (one per bucket x map-slice group) merge each group's
-    # slices into ONE key-sorted object, so reduce ref fan-in stops
-    # growing linearly with map count (the 100-TB-scale gap named in
-    # the r4 audit). The threshold depends only on the DATA (map
-    # count), never cluster size — the physical plan stays identical
-    # at every cpu level, which the scaling audit requires.
-    import os as _os
-    fanin = cfg.mr2_tree_fanin or \
-        int(_os.environ.get("MIRCV_MR2_TREE_FANIN", MR2_TREE_FANIN))
-    # fan-in 1 would chunk refs into groups of one and never shrink the
-    # per-bucket list (infinite combine levels); 2 is the minimum tree
-    fanin = max(fanin, 2)
-    t_tree0 = time.time()
+    # the tree's threshold depends only on the DATA (map count), never
+    # cluster size — the physical plan stays identical at every cpu
+    # level, which the scaling audit requires
+    fanin = MR2_TREE_FANIN
     n_combines = 0
     tree_levels = 0
     if len(map_refs) > fanin:
@@ -1111,8 +1042,8 @@ def _mr2_exchange_build(tok_ds, mapping_ref, build_fn, out_dir: str,
             tree_levels += 1
             nxt: dict[int, list] = {}
             for bkt, refs in per_bucket.items():
-                lst = [_mr2_combine.remote(cfg.salt_buckets,
-                                           refs[i:i + fanin])
+                lst = [_exchange_combine.remote(salt_buckets,
+                                                refs[i:i + fanin])
                        for i in range(0, len(refs), fanin)]
                 nxt[bkt] = lst
                 comb_refs.extend(lst)
@@ -1125,24 +1056,16 @@ def _mr2_exchange_build(tok_ds, mapping_ref, build_fn, out_dir: str,
                  fetch_local=False)
         bucket_blob = {b: ray.put(per_bucket[b]) for b in keys_by_bucket}
     else:
-        # one reduce per KEY (task granularity = per-key max, ~1 s — a
-        # 4-key bucket reduce was the stage's straggler at 32 cpus), but
         # each bucket's ref list is ray.put ONCE and shared by its key
         # reduces — ref serialization stays maps x buckets, not maps x
         # keys
         bucket_blob = {b: ray.put([m[b] for m in map_refs])
                        for b in keys_by_bucket}
     t_tree = time.time()
-    # LPT: submit the heaviest keys FIRST. The maps report exact per-key
-    # posting counts, so the hot term-hash key (9x the p50 at sf0.1)
-    # starts at t=0 instead of landing in the last wave and setting the
-    # stage wall by itself — the round-3 audit's single biggest
-    # reduce-phase loss at 32 cpus.
+    # the maps report exact per-key posting counts: the reduce loads
     key_load = np.zeros(num_parts, dtype=np.int64)
     for s in map_stats:
-        kp = s.get("key_postings")
-        if kp is not None:
-            key_load += kp
+        key_load += s["key_postings"]
     # Pack each bucket's keys into ~TARGET balanced bins (first-fit
     # decreasing, cap = per-bin fair share): finer salting splits a
     # mega-term's postings across more (shard, seg) keys — the straggler
@@ -1150,16 +1073,16 @@ def _mr2_exchange_build(tok_ds, mapping_ref, build_fn, out_dir: str,
     # list once per key (fetch count = num_parts x n_maps). Binning
     # keeps task count ~constant as salt_buckets grows, so the fetch
     # bill stays flat while the LARGEST task keeps shrinking. The rule
-    # depends only on the data (loads) and cfg, never on cluster size:
-    # the scaling audit requires the identical physical plan at N and
-    # 4N cpus.
+    # depends only on the data (loads) and the layout, never on cluster
+    # size: the scaling audit requires the identical physical plan at N
+    # and 4N cpus.
     target_tasks = max(256, num_parts // 4)
-    fair = max(1, int(sum(int(key_load[s * cfg.salt_buckets + g])
+    fair = max(1, int(sum(int(key_load[s * salt_buckets + g])
                           for _, ks in keys_by_bucket.items()
                           for s, g in ks) // target_tasks))
     tasks = []  # (bucket, [keys], bin_load)
     for b, ks in keys_by_bucket.items():
-        loaded = sorted(((int(key_load[s * cfg.salt_buckets + g]), (s, g))
+        loaded = sorted(((int(key_load[s * salt_buckets + g]), (s, g))
                          for s, g in ks), reverse=True)
         bins: list = []  # [load, [keys]]
         for ld, key in loaded:
@@ -1171,20 +1094,18 @@ def _mr2_exchange_build(tok_ds, mapping_ref, build_fn, out_dir: str,
             else:
                 bins.append([ld, [key]])
         tasks.extend((b, bin_[1], bin_[0]) for bin_ in bins)
-    # LPT: heaviest bins first, so the residual largest task starts at
-    # t=0 instead of landing in the last wave and setting the stage wall
+    # LPT: heaviest bins first, so the residual largest task (the hot
+    # term-hash key, 9x the p50 at sf0.1) starts at t=0 instead of
+    # landing in the last wave and setting the stage wall by itself
     tasks.sort(key=lambda t: -t[2])
-    # build_fn ships once through the object store instead of being
-    # pickled into all ~num_parts task specs (top-level ref args are
-    # resolved by Ray before the task runs)
-    build_fn_ref = ray.put(build_fn)
+    write_part_ref = ray.put(write_part)
     # sliding-window submission (~2x cpus in flight): dumping all
     # reduces at once made their brief arg-fetch ray.get()s release CPU
     # slots, cascading Ray into spawning waves of FRESH worker
-    # processes — each paying build_fn's first-call warmup (measured a
-    # 16 s single-key reduce during a host-memory wave vs ~0.1 s warm).
-    # The window advances in CHUNKS with the result fetch deferred to
-    # the end: the old wait(1)+get-per-completion loop serialized
+    # processes — each paying the write body's first-call warmup
+    # (measured a 16 s single-key reduce during a host-memory wave vs
+    # ~0.1 s warm). The window advances in CHUNKS with the result fetch
+    # deferred to the end: a wait(1)+get-per-completion loop serialized
     # ~2 x num_parts driver RPCs into the reduce wall (1-2 s at every
     # cpu level, ~40% of the phase at 32 cpus).
     window = 2 * int(ray.cluster_resources().get("CPU", 32))
@@ -1194,9 +1115,8 @@ def _mr2_exchange_build(tok_ds, mapping_ref, build_fn, out_dir: str,
     for b, keys, _load in tasks:
         if len(pending) >= window:
             _, pending = ray.wait(pending, num_returns=chunk)
-        r = _mr2_reduce.remote(
-            build_fn_ref, out_dir, cfg.salt_buckets, keys,
-            bucket_blob[b])
+        r = _exchange_reduce.remote(write_part_ref, salt_buckets, keys,
+                                    bucket_blob[b])
         pending.append(r)
         out_refs.append(r)
     t_submit = time.time()
@@ -1206,16 +1126,18 @@ def _mr2_exchange_build(tok_ds, mapping_ref, build_fn, out_dir: str,
     worst = max(res, key=lambda r: r["sec"])
     return {
         "n_reduces": len(tasks), "n_partitions": len(todo),
-        "n_map_tasks": len(map_refs),
+        "n_map_tasks": len(map_refs), "rows": sum(r["rows"] for r in res),
+        # upstream execution of a lazy input (0 for a materialized one)
+        "input_s": round(t0 - t_in, 3),
         "map_submit_s": round(t_submit_maps - t0, 3),
-        # fused attach+explode+split wall (the exchange's compute)
+        # fused to_partials + split wall (the exchange's map compute)
         "map_wall_s": round(t_maps - t0, 3),
         # summed map-task busy: identical tasks at every cpu level, so
         # the lo/hi ratio measures single-box per-core contention
         "map_busy_s": round(sum(s["busy_s"] for s in map_stats), 3),
         "tree_fanin": fanin, "n_combines": n_combines,
         "tree_levels": tree_levels,
-        "combine_wall_s": round(t_tree - t_tree0, 3),
+        "combine_wall_s": round(t_tree - t_maps, 3),
         "submit_s": round(t_submit - t_tree, 3),
         "reduce_wall_s": round(t_done - t_submit, 3),
         "reduce_busy_s": round(sum(secs), 3),
@@ -1223,19 +1145,18 @@ def _mr2_exchange_build(tok_ds, mapping_ref, build_fn, out_dir: str,
         "reduce_p50_s": round(secs[len(secs) // 2], 3),
         # whole-TASK wall skew (a task = one bin of co-bucket keys):
         # the quantity that actually bounds the reduce phase
-        "task_max_s": round(max(r.get("task_sec", r["sec"])
-                                for r in res), 3),
+        "task_max_s": round(max(r["task_sec"] for r in res), 3),
         "reduce_worst": {k: worst.get(k) for k in
                          ("sec", "fetch_s", "concat_s", "build_s",
                           "write_s", "rows", "cold")},
-        "fetch_busy_s": round(sum(r.get("fetch_s", 0.0) for r in res), 3),
+        "fetch_busy_s": round(sum(r["fetch_s"] for r in res), 3),
         # cold-vs-warm attribution: busy seconds spent in reduces that
         # were a worker process's FIRST (allocator/page-in warmup the
         # contention probe can't see) and the distinct worker count
-        "reduce_cold_n": sum(1 for r in res if r.get("cold")),
+        "reduce_cold_n": sum(1 for r in res if r["cold"]),
         "reduce_cold_busy_s": round(
-            sum(r["sec"] for r in res if r.get("cold")), 3),
-        "reduce_workers": len({r.get("pid") for r in res}),
+            sum(r["sec"] for r in res if r["cold"]), 3),
+        "reduce_workers": len({r["pid"] for r in res}),
     }
 
 
@@ -1340,56 +1261,33 @@ def _build_lexicon_files(out: Path, n_docs: int) -> None:
             batch_size=1).write_parquet(str(out / "lexicon"))
 
 
-def _encode_partials(posts, out: Path, cfg: IndexConfig, n_docs: int,
-                     avg_doc_len: float, tok_source=None) -> dict:
-    """Exchange + encode a PARTIAL-POSTING-ROWS dataset (the explode
-    output shape: term, shard, seg, n, ids_raw, tfs_raw) into the final
-    block-encoded postings store at ``out/postings``. Requires the
+def _encode_partials(ds, out: Path, cfg: IndexConfig, n_docs: int,
+                     avg_doc_len: float, to_partials=None) -> dict:
+    """Exchange + encode into the final block-encoded postings store at
+    ``out/postings``. ``ds`` holds PARTIAL-POSTING rows (the explode
+    output shape: term, shard, seg, n, ids_raw, tfs_raw) — vacuum,
+    merge and prune pass their decoded postings this way — or, with
+    ``to_partials``, rows that callable turns into them per sub-batch
+    (the build's token blocks through attach + explode). Requires the
     doc-length sidecar; the caller owns manifests / resume policy.
-    Returns the exchange's per-phase wall stats (mr path).
-
-    ``tok_source`` = (materialized token Dataset, mapping_ref | None):
-    when given and ``cfg.exchange == 'mr'``, the FUSED exchange runs
-    attach+explode+split inside the map tasks (``posts`` is then unused
-    — it exists only for the groupby path and the posting-shaped
-    callers merge/vacuum, which have no token stream)."""
+    Returns the exchange's per-phase stats (:func:`_exchange`)."""
     salt = cfg.salt_buckets
     _ensure_doc_len_sidecar(out, n_docs, salt)
+    # per-seg doc-length slices (docId ranges match _make_explode's seg
+    # assignment) are read lazily from the sidecar INSIDE the reduce
+    # tasks (memoized per worker) — the driver holds only (lo, hi, path)
+    # triples, never the array, and the build closure carries no
+    # ObjectRefs
     seg_len_slices = []
     for s2 in range(salt):
         lo, hi = _seg_bounds(s2, n_docs, salt)
         seg_len_slices.append((lo, hi, str(out / "doc_lens" / f"seg={s2}")))
     build_fn = _make_build_segments(seg_len_slices, avg_doc_len, cfg, n_docs)
-    xstats: dict = {}
-    if cfg.exchange == "mr" and tok_source is not None:
-        xstats = _mr2_exchange_build(tok_source[0], tok_source[1],
-                                     build_fn, str(out / "postings"),
-                                     cfg, n_docs)
-    elif cfg.exchange == "mr":
-        xstats = _mr_exchange_build(posts, build_fn,
-                                    str(out / "postings"), cfg)
-    else:
-        # SEG-major grouping: mega-df terms hash-cluster into a few hot
-        # shards, and with shard-major key order one sort partition
-        # received ALL salt segments of a hot shard (a 9.4 s straggler
-        # vs a 1.9 s mean task at 32 cpus). Seg-major order puts a hot
-        # shard's segments ~num_shards keys apart, so they land in
-        # different partitions. (A repartition to >= the key count was
-        # MEASURED SLOWER — SortMerge busy 16.5 -> 43.8 s at 32 cpus —
-        # and is reverted; see BASELINE.md.)
-        seg_ds = posts.groupby(["seg", "shard"]).map_groups(
-            build_fn, batch_format="pyarrow")
-        seg_ds.write_parquet(str(out / "postings"),
-                             partition_cols=["shard"], **TERM_ROW_GROUPS)
-        try:
-            # operator-level execution breakdown (explode wall, sort
-            # shuffle, encode+write) for the scaling-efficiency audit —
-            # text sidecar, never parsed by the engine
-            (out / "_manifests").mkdir(exist_ok=True)
-            (out / "_manifests" / "postings_raystats.txt").write_text(
-                seg_ds.stats())
-        except Exception:  # noqa: BLE001 — diagnostics only
-            pass
+    xstats = _exchange(
+        ds, to_partials,
+        functools.partial(_write_postings_partition, build_fn,
+                          str(out / "postings")),
+        str(out / "postings"), cfg.num_shards, salt, cfg.explode_batch_size)
     # a zero-postings corpus (all docs stop/stem to nothing) writes no
     # files; later stages still expect the directory
     (out / "postings").mkdir(exist_ok=True)
@@ -1579,12 +1477,12 @@ def _docs_fingerprint(cfg: IndexConfig, lineage: dict | None) -> dict:
 
 def _postings_fingerprint(cfg: IndexConfig, docs_stamp) -> dict:
     """Everything a postings partition's bytes depend on: codec/layout
-    knobs, score-core constants, the exchange (file naming differs), and
-    the docs stage identity (completed_at) it was built from."""
+    knobs, score-core constants, and the docs stage identity
+    (completed_at) it was built from."""
     return {"codec": cfg.codec, "num_shards": cfg.num_shards,
             "salt_buckets": cfg.salt_buckets,
             "block_threshold": cfg.block_threshold,
-            "k1": cfg.k1, "b": cfg.b, "exchange": cfg.exchange,
+            "k1": cfg.k1, "b": cfg.b,
             "docs_completed_at": docs_stamp}
 
 
@@ -1673,7 +1571,7 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
         # into the object store (spill-backed); this single token stream
         # feeds id assignment, the doc table AND the postings shuffle. The
         # corpus itself is never shuffled — the only full-data exchange in
-        # the whole build is the postings groupby.
+        # the whole build is the postings exchange.
         tok0 = corpus.map_batches(
             TokenizeHashDropBlank(cfg), batch_format="pyarrow",
             batch_size=cfg.tokenize_batch_size).materialize()
@@ -1733,24 +1631,22 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
     if not stage_complete(out_dir, "postings"):
         stamp = (read_manifest(out_dir, "docs") or {}).get("completed_at")
         post_fp = _postings_fingerprint(cfg, stamp)
-        if cfg.exchange == "mr":
-            # mr publishes each partition atomically (tmp+rename): files
-            # present ARE complete — but only for THIS config/corpus. The
-            # stage-START sidecar records the fingerprint before any
-            # partition decision; a mismatch (changed codec/shards/salt,
-            # or docs rebuilt since) wipes the dir instead of resuming
-            start_m = read_manifest(out_dir, "postings.start")
-            if start_m is not None and start_m.get("fingerprint") != post_fp:
+        # partitions publish atomically (tmp+rename): files present ARE
+        # complete — but only for THIS config/corpus. The stage-START
+        # sidecar records the fingerprint before any partition decision;
+        # a mismatch (changed codec/shards/salt, or docs rebuilt since)
+        # or a missing record (files of unknown provenance) wipes the dir
+        # instead of resuming
+        start_m = read_manifest(out_dir, "postings.start")
+        if start_m is None or start_m.get("fingerprint") != post_fp:
+            if (out / "postings").exists():
                 logger.warning("postings partial output is from a different "
-                               "config/corpus — wiping instead of resuming")
-                _fresh_stage_dir(out, "postings")
-            write_manifest(out_dir, "postings.start", {"fingerprint": post_fp})
-            for tmp in (out / "postings").glob("shard=*/.seg-*.tmp"):
-                tmp.unlink(missing_ok=True)
-        else:
-            # ray write_parquet adds uniquely-named files beside partial
-            # leftovers — a rerun must start from a clean directory
+                               "or unknown config/corpus — wiping instead "
+                               "of resuming")
             _fresh_stage_dir(out, "postings")
+        write_manifest(out_dir, "postings.start", {"fingerprint": post_fp})
+        for tmp in (out / "postings").glob("shard=*/.seg-*.tmp"):
+            tmp.unlink(missing_ok=True)
         if tok_mat is None:
             # resume path (docs stage done in a previous run): re-derive the
             # token stream — the id mapping comes from the checkpointed doc
@@ -1771,30 +1667,16 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
                 mapping_ds = rd.read_parquet(
                     str(out / "docs"), columns=["repo", "path", "doc_id"])
                 tok_mat = attach_ids_via_join(tok0r, mapping_ds)
-        tok_source = None
-        if cfg.exchange == "mr":
-            # the fused exchange maps over MATERIALIZED token blocks:
-            # broadcast path fuses AttachIds into the maps (tok0 has no
-            # doc_id yet); every other path already carries doc_id —
-            # materialize it if a resume left it lazy (one content pass,
-            # the same cost the docs stage pays on a fresh build)
-            if tok0 is not None and mapping_ref is not None:
-                tok_source = (tok0, mapping_ref)
-            else:
-                from ray.data.dataset import MaterializedDataset
-                if not isinstance(tok_mat, MaterializedDataset):
-                    tok_mat = tok_mat.materialize()
-                tok_source = (tok_mat, None)
-        posts = tok_mat.select_columns(["doc_id", "tokens"]).map_batches(
-            _make_explode(cfg.num_shards, cfg.salt_buckets, n_docs),
-            batch_format="pyarrow", batch_size=cfg.explode_batch_size)
-        # per-seg doc-length slices (docId ranges match _make_explode's
-        # seg assignment) are read lazily from the sidecar INSIDE the
-        # posting-build tasks (memoized per worker) — the driver holds
-        # only (lo, hi, path) triples, never the array, and the build
-        # closure carries no ObjectRefs
-        xstats = _encode_partials(posts, out, cfg, n_docs, avg_doc_len,
-                                  tok_source=tok_source)
+        explode = _make_explode(cfg.num_shards, cfg.salt_buckets, n_docs)
+        if tok0 is not None:
+            # fresh broadcast build: AttachIds runs inside the exchange's
+            # maps (tok0 has no doc_id yet); every other token stream
+            # already carries doc_id
+            tokens, to_partials = tok0, _TokensToPartials(explode, mapping_ref)
+        else:
+            tokens, to_partials = tok_mat, _TokensToPartials(explode)
+        xstats = _encode_partials(tokens, out, cfg, n_docs, avg_doc_len,
+                                  to_partials)
         tp = time.time()
         pstats = _partition_stats(out / "postings")
         xstats["partition_stats_s"] = round(time.time() - tp, 3)

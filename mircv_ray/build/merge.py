@@ -34,8 +34,8 @@ Scale shape (the point of the design):
   ~10-20% of corpus bytes) + the slim docs tables.
 - decode -> partial rows is a map-only stream (the vbyte fast path is
   one varint pass + cumsum per batch, query/dump.py); the only full
-  exchange is the same (shard, seg) groupby the from-scratch build pays
-  — but over partial posting lists, never documents.
+  exchange is the same (shard, seg) map/reduce the from-scratch build
+  pays — but over partial posting lists, never documents.
 - doc tables merge as a streamed union + constant docId offset.
 - everything downstream (encode, lexicon, stats) is the from-scratch
   build's own stage code (_encode_partials / _build_lexicon_files),
@@ -148,10 +148,9 @@ def merge_indexes(base_dir: str, delta_dir: str, out_dir: str,
     the delta's (repo, path) keys sort after the base's (see module
     docstring), but reads only the two index stores — no document
     content, no tokenization. ``cfg`` controls the OUTPUT layout
-    (codec / shards / salt / exchange); tokenizer knobs must match the
-    inputs. ``out_dir`` is rebuilt from scratch each call (compaction is
-    cheap relative to a content scan; partition-level resume belongs to
-    the underlying encode exchange when ``cfg.exchange == 'mr'``)."""
+    (codec / shards / salt); tokenizer knobs must match the inputs.
+    ``out_dir`` is rebuilt from scratch each call (compaction is cheap
+    relative to a content scan)."""
     import ray.data as rd
 
     from ..query.dump import dump_postings
@@ -227,6 +226,7 @@ def merge_indexes(base_dir: str, delta_dir: str, out_dir: str,
     # dump_postings(docno_offset=0) yields engine docIds as stored;
     # the delta's ids shift by n_base to their merged identity.
     t1 = time.time()
+    xstats: dict = {}
     # an empty side (zero-postings index: all docs stopped/stemmed away)
     # has a postings dir with no parquet files — skip its dump
     sides = [(base_dir, 0), (delta_dir, n_base)]
@@ -239,13 +239,13 @@ def merge_indexes(base_dir: str, delta_dir: str, out_dir: str,
         posts = rows.map_batches(
             _rows_to_partials(cfg.num_shards, cfg.salt_buckets, n_docs),
             batch_format="pyarrow")
-        _encode_partials(posts, out, cfg, n_docs, avg_doc_len)
+        xstats = _encode_partials(posts, out, cfg, n_docs, avg_doc_len)
     else:   # both sides empty: a valid zero-postings index
         (out / "postings").mkdir(exist_ok=True)
     write_manifest(out_dir, "postings", {
         "seconds": time.time() - t1, "codec": cfg.codec,
         "salt_buckets": cfg.salt_buckets, "num_shards": cfg.num_shards,
-        "partitions": _partition_stats(out / "postings"),
+        "partitions": _partition_stats(out / "postings"), "sub": xstats,
     })
     metrics["postings_seconds"] = time.time() - t1
 

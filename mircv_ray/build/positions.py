@@ -8,12 +8,13 @@ exactly the shards its terms hash to, and the sidecar can be built,
 rebuilt or dropped without touching the scored index.
 
 Dataflow (one extra content pass, the same shape as the main build):
-corpus -> Tokenizer -> AttachIds (broadcast id mapping rebuilt from the
-index's own ``docs/`` table) -> ``pos_explode`` map-side combine (one
-row per (term, seg) run carrying packed int32 doc ids / counts /
-positions — the shuffle moves ~vocab-sized rows, never one row per
-occurrence) -> groupby((seg, shard)).map_groups merge + vbyte encode ->
-one parquet file per partition.
+corpus -> blank filter -> Tokenizer -> the main build's exchange
+(``index_build._exchange``), whose maps run AttachIds (broadcast id
+mapping rebuilt from the index's own ``docs/`` table) + the
+``pos_explode`` map-side combine (one row per (term, seg) run carrying
+packed int32 doc ids / counts / positions — the shuffle moves
+~vocab-sized rows, never one row per occurrence) and whose reduces
+merge + vbyte encode -> one parquet file per partition.
 
 Final row format per (term, seg): ``n`` docs, ``ids_raw`` = vbyte
 docId-gaps, ``cnt_raw`` = vbyte per-doc position counts, ``pos_raw`` =
@@ -32,7 +33,7 @@ the exchange (vbyte only at final encode).
 
 from __future__ import annotations
 
-import os
+import functools
 import time
 from pathlib import Path
 
@@ -46,8 +47,9 @@ from ..config import IndexConfig
 from ..text.tokenizer import Tokenizer, tokenize_text
 from ..util import (crc32_column, packed_tf_dtype, packed_tf_values,
                     sort_pairs)
-from .index_build import (TERM_ROW_GROUPS, AttachIds, _assign_ids,
-                          _ids_dtype, _packed_runs, _term_shards_memo)
+from .index_build import (_assign_ids, _drop_blank, _exchange, _ids_dtype,
+                          _packed_runs, _term_shards_memo, _TokensToPartials,
+                          _write_partition)
 
 __all__ = ["build_positions_index", "phrase_match_positional",
            "read_term_positions"]
@@ -144,18 +146,12 @@ def _make_pos_explode(num_shards: int, salt_buckets: int, n_docs: int):
     return explode
 
 
-def _encode_pos_group(group: pa.Table, out_dir: str, n_docs: int) -> dict:
-    """Merge one (shard, seg) partition's partial rows into final
-    vbyte-encoded per-term rows and write its parquet file atomically
-    (tmp + rename — the same per-partition resume contract as the main
-    postings build)."""
-    if group.num_rows == 0 or group.num_columns == 0:
-        return {"rows": 0}
-    shard = int(group["shard"][0].as_py())
-    seg = int(group["seg"][0].as_py())
-    dest = Path(out_dir) / f"shard={shard}" / f"seg-{seg}.parquet"
-    if dest.exists():          # resume: partition already published
-        return {"rows": -1}
+def _encode_pos_group(out_dir: str, n_docs: int, group: pa.Table,
+                      shard: int, seg: int) -> dict:
+    """The positions write body of the exchange: merge one (shard, seg)
+    partition's partial rows into final vbyte-encoded per-term rows and
+    publish its parquet file atomically (the main postings' per-partition
+    resume contract)."""
     ids_dt = _ids_dtype(n_docs)
     terms = group["term"]
     if isinstance(terms, pa.ChunkedArray):
@@ -231,25 +227,21 @@ def _encode_pos_group(group: pa.Table, out_dir: str, n_docs: int) -> dict:
         "cnt_raw": runs(cnt_buf, cnt_ends),
         "pos_raw": runs(pos_buf, pos_ends),
     })
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    tmp = dest.parent / f".{dest.name}.tmp{os.getpid()}"
-    pq.write_table(out, str(tmp), **TERM_ROW_GROUPS)
-    os.replace(tmp, dest)
+    _write_partition(out, out_dir, shard, seg)
     return {"rows": out.num_rows}
 
 
 def build_positions_index(index_dir: str, corpus, cfg: IndexConfig,
                           concurrency: int | None = None) -> dict:
     """Build the positional sidecar for an EXISTING index from the same
-    corpus: one content pass (tokenize + broadcast id attach), one
-    (seg, shard) exchange, per-partition atomic writes under
-    ``<index_dir>/positions/``. Idempotent: finished partitions are
-    skipped on re-run."""
+    corpus: one content pass (blank filter + tokenize), then the main
+    build's (shard, seg) exchange with AttachIds + ``pos_explode`` in its
+    maps and per-partition atomic writes under ``<index_dir>/positions/``.
+    Idempotent: finished partitions are skipped on re-run."""
     import json
 
     import shutil
 
-    from .. import use_push_shuffle
     from .manifests import read_manifest
     stats = json.loads((Path(index_dir) / "stats.json").read_text())
     n_docs = int(stats["n_docs"])
@@ -275,20 +267,20 @@ def build_positions_index(index_dir: str, corpus, cfg: IndexConfig,
     # only the mapping's ref
     mref, _ = _assign_ids.remote(str(Path(index_dir) / "docs"), None)
     t0 = time.time()
-    tok = corpus.map_batches(
-        Tokenizer(parse=cfg.parse, squeeze=cfg.squeeze),
-        batch_format="pyarrow").map_batches(
-        AttachIds(mref), batch_format="pyarrow")
-    posts = tok.select_columns(["doc_id", "tokens"]).map_batches(
-        _make_pos_explode(num_shards, salt, n_docs),
-        batch_format="pyarrow", batch_size=cfg.explode_batch_size)
-    use_push_shuffle(posts)
-    res = posts.groupby(["seg", "shard"]).map_groups(
-        lambda g: pa.table({"rows": [
-            _encode_pos_group(g, out_dir, n_docs)["rows"]]}),
-        batch_format="pyarrow")
-    rows = sum(r["rows"] for r in res.take_all())
-    return {"partitions": num_shards * salt, "rows": rows,
+    # blank docs got no docId in the build (InvertedIndex.java:45-47), so
+    # they must not reach AttachIds
+    tokens = corpus.map_batches(
+        _drop_blank, batch_format="pyarrow").map_batches(
+        Tokenizer(parse=cfg.parse, squeeze=cfg.squeeze,
+                  term_dimension=cfg.term_dimension),
+        batch_format="pyarrow", batch_size=cfg.tokenize_batch_size
+    ).select_columns(["repo", "path", "tokens"])
+    xstats = _exchange(
+        tokens,
+        _TokensToPartials(_make_pos_explode(num_shards, salt, n_docs), mref),
+        functools.partial(_encode_pos_group, out_dir, n_docs),
+        out_dir, num_shards, salt, cfg.explode_batch_size)
+    return {**xstats, "partitions": num_shards * salt,
             "sec": round(time.time() - t0, 3)}
 
 

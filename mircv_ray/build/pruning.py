@@ -101,6 +101,7 @@ def prune_index(index_dir: str, out_dir: str, keep_per_term: int,
 
     # ------- postings: decode -> per-term top-k -> re-encode -------
     t1 = time.time()
+    xstats: dict = {}
     if any(Path(index_dir, "postings").glob("**/*.parquet")):
         rows = dump_postings(index_dir, docno_offset=0,
                              apply_tombstones=True)
@@ -113,13 +114,13 @@ def prune_index(index_dir: str, out_dir: str, keep_per_term: int,
         posts = kept.map_batches(
             _rows_to_partials(cfg.num_shards, cfg.salt_buckets, n_docs),
             batch_format="pyarrow")
-        _encode_partials(posts, out, cfg, n_docs, avg_len)
+        xstats = _encode_partials(posts, out, cfg, n_docs, avg_len)
     else:
         (out / "postings").mkdir(exist_ok=True)
     write_manifest(out_dir=str(out), stage="postings", payload={
         "seconds": time.time() - t1, "codec": cfg.codec,
         "salt_buckets": cfg.salt_buckets, "num_shards": cfg.num_shards,
-        "partitions": _partition_stats(out / "postings"),
+        "partitions": _partition_stats(out / "postings"), "sub": xstats,
     })
     metrics["postings_seconds"] = time.time() - t1
 

@@ -172,19 +172,20 @@ def vacuum_index(index_dir: str, out_dir: str,
 
     # ------- postings: decode -> filter+remap -> re-encode -------
     t1 = time.time()
+    xstats: dict = {}
     if any(Path(index_dir, "postings").glob("**/*.parquet")) and n_new:
         rows = dump_postings(index_dir, docno_offset=0).map_batches(
             _filter_remap(tombs, renumber=True), batch_format="pyarrow")
         posts = rows.map_batches(
             _rows_to_partials(cfg.num_shards, cfg.salt_buckets, n_new),
             batch_format="pyarrow")
-        _encode_partials(posts, out, cfg, n_new, avg_new)
+        xstats = _encode_partials(posts, out, cfg, n_new, avg_new)
     else:
         (out / "postings").mkdir(exist_ok=True)
     write_manifest(out_dir=str(out), stage="postings", payload={
         "seconds": time.time() - t1, "codec": cfg.codec,
         "salt_buckets": cfg.salt_buckets, "num_shards": cfg.num_shards,
-        "partitions": _partition_stats(out / "postings"),
+        "partitions": _partition_stats(out / "postings"), "sub": xstats,
     })
     metrics["postings_seconds"] = time.time() - t1
 

@@ -27,28 +27,10 @@ class IndexConfig:
     num_shards: int = 16            # term-hash partitions of the postings/lexicon output
     salt_buckets: int = 1           # docId-range segments per term (>1 splits hot terms)
     tokenize_batch_size: int = 1024     # docs per tokenizer batch
-    explode_batch_size: int = 8192      # docs per SPIMI-partial batch (bigger
-                                        # batches consolidate partial lists)
-    exchange: str = "groupby"           # postings exchange: "groupby"
-                                        # (ds.groupby.map_groups) | "mr"
-                                        # (direct map/reduce over object-
-                                        # store refs; fused with the
-                                        # explode when the build has a
-                                        # token stream). The fused mr path
-                                        # is bench.py's default and the
-                                        # measured scaling fix for the
-                                        # sort shuffle's fixed coordination
-                                        # wall (BASELINE.md, round 4);
-                                        # both produce identical postings
-                                        # and lexicon
-    group_batch_size: int = 4096        # (term[,seg]) groups per build batch
-    mr2_tree_fanin: int = 0             # mr exchange two-level reduce merge
-                                        # tree: when the map-task count
-                                        # exceeds this fan-in, per-bucket
-                                        # combine tasks merge map-slice
-                                        # groups before the key reduces
-                                        # (0 = MIRCV_MR2_TREE_FANIN env
-                                        # default, 256)
+    explode_batch_size: int = 8192      # rows per postings-exchange map
+                                        # task and docs per SPIMI-partial
+                                        # batch (bigger batches consolidate
+                                        # partial lists)
     squeeze: bool = True            # run-of-3+ squeeze (Parser.java:63-90); the
                                     # "basic" SQL-checkable mode turns this off
 

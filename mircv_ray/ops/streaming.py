@@ -33,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .windows import US_PER_HOUR, _round_half_away, _value_cents
+from .windows import US_PER_HOUR, _value_cents
 
 _EMPTY = pa.table({
     "window_start_us": pa.array([], pa.int64()),
@@ -222,7 +222,7 @@ class StreamingSessionizer:
         ts = g["ts"].cast(pa.int64()).to_numpy()
         # cents at the LEAF (the batch sessionize convention): integer
         # segment sums associate exactly across merges and re-merges
-        val = _round_half_away(g["value"].to_numpy() * 100.0)
+        val = _value_cents(g["value"])
         new_seg = np.empty(len(ts), dtype=bool)
         new_seg[0] = True
         if len(ts) > 1:

@@ -151,7 +151,7 @@ def sessionize(events_ds, gap_us: int = 30 * 60 * 1_000_000,
         # unsalted agree EXACTLY for ANY float input — float session
         # sums re-associated across fragment boundaries could flip a
         # cent (the rollup_agg convention; round-5 review finding)
-        cents = _round_half_away(group["value"].to_numpy() * 100.0)
+        cents = _value_cents(group["value"])
         user = int(group["user_id"][0].as_py())
         new_sess = np.empty(len(ts), dtype=np.int64)
         new_sess[0] = 0
@@ -196,7 +196,7 @@ def _sessionize_salted(events_ds, gap_us: int, salt_width_us: int):
                                                   ("event_id", "ascending")])
         group = group.take(order)
         ts = group["ts"].to_numpy()
-        cents = _round_half_away(group["value"].to_numpy() * 100.0)
+        cents = _value_cents(group["value"])
         user = int(group["user_id"][0].as_py())
         new_f = np.empty(len(ts), dtype=np.int64)
         new_f[0] = 0
@@ -956,7 +956,7 @@ def rollup_agg(events_ds, width_us: int = US_PER_HOUR):
     def leaf_partial(batch: pa.Table) -> pa.Table:
         ts = batch["ts"].cast(pa.int64()).to_numpy()
         win = (ts // width_us) * width_us
-        cents = _round_half_away(batch["value"].to_numpy() * 100.0)
+        cents = _value_cents(batch["value"])
         t = pa.table({"window_start_us": pa.array(win, type=pa.int64()),
                       "event_type": batch["event_type"],
                       "cents": pa.array(cents)})
@@ -1043,7 +1043,7 @@ def pivot_counts(events_ds, pivot_values: list[str],
             t = t.combine_chunks()
         keep = pc.is_in(t, value_set=pa.array(pivot_values))
         b = batch.filter(keep)
-        cents = _round_half_away(b[value_col].to_numpy() * 100.0)
+        cents = _value_cents(b[value_col])
         t2 = pa.table({key_col: b[key_col],
                        pivot_col: b[pivot_col],
                        "cents": pa.array(cents)})

@@ -5,7 +5,7 @@ re-expressed over a Parquet corpus.
 Usage:
     python scripts/indexer.py CORPUS OUT_DIR [--no-parse]
         [--codec vbyte|ef|none] [--num-shards N] [--salt-buckets N]
-        [--num-cpus N] [--exchange groupby|mr]
+        [--num-cpus N]
 
 CORPUS is a Parquet directory/file (repo, path, commit, lang, content)
 or the reference's own collection format — a ``.tsv`` of ``pid \t text``
@@ -36,10 +36,6 @@ def main() -> None:
     ap.add_argument("--num-shards", type=int, default=64)
     ap.add_argument("--salt-buckets", type=int, default=4)
     ap.add_argument("--num-cpus", type=int, default=None)
-    ap.add_argument("--exchange", default="groupby",
-                    choices=["groupby", "mr"],
-                    help="postings exchange: Ray groupby shuffle, or the "
-                         "direct map/reduce with partition-level resume")
     args = ap.parse_args()
 
     import ray
@@ -52,8 +48,7 @@ def main() -> None:
 
     cfg = IndexConfig(parse=not args.no_parse, codec=args.codec,
                       num_shards=args.num_shards,
-                      salt_buckets=args.salt_buckets,
-                      exchange=args.exchange)
+                      salt_buckets=args.salt_buckets)
     if args.corpus_dir.endswith((".tsv", ".tar.gz", ".tgz", ".tar")):
         from mircv_ray.sources import collection_tsv_as_corpus
         corpus = collection_tsv_as_corpus(args.corpus_dir)

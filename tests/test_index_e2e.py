@@ -58,6 +58,8 @@ class TestBuildParity:
         assert stats["n_docs"] == oracle.n_docs
         assert stats["total_doc_len"] == oracle.total_doc_len
         assert stats["num_terms"] == len(oracle.postings)
+        # below MR2_TREE_FANIN map tasks the exchange's merge tree is dormant
+        assert stats["metrics"]["postings_sub"]["n_combines"] == 0
 
     def test_doc_table(self, built):
         import pyarrow.parquet as pq
@@ -166,49 +168,45 @@ class TestDeterminism:
             assert ia.tolist() == ib.tolist()
             assert ta.tolist() == tb.tolist()
 
-    def test_exchange_invariance(self, ray_session, tmp_path):
-        """The direct map/reduce exchange and the groupby exchange must
-        produce identical postings and lexicon."""
-        import pyarrow.parquet as pq
+    def test_exchange_invariance(self, ray_session, tmp_path,
+                                 monkeypatch):
+        """The postings exchange with its reduce merge tree FORCED on
+        (fan-in 2 over ~9 map tasks of 8 docs) must produce the oracle's
+        lexicon and postings: the tree must be invisible in the output."""
         import ray.data as rd
         from mircv_ray.build import build_index
+        from mircv_ray.build import index_build
         table = generate_corpus_table(70, seed=29)
-        ds = rd.from_arrow(table.drop_columns(["sha256"]))
-        readers = {}
-        # "mr_tree" = the fused exchange with the two-level reduce
-        # merge tree FORCED on (fan-in 2 over ~9 map tasks of 8 docs):
-        # the tree must be byte-invisible in the output
-        cfgs = {
-            "groupby": IndexConfig(parse=True, num_shards=4,
-                                   salt_buckets=2, exchange="groupby"),
-            "mr": IndexConfig(parse=True, num_shards=4,
-                              salt_buckets=2, exchange="mr"),
-            "mr_tree": IndexConfig(parse=True, num_shards=4,
-                                   salt_buckets=2, exchange="mr",
-                                   explode_batch_size=8,
-                                   mr2_tree_fanin=2),
-        }
-        stats = {}
-        for ex, cfg in cfgs.items():
-            out = str(tmp_path / f"idx_{ex}")
-            stats[ex] = build_index(ds, out, cfg)
-            readers[ex] = IndexReader(out)
+        monkeypatch.setattr(index_build, "MR2_TREE_FANIN", 2)
+        out = str(tmp_path / "idx_tree")
+        stats = build_index(rd.from_arrow(table.drop_columns(["sha256"])),
+                            out, IndexConfig(parse=True, num_shards=4,
+                                             salt_buckets=2,
+                                             explode_batch_size=8))
         # the forced-low threshold really activated the combine level
-        sub = stats["mr_tree"]["metrics"]["postings_sub"]
+        sub = stats["metrics"]["postings_sub"]
         assert sub["n_map_tasks"] > sub["tree_fanin"] == 2
         assert sub["n_combines"] > 0
         # ~9 maps at fan-in 2 recurse: 9 -> 5 -> 3 -> 2 groups
         assert sub["tree_levels"] >= 2
-        assert stats["mr"]["metrics"]["postings_sub"]["n_combines"] == 0
-        a = readers["groupby"]
-        for other in ("mr", "mr_tree"):
-            b = readers[other]
-            assert a._lex == b._lex
-            for term in a._lex:
-                ia, ta = _decode_term_postings(a, term)
-                ib, tb = _decode_term_postings(b, term)
-                assert ia.tolist() == ib.tolist(), (other, term)
-                assert ta.tolist() == tb.tolist(), (other, term)
+        # blank docs get no docId (InvertedIndex.java:45-47)
+        rows = [r for r in table.to_pylist()
+                if r["content"] and r["content"].strip()]
+        oracle = OracleIndex.build(rows, parse=True)
+        assert stats["n_docs"] == oracle.n_docs < table.num_rows
+        olex = oracle.lexicon()
+        reader = IndexReader(out)
+        assert set(reader._lex) == set(olex)
+        for term, o in olex.items():
+            df, idf, bm25_ub, tfidf_ub, _shard = reader._lex[term]
+            assert df == o["df"], term
+            assert idf == pytest.approx(o["idf"], abs=1e-12)
+            assert bm25_ub == pytest.approx(o["bm25_ub"], abs=1e-12)
+            assert tfidf_ub == pytest.approx(o["tfidf_ub"], abs=1e-12)
+            ids, tfs = _decode_term_postings(reader, term)
+            oids, otfs = oracle.posting_list(term)
+            assert ids.tolist() == oids, term
+            assert tfs.tolist() == otfs, term
 
     @pytest.mark.parametrize("codec", ["ef", "none"])
     def test_codec_invariance(self, ray_session, tmp_path, codec):

@@ -3,9 +3,8 @@
 Every (shard, seg) postings file is term-sorted in row groups of at most
 POSTINGS_ROW_GROUP_ROWS rows, so row-group term ranges are disjoint and
 a cold term lookup decodes one small row group per file instead of the
-whole file. Checked for the groupby build, the fused mr build (salted)
-and a vacuum's re-encode of that salted index, and for the positions
-sidecar. An index written with one row group per file (the older
+whole file. Checked for a salted build, a vacuum's re-encode of it, and
+the positions sidecar. An index written with one row group per file (the older
 layout) must read back identically.
 """
 
@@ -23,10 +22,7 @@ from mircv_ray.sources import generate_corpus_table
 
 N_DOCS = 1200
 # two shards: ~1k terms per file, so every file spans several row groups
-CONFIGS = {
-    "groupby": IndexConfig(num_shards=2),
-    "mr_salt2": IndexConfig(num_shards=2, salt_buckets=2, exchange="mr"),
-}
+CFG = IndexConfig(num_shards=2, salt_buckets=2)
 
 
 @pytest.fixture(scope="module")
@@ -39,17 +35,14 @@ def indexes(ray_session, tmp_path_factory):
     base = tmp_path_factory.mktemp("layout")
     corpus = rd.from_arrow(
         generate_corpus_table(N_DOCS, seed=7).drop_columns(["sha256"]))
-    out, n_docs = {}, None
-    for name, cfg in CONFIGS.items():
-        out[name] = str(base / name)
-        n_docs = build_index(corpus, out[name], cfg)["n_docs"]
-    # vacuum the salted mr index into a fresh one, then undelete the
-    # source so the other checks see every doc
-    delete_docs(out["mr_salt2"], np.arange(1, n_docs + 1, 10))
-    out["vacuumed"] = str(base / "vacuumed")
-    vacuum_index(out["mr_salt2"], out["vacuumed"])
-    clear_tombstones(out["mr_salt2"])
-    build_positions_index(out["groupby"], corpus, CONFIGS["groupby"])
+    out = {"salt2": str(base / "salt2"), "vacuumed": str(base / "vacuumed")}
+    n_docs = build_index(corpus, out["salt2"], CFG)["n_docs"]
+    # vacuum the index into a fresh one, then undelete the source so the
+    # other checks see every doc
+    delete_docs(out["salt2"], np.arange(1, n_docs + 1, 10))
+    vacuum_index(out["salt2"], out["vacuumed"])
+    clear_tombstones(out["salt2"])
+    build_positions_index(out["salt2"], corpus, CFG)
     return out
 
 
@@ -76,14 +69,29 @@ def _assert_term_row_groups(path: Path) -> None:
         prev_max = stats.max
 
 
-@pytest.mark.parametrize("name", ["groupby", "mr_salt2", "vacuumed"])
+@pytest.mark.parametrize("name", ["salt2", "vacuumed"])
 def test_postings_row_groups(indexes, name):
     for f in _files(indexes[name]):
         _assert_term_row_groups(f)
 
 
+def test_vacuum_writes_one_file_per_partition(indexes):
+    """The vacuum re-encode goes through the build's exchange: exactly
+    one shard=S/seg-G.parquet per (shard, seg) partition, and its
+    exchange stats land in the postings manifest."""
+    from mircv_ray.build.manifests import read_manifest
+    vac = indexes["vacuumed"]
+    names = sorted(str(f.relative_to(Path(vac, "postings")))
+                   for f in Path(vac, "postings").rglob("*.parquet"))
+    assert names == [f"shard={s}/seg-{g}.parquet"
+                     for s in range(CFG.num_shards)
+                     for g in range(CFG.salt_buckets)]
+    sub = read_manifest(vac, "postings")["sub"]
+    assert sub and sub["n_partitions"] == CFG.num_shards * CFG.salt_buckets
+
+
 def test_positions_row_groups(indexes):
-    for f in _files(indexes["groupby"], "positions"):
+    for f in _files(indexes["salt2"], "positions"):
         _assert_term_row_groups(f)
 
 
@@ -93,7 +101,7 @@ def _df1_terms(reader: IndexReader, n: int) -> list[str]:
     return terms[:: len(terms) // n][:n]
 
 
-@pytest.mark.parametrize("name", ["groupby", "mr_salt2", "vacuumed"])
+@pytest.mark.parametrize("name", ["salt2", "vacuumed"])
 def test_cold_df1_lookup_reads_one_row_group(indexes, name, monkeypatch):
     """Through both read paths: prefetch (a query) and a single-term
     fetch (decoded on an uncached term)."""
@@ -127,7 +135,7 @@ def test_single_row_group_index_reads_identically(indexes, tmp_path):
     """Rewrite every postings file of a built index with one row group
     (the layout indexes had before row groups were bounded): decoded
     postings and top-10 results are unchanged."""
-    src = indexes["groupby"]
+    src = indexes["salt2"]
     old = str(tmp_path / "one_rg")
     shutil.copytree(src, old)
     for f in _files(old):

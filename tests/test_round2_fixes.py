@@ -134,6 +134,33 @@ def test_all_blank_corpus_builds_empty_index(ray_session, tmp_path):
     assert (stats["n_docs"], stats["total_doc_len"]) == (0, 0)
 
 
+def test_positions_skip_blank_docs(ray_session, tmp_path):
+    """Blank docs have no docId, so the positions build must drop them
+    before attaching ids: a trailing blank key used to index past the
+    mapping (IndexError), and a zero-doc index has nothing to attach."""
+    import ray.data as rd
+
+    from mircv_ray.build import build_index, build_positions_index
+    from mircv_ray.build.positions import read_term_positions
+    from mircv_ray.config import IndexConfig
+    cfg = IndexConfig(parse=False, num_shards=2, salt_buckets=2)
+    t = _keyed_corpus(["a.py", "b.py", "z.py"],
+                      ["alpha beta", "beta gamma", "   "])
+    out = tmp_path / "idx"
+    build_index(rd.from_arrow(t), str(out), cfg)
+    res = build_positions_index(str(out), rd.from_arrow(t), cfg)
+    assert res["rows"] > 0
+    ids, cnts, pos = read_term_positions(str(out), "beta", 2, 2)
+    assert (ids.tolist(), cnts.tolist(), pos.tolist()) == ([1, 2], [1, 1],
+                                                          [1, 0])
+    blank = _keyed_corpus(["a", "b"], ["", None])
+    out0 = tmp_path / "idx0"
+    assert build_index(rd.from_arrow(blank), str(out0), cfg)["n_docs"] == 0
+    res = build_positions_index(str(out0), rd.from_arrow(blank), cfg)
+    assert res["rows"] == 0
+    assert read_term_positions(str(out0), "beta", 2, 2) is None
+
+
 # ----------------------------------------------------- stale-stage resumption
 
 def test_incomplete_stage_output_is_cleared(ray_session, tmp_path):
@@ -524,7 +551,7 @@ def test_pair_joins_survive_empty_sort_partitions(ray_session):
 # -------------------------------------------- partition-level mr resume
 
 def test_mr_exchange_partition_level_resume(ray_session, tmp_path):
-    """With the mr exchange, a crashed postings stage resumes by
+    """With the postings exchange, a crashed postings stage resumes by
     rebuilding ONLY the missing partitions (atomic per-partition files),
     and the resumed index equals the clean build."""
     import os
@@ -536,8 +563,7 @@ def test_mr_exchange_partition_level_resume(ray_session, tmp_path):
     from mircv_ray.sources.corpus import generate_corpus_table
 
     corpus = generate_corpus_table(80, with_sha=False)
-    cfg = IndexConfig(parse=False, num_shards=4, salt_buckets=2,
-                      exchange="mr")
+    cfg = IndexConfig(parse=False, num_shards=4, salt_buckets=2)
     out = tmp_path / "idx"
     s1 = build_index(rd.from_arrow(corpus), str(out), cfg)
 
@@ -618,6 +644,52 @@ def test_streaming_window_skips_null_value():
     agg.ingest(_events_with_null_value())
     out = agg.flush().to_pylist()
     assert [(r["n_events"], r["sum_value_cents"]) for r in out] == [(3, 375)]
+
+
+def _user_events_with_null_value():
+    # the same three events for one user, 1 s apart
+    t = _events_with_null_value()
+    return t.append_column("user_id", pa.array([7, 7, 7])).append_column(
+        "event_id", pa.array([0, 1, 2]))
+
+
+@pytest.mark.parametrize("salt_width_us", [None, 100_000_000])
+def test_sessionize_skips_null_value(ray_session, salt_width_us):
+    import ray.data as rd
+
+    from mircv_ray.ops import sessionize
+    out = sessionize(rd.from_arrow(_user_events_with_null_value()),
+                     gap_us=10_000_000,
+                     salt_width_us=salt_width_us).to_pandas()
+    assert out[["n_events", "sum_value_cents"]].values.tolist() == [[3, 375]]
+
+
+def test_streaming_sessionizer_skips_null_value():
+    from mircv_ray.ops import StreamingSessionizer
+    agg = StreamingSessionizer(gap_us=10_000_000)
+    parts = [agg.ingest(_user_events_with_null_value()), agg.flush()]
+    out = pa.concat_tables([p for p in parts if p.num_rows]).to_pylist()
+    assert [(r["n_events"], r["sum_value_cents"]) for r in out] == [(3, 375)]
+
+
+def test_rollup_skips_null_value(ray_session):
+    import ray.data as rd
+
+    from mircv_ray.ops import rollup_agg
+    out = rollup_agg(rd.from_arrow(_events_with_null_value()),
+                     width_us=4_000_000).to_pandas()
+    # leaf, per-type subtotal and grand total
+    assert out[["n_events", "sum_value_cents"]].values.tolist() == \
+        [[3, 375]] * 3
+
+
+def test_pivot_skips_null_value(ray_session):
+    import ray.data as rd
+
+    from mircv_ray.ops import pivot_counts
+    out = pivot_counts(rd.from_arrow(_user_events_with_null_value()),
+                       ["a"]).take_all()
+    assert out == [{"user_id": 7, "n_a": 3, "cents_a": 375}]
 
 
 def test_exact_and_hll_distinct_agree_on_null_groups(ray_session):

@@ -142,13 +142,13 @@ class TestFingerprintResume:
         out = tmp_path / "idx"
         ds = _corpus(ray_session)
         build_index(ds, str(out),
-                    IndexConfig(num_shards=4, salt_buckets=2, exchange="mr"))
+                    IndexConfig(num_shards=4, salt_buckets=2))
         # simulate crash mid-postings: stage manifests gone, files remain
         (out / "_manifests" / "postings.json").unlink()
         (out / "_manifests" / "lexicon.json").unlink()
         stats = build_index(
             ds, str(out),
-            IndexConfig(num_shards=4, salt_buckets=3, exchange="mr"))
+            IndexConfig(num_shards=4, salt_buckets=3))
         # no stale seg files: every shard dir holds segs < 3 only, and
         # the rebuilt index matches the oracle posting count exactly
         for d in (out / "postings").glob("shard=*"):

@@ -58,8 +58,9 @@ class TestWideTfEndToEnd:
     def test_giant_tf_doc_identical_across_exchanges(self, ray_session,
                                                      tmp_path):
         # one doc repeats a term > 2^16 times -> its explode batch packs
-        # int32 while others pack uint16; both exchanges must agree and
-        # the decoded tf must survive exactly
+        # int32 while others pack uint16; the postings and the positions
+        # sidecar (both written through the one exchange) must agree on
+        # the occurrence count, and the decoded tf must survive exactly
         import ray.data as rd
         from mircv_ray.build import build_index
         from mircv_ray.config import IndexConfig
@@ -74,37 +75,28 @@ class TestWideTfEndToEnd:
         })
         table = pa.concat_tables(
             [base, giant.cast(base.schema)], promote_options="default")
-        readers = {}
-        for ex in ("groupby", "mr"):
-            out = str(tmp_path / f"idx_{ex}")
-            build_index(rd.from_arrow(table), out,
-                        IndexConfig(parse=True, num_shards=4,
-                                    salt_buckets=2, exchange=ex,
-                                    tokenize_batch_size=4,
-                                    explode_batch_size=4))
-            readers[ex] = IndexReader(out)
-        a, b = readers["groupby"], readers["mr"]
-        assert a._lex == b._lex
+        cfg = IndexConfig(parse=True, num_shards=4, salt_buckets=2,
+                          tokenize_batch_size=4, explode_batch_size=4)
+        out = str(tmp_path / "idx")
+        build_index(rd.from_arrow(table), out, cfg)
+        r = IndexReader(out)
         # Porter may strip the final 'e' ("zzwide" -> "zzwid")
-        term = next(t for t in a._lex if t.startswith("zzwid"))
-        for r in (a, b):
-            ids, tfs = r.decoded(term)
-            assert 70000 in tfs.tolist()
+        term = next(t for t in r._lex if t.startswith("zzwid"))
+        ids, tfs = r.decoded(term)
+        assert 70000 in tfs.tolist()
         # the positions sidecar shares the width machinery: a >= 2^16
         # in-doc position forces its batch onto the wide path, mixed
         # with the other (narrow) batches in the same partition
         from mircv_ray.build import build_positions_index
         from mircv_ray.build.positions import read_term_positions
-        out_mr = str(tmp_path / "idx_mr")
         build_positions_index(
-            out_mr, rd.from_arrow(table.select(
-                ["repo", "path", "content"])),
-            IndexConfig(parse=True, num_shards=4, salt_buckets=2,
-                        tokenize_batch_size=4, explode_batch_size=4))
-        got = read_term_positions(out_mr, term, num_shards=4,
-                                  salt_buckets=2)
+            out, rd.from_arrow(table.select(["repo", "path", "content"])),
+            cfg)
+        got = read_term_positions(out, term, num_shards=4, salt_buckets=2)
         assert got is not None
         ids_p, cnts_p, pos_p = got
+        assert ids_p.tolist() == ids.tolist()
+        assert cnts_p.tolist() == tfs.tolist()
         j = list(cnts_p).index(70000)
         start = int(np.cumsum(cnts_p)[j]) - 70000
         assert pos_p[start:start + 70000].tolist() == \
@@ -124,8 +116,7 @@ class TestWideTfEndToEnd:
 
         table = generate_corpus_table(60, seed=17).drop_columns(
             ["sha256"])
-        cfg = dict(parse=True, num_shards=4, salt_buckets=2,
-                   exchange="mr")
+        cfg = dict(parse=True, num_shards=4, salt_buckets=2)
         monkeypatch.setenv("MIRCV_TF_WIDE", "1")
         build_index(rd.from_arrow(table), str(tmp_path / "wide"),
                     IndexConfig(**cfg))
