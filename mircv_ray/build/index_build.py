@@ -405,14 +405,7 @@ def _make_explode(num_shards: int, salt_buckets: int, n_docs: int):
         if len(codes) == 0:
             # a whole batch of docs can tokenize to zero tokens
             # (punctuation-only / all-stopword docs pass the blank filter)
-            return pa.table({
-                "term": pa.array([], type=pa.string()),
-                "shard": pa.array([], type=pa.int64()),
-                "seg": pa.array([], type=pa.int64()),
-                "n": pa.array([], type=pa.int64()),
-                "ids_raw": pa.array([], type=pa.binary()),
-                "tfs_raw": pa.array([], type=pa.binary()),
-            })
+            return EMPTY_PARTIALS
         did_rows = batch["doc_id"].to_numpy().astype(ids_dt)  # row-level
         did = did_rows[parents]
         # per-doc term counting (M11) as pure NumPy over dictionary
@@ -452,39 +445,54 @@ def _make_explode(num_shards: int, salt_buckets: int, n_docs: int):
         # shuffle + sort traffic (packed_tf_values resolves the width
         # per row on the consumer side, so batches decide independently)
         tfs = tfs64.astype(packed_tf_dtype(tfs64))
-        run_codes_all = c2[pstarts]
-        run_dids = d2[pstarts]
-        # seg is monotone in doc_id, so (code, doc_id) order is also
-        # (code, seg) order — second-level runs give the partial lists
-        # (the int32 fast path would overflow once n_docs*salt_buckets
-        # crosses 2^31 — upcast only then)
-        if n_docs * salt_buckets < 2**31:
-            seg = (run_dids - 1) * salt_buckets // max(n_docs, 1)
-        else:
-            seg = (run_dids.astype(np.int64) - 1) * salt_buckets \
-                // max(n_docs, 1)
-        change = (np.diff(run_codes_all) != 0) | (np.diff(seg) != 0)
-        starts = np.flatnonzero(np.append(True, change))
-        ends = np.append(starts[1:], len(run_codes_all))
-        vocab = denc.dictionary
-        vshards = _term_shards_memo(vocab, num_shards)
-        run_codes = run_codes_all[starts]
-        # the (term, seg) runs tile run_dids/tfs contiguously, so both
-        # binary columns are just offset views over the flat arrays —
-        # built with from_buffers in one pass (the per-run tobytes()
-        # list comprehension this replaces was ~80x slower and the last
-        # Python loop in the explode hot path); byte-identical output
-        ids_raw = _packed_runs(run_dids, starts)
-        tfs_raw = _packed_runs(tfs, starts)
-        return pa.table({
-            "term": vocab.take(pa.array(run_codes, type=pa.int64())),
-            "shard": pa.array(vshards[run_codes], type=pa.int64()),
-            "seg": pa.array(seg[starts], type=pa.int64()),
-            "n": pa.array(ends - starts, type=pa.int64()),
-            "ids_raw": ids_raw,
-            "tfs_raw": tfs_raw,
-        })
+        return _pack_partials(c2[pstarts], d2[pstarts], tfs, denc.dictionary,
+                              num_shards, salt_buckets, n_docs)
     return explode
+
+
+EMPTY_PARTIALS = pa.table({
+    "term": pa.array([], type=pa.string()),
+    "shard": pa.array([], type=pa.int64()),
+    "seg": pa.array([], type=pa.int64()),
+    "n": pa.array([], type=pa.int64()),
+    "ids_raw": pa.array([], type=pa.binary()),
+    "tfs_raw": pa.array([], type=pa.binary()),
+})
+
+
+def _pack_partials(codes: np.ndarray, dids: np.ndarray, tfs: np.ndarray,
+                   vocab: pa.Array, num_shards: int, salt_buckets: int,
+                   n_docs: int) -> pa.Table:
+    """Postings as (term code into ``vocab``, docId, tf), sorted by (code,
+    docId) -> partial posting lists: one row per (term, seg) run with
+    the run's docIds/tfs packed into binary columns. The map-side
+    output of the build's explode and of the lifecycle ops alike."""
+    # seg is monotone in doc_id, so (code, doc_id) order is also
+    # (code, seg) order — second-level runs give the partial lists
+    # (the int32 fast path would overflow once n_docs*salt_buckets
+    # crosses 2^31 — upcast only then)
+    if n_docs * salt_buckets < 2**31:
+        seg = (dids - 1) * salt_buckets // max(n_docs, 1)
+    else:
+        seg = (dids.astype(np.int64) - 1) * salt_buckets // max(n_docs, 1)
+    change = (np.diff(codes) != 0) | (np.diff(seg) != 0)
+    starts = np.flatnonzero(np.append(True, change))
+    ends = np.append(starts[1:], len(codes))
+    vshards = _term_shards_memo(vocab, num_shards)
+    run_codes = codes[starts]
+    # the (term, seg) runs tile dids/tfs contiguously, so both binary
+    # columns are just offset views over the flat arrays — built with
+    # from_buffers in one pass (the per-run tobytes() list comprehension
+    # this replaces was ~80x slower and the last Python loop in the
+    # explode hot path); byte-identical output
+    return pa.table({
+        "term": vocab.take(pa.array(run_codes, type=pa.int64())),
+        "shard": pa.array(vshards[run_codes], type=pa.int64()),
+        "seg": pa.array(seg[starts], type=pa.int64()),
+        "n": pa.array(ends - starts, type=pa.int64()),
+        "ids_raw": _packed_runs(dids, starts),
+        "tfs_raw": _packed_runs(tfs, starts),
+    })
 
 
 def _packed_runs(flat: np.ndarray, starts: np.ndarray) -> pa.Array:
@@ -806,15 +814,15 @@ def _exchange_map(chunks, batch_rows: int, to_partials, num_shards: int,
     """Map side of the exchange: slice the MATERIALIZED blocks in
     ``chunks`` (list of (block_ref, start, len) — nested refs, fetched
     zero-copy from plasma), turn each ``batch_rows`` sub-batch into
-    partial rows with ``to_partials`` (None: the rows already are
-    partials), split by reduce bucket — all in ONE task, so for a token
-    stream the exchange's map phase IS the explode compute (no
-    intermediate dataset, no second scheduling pass). Each bucket's rows
-    are emitted (bucket, key)-sorted, so the reduce side can slice one
-    key's rows zero-copy. Returns ``n_buckets`` tables plus a trailing
-    stats dict: the task's busy wall (the maps execute IDENTICAL work at
-    every cpu level, so the summed busy is the scaling audit's
-    job-kernel contention probe) and its per-key posting counts."""
+    partial rows with ``to_partials``, split by reduce bucket — all in
+    ONE task, so the exchange's map phase IS the explode (or the
+    lifecycle shard decode) compute: no intermediate dataset, no second
+    scheduling pass. Each bucket's rows are emitted (bucket, key)-sorted,
+    so the reduce side can slice one key's rows zero-copy. Returns
+    ``n_buckets`` tables plus a trailing stats dict: the task's busy wall
+    (the maps execute IDENTICAL work at every cpu level, so the summed
+    busy is the scaling audit's job-kernel contention probe) and its
+    per-key posting counts."""
     t0 = time.time()
     num_parts = num_shards * salt_buckets
     parts = []
@@ -822,9 +830,7 @@ def _exchange_map(chunks, batch_rows: int, to_partials, num_shards: int,
         tbl = ray.get(ref)
         end = min(start + length, tbl.num_rows)
         for off in range(start, end, batch_rows):
-            sub = tbl.slice(off, min(batch_rows, end - off))
-            if to_partials is not None:
-                sub = to_partials(sub)
+            sub = to_partials(tbl.slice(off, min(batch_rows, end - off)))
             if sub.num_rows:
                 parts.append(sub)
     empty = pa.table({})
@@ -943,8 +949,11 @@ def _exchange(ds, to_partials, write_part, out_dir: str, num_shards: int,
     them — and the positions sidecar): a direct map/reduce over the
     blocks of the MATERIALIZED Dataset ``ds`` (materialized here if
     lazy). Map tasks run ``to_partials`` + bucket split over fixed-size
-    slices of the blocks; reduces write each (shard, seg) partition
-    under ``out_dir`` through ``write_part(group, shard, seg)``.
+    slices of the blocks: ``batch_rows`` token rows for the build and
+    positions, one source shard per task (``batch_rows=1``) for the
+    lifecycle ops, which read their input inside the maps. Reduces
+    write each (shard, seg) partition under ``out_dir`` through
+    ``write_part(group, shard, seg)``.
     PARTITION-LEVEL RESUME: a partition whose file already exists
     (published atomically by a previous run) is skipped.
 
@@ -1261,14 +1270,16 @@ def _build_lexicon_files(out: Path, n_docs: int) -> None:
             batch_size=1).write_parquet(str(out / "lexicon"))
 
 
-def _encode_partials(ds, out: Path, cfg: IndexConfig, n_docs: int,
-                     avg_doc_len: float, to_partials=None) -> dict:
+def _encode_partials(ds, to_partials, batch_rows: int, out: Path,
+                     cfg: IndexConfig, n_docs: int,
+                     avg_doc_len: float) -> dict:
     """Exchange + encode into the final block-encoded postings store at
-    ``out/postings``. ``ds`` holds PARTIAL-POSTING rows (the explode
-    output shape: term, shard, seg, n, ids_raw, tfs_raw) — vacuum,
-    merge and prune pass their decoded postings this way — or, with
-    ``to_partials``, rows that callable turns into them per sub-batch
-    (the build's token blocks through attach + explode). Requires the
+    ``out/postings``. ``to_partials`` turns each ``batch_rows``-row
+    sub-batch of ``ds`` into partial-posting rows (the explode output
+    shape: term, shard, seg, n, ids_raw, tfs_raw) inside the exchange's
+    maps: the build's token blocks through attach + explode, or — one
+    row per source shard, ``batch_rows=1`` — the lifecycle ops' shard
+    read + decode + row step (``build/lifecycle.py``). Requires the
     doc-length sidecar; the caller owns manifests / resume policy.
     Returns the exchange's per-phase stats (:func:`_exchange`)."""
     salt = cfg.salt_buckets
@@ -1287,7 +1298,7 @@ def _encode_partials(ds, out: Path, cfg: IndexConfig, n_docs: int,
         ds, to_partials,
         functools.partial(_write_postings_partition, build_fn,
                           str(out / "postings")),
-        str(out / "postings"), cfg.num_shards, salt, cfg.explode_batch_size)
+        str(out / "postings"), cfg.num_shards, salt, batch_rows)
     # a zero-postings corpus (all docs stop/stem to nothing) writes no
     # files; later stages still expect the directory
     (out / "postings").mkdir(exist_ok=True)
@@ -1675,8 +1686,9 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
             tokens, to_partials = tok0, _TokensToPartials(explode, mapping_ref)
         else:
             tokens, to_partials = tok_mat, _TokensToPartials(explode)
-        xstats = _encode_partials(tokens, out, cfg, n_docs, avg_doc_len,
-                                  to_partials)
+        xstats = _encode_partials(tokens, to_partials,
+                                  cfg.explode_batch_size, out, cfg, n_docs,
+                                  avg_doc_len)
         tp = time.time()
         pstats = _partition_stats(out / "postings")
         xstats["partition_stats_s"] = round(time.time() - tp, 3)

@@ -237,12 +237,13 @@ def build_positions_index(index_dir: str, corpus, cfg: IndexConfig,
     corpus: one content pass (blank filter + tokenize), then the main
     build's (shard, seg) exchange with AttachIds + ``pos_explode`` in its
     maps and per-partition atomic writes under ``<index_dir>/positions/``.
-    Idempotent: finished partitions are skipped on re-run."""
+    Idempotent: a completed sidecar (its ``positions`` manifest) is not
+    rebuilt, and finished partitions of an interrupted run are skipped."""
     import json
 
     import shutil
 
-    from .manifests import read_manifest
+    from .manifests import read_manifest, write_manifest
     stats = json.loads((Path(index_dir) / "stats.json").read_text())
     n_docs = int(stats["n_docs"])
     num_shards = int(stats["num_shards"])
@@ -253,14 +254,16 @@ def build_positions_index(index_dir: str, corpus, cfg: IndexConfig,
     # the doc_len.i64 lesson). Stamp = docs manifest completed_at.
     stamp = str((read_manifest(index_dir, "docs") or {})
                 .get("completed_at"))
+    # completion marker: the stage manifest, not a file count — an
+    # empty (shard, seg) partition writes no file
+    done_m = read_manifest(index_dir, "positions")
+    if done_m is not None and done_m["docs_completed_at"] == stamp \
+            and Path(out_dir).exists():
+        return {"partitions": done_m["partitions"], "resumed": True}
     stamp_p = Path(out_dir) / "_stamp"
     if Path(out_dir).exists() and \
             (not stamp_p.exists() or stamp_p.read_text() != stamp):
         shutil.rmtree(out_dir, ignore_errors=True)
-    done = sum(1 for _ in Path(out_dir).glob("shard=*/seg-*.parquet")) \
-        if Path(out_dir).exists() else 0
-    if done >= num_shards * salt:
-        return {"partitions": done, "resumed": True}
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     stamp_p.write_text(stamp)
     # the doc table is read and sorted inside one task; the driver holds
@@ -280,6 +283,9 @@ def build_positions_index(index_dir: str, corpus, cfg: IndexConfig,
         _TokensToPartials(_make_pos_explode(num_shards, salt, n_docs), mref),
         functools.partial(_encode_pos_group, out_dir, n_docs),
         out_dir, num_shards, salt, cfg.explode_batch_size)
+    write_manifest(index_dir, "positions", {
+        "docs_completed_at": stamp, "partitions": num_shards * salt,
+        "seconds": time.time() - t0, "sub": xstats})
     return {**xstats, "partitions": num_shards * salt,
             "sec": round(time.time() - t0, 3)}
 

@@ -22,9 +22,10 @@ standard LSM-ish shape:
    BIT-IDENTICAL to a from-scratch build over the surviving documents
    (fresh N / avgDocLen / idf / upper bounds), which the tests pin.
 
-Vacuum reuses the merge machinery: postings decode -> filter+remap ->
-partial rows -> the build's own encode/lexicon/stats stages. No content
-scan, ever.
+Vacuum runs the lifecycle rewrite path (``build/lifecycle.py``): one
+exchange map per source shard decodes it, filters + renumbers its
+postings and turns them into partial lists for the build's own
+encode/lexicon/stats stages. No content scan, ever.
 """
 
 from __future__ import annotations
@@ -32,26 +33,15 @@ from __future__ import annotations
 import logging
 import os
 import shutil
-import time
 import uuid
 from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import IndexConfig
-from .index_build import (
-    _build_lexicon_files,
-    _encode_partials,
-    _partition_stats,
-    _write_doc_len_sidecar,
-    _write_stats,
-    load_stats,
-)
-from .manifests import write_manifest
-from .merge import _rows_to_partials
+from .index_build import _write_doc_len_sidecar, load_stats
 
 logger = logging.getLogger(__name__)
 
@@ -122,80 +112,30 @@ def vacuum_index(index_dir: str, out_dir: str,
     stats / idf / upper bounds). No content scan — postings decode,
     filter, remap, re-encode. ``cfg`` defaults to the source index's
     layout; tokenizer knobs cannot change (nothing is re-tokenized)."""
-    import ray.data as rd
-
-    from ..query.dump import dump_postings
-    from .merge import _TOKENIZER_KNOBS
+    from .lifecycle import rewrite_index
 
     stats = load_stats(index_dir)
-    cfg = cfg or IndexConfig(
-        parse=stats["parse"], squeeze=stats["squeeze"],
-        codec=stats["codec"], num_shards=stats["num_shards"],
-        salt_buckets=stats["salt_buckets"],
-        k1=stats["k1"], b=stats["b"])
-    cfg.codec_valid()
-    for knob in _TOKENIZER_KNOBS:
-        if getattr(cfg, knob) != stats[knob]:
-            raise ValueError(
-                f"cfg.{knob}={getattr(cfg, knob)!r} does not match the "
-                f"input index ({stats[knob]!r}); vacuum never "
-                "re-tokenizes, so tokenizer knobs cannot change here")
     tombs = load_tombstones(index_dir)
-    n_old = int(stats["n_docs"])
-    n_new = n_old - len(tombs)
+    n_new = int(stats["n_docs"]) - len(tombs)
+    remap = _filter_remap(tombs, renumber=True)
 
-    out = Path(out_dir)
-    if out.exists():
-        shutil.rmtree(out)
-    out.mkdir(parents=True)
-    metrics: dict = {"vacuumed_from": str(index_dir),
-                     "n_deleted": int(len(tombs)), "n_docs": n_new}
+    def write_docs(out: Path, cfg: IndexConfig, metrics: dict) -> int:
+        import ray.data as rd
+        # filter + dense renumber (streamed)
+        rd.read_parquet(f"{index_dir}/docs") \
+            .map_batches(remap, batch_format="pyarrow") \
+            .write_parquet(str(out / "docs"), min_rows_per_file=200_000)
+        (out / "docs").mkdir(exist_ok=True)  # all-deleted: empty, present
+        # surviving collection length comes out of the sidecar pass
+        # itself (per-batch partial sums; nothing corpus-sized on the
+        # driver)
+        return _write_doc_len_sidecar(out, n_new, cfg.salt_buckets)
 
-    # ------- docs: filter + dense renumber (streamed) -------
-    t0 = time.time()
-    rd.read_parquet(f"{index_dir}/docs") \
-        .map_batches(_filter_remap(tombs, renumber=True),
-                     batch_format="pyarrow") \
-        .write_parquet(str(out / "docs"), min_rows_per_file=200_000)
-    (out / "docs").mkdir(exist_ok=True)  # all-deleted: empty but present
-    # surviving collection length comes out of the sidecar pass itself
-    # (per-batch partial sums; nothing corpus-sized on the driver)
-    total_new = _write_doc_len_sidecar(out, n_new, cfg.salt_buckets)
-    avg_new = total_new / max(n_new, 1)
-    write_manifest(out_dir=str(out), stage="docs", payload={
-        "lineage": {"vacuumed_from": str(index_dir),
-                    "n_deleted": int(len(tombs))},
-        "n_docs": n_new, "total_doc_len": total_new,
-        "seconds": time.time() - t0,
-    })
-    metrics["docs_seconds"] = time.time() - t0
-
-    # ------- postings: decode -> filter+remap -> re-encode -------
-    t1 = time.time()
-    xstats: dict = {}
-    if any(Path(index_dir, "postings").glob("**/*.parquet")) and n_new:
-        rows = dump_postings(index_dir, docno_offset=0).map_batches(
-            _filter_remap(tombs, renumber=True), batch_format="pyarrow")
-        posts = rows.map_batches(
-            _rows_to_partials(cfg.num_shards, cfg.salt_buckets, n_new),
-            batch_format="pyarrow")
-        xstats = _encode_partials(posts, out, cfg, n_new, avg_new)
-    else:
-        (out / "postings").mkdir(exist_ok=True)
-    write_manifest(out_dir=str(out), stage="postings", payload={
-        "seconds": time.time() - t1, "codec": cfg.codec,
-        "salt_buckets": cfg.salt_buckets, "num_shards": cfg.num_shards,
-        "partitions": _partition_stats(out / "postings"), "sub": xstats,
-    })
-    metrics["postings_seconds"] = time.time() - t1
-
-    # ------- lexicon + stats: the build's own stage code -------
-    t2 = time.time()
-    _build_lexicon_files(out, n_new)
-    write_manifest(out_dir=str(out), stage="lexicon",
-                   payload={"seconds": time.time() - t2})
-    metrics["lexicon_seconds"] = time.time() - t2
-    return _write_stats(out, cfg, n_new, total_new, metrics)
+    return rewrite_index(
+        "vacuum", stats, out_dir, cfg, n_docs=n_new,
+        lineage={"vacuumed_from": str(index_dir),
+                 "n_deleted": int(len(tombs))},
+        write_docs=write_docs, sources=[(index_dir, 0)], step=remap)
 
 
 def reshard_index(index_dir: str, out_dir: str,
@@ -216,17 +156,15 @@ def reshard_index(index_dir: str, out_dir: str,
     Defaults keep the source value for any knob not given. Tokenizer
     knobs (parse/squeeze) and BM25 parameters carry over verbatim.
     """
+    from .lifecycle import cfg_from_stats
+
     stats = load_stats(index_dir)
     # None-sentinel checks, NOT truthiness: an explicit 0 must hit the
     # validation below instead of silently keeping the source layout
-    cfg = IndexConfig(
-        parse=stats["parse"], squeeze=stats["squeeze"],
-        codec=stats["codec"] if codec is None else codec,
-        num_shards=int(stats["num_shards"] if num_shards is None
-                       else num_shards),
-        salt_buckets=int(stats["salt_buckets"] if salt_buckets is None
-                         else salt_buckets),
-        k1=stats["k1"], b=stats["b"])
+    given = {"codec": codec, "num_shards": num_shards,
+             "salt_buckets": salt_buckets}
+    cfg = cfg_from_stats(stats, **{k: v for k, v in given.items()
+                                   if v is not None})
     cfg.codec_valid()
     if cfg.num_shards <= 0 or cfg.salt_buckets <= 0:
         raise ValueError("num_shards and salt_buckets must be positive")

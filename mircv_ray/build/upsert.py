@@ -60,16 +60,12 @@ def upsert_docs(base_dir: str, delta_corpus, out_dir: str,
     import ray.data as rd
 
     from .index_build import load_stats
+    from .lifecycle import cfg_from_stats
 
     keep_delta = delta_dir is not None
     delta_dir = delta_dir or f"{out_dir}.delta"
     base_stats = load_stats(base_dir)
-    delta_cfg = cfg or IndexConfig(
-        parse=base_stats["parse"], squeeze=base_stats["squeeze"],
-        codec=base_stats["codec"], num_shards=base_stats["num_shards"],
-        salt_buckets=base_stats["salt_buckets"],
-        k1=base_stats["k1"], b=base_stats["b"])
-    build_index(delta_corpus, delta_dir, delta_cfg)
+    build_index(delta_corpus, delta_dir, cfg or cfg_from_stats(base_stats))
 
     # upserted keys from the DELTA index's slim docs table (update-sized)
     delta_keys = pa.concat_tables(

@@ -67,25 +67,31 @@ def unary_decode_blocks(bufs: list[bytes], counts) -> np.ndarray:
 def unary_decode_packed(data: np.ndarray, lens, counts) -> np.ndarray:
     """``unary_decode_blocks`` over an ALREADY-concatenated uint8 buffer
     (e.g. one zero-copy view of an Arrow binary column's values) plus
-    per-block byte lengths — no per-block Python bytes objects."""
+    per-block byte lengths — no per-block Python bytes objects, and no
+    per-block Python loop: one searchsorted finds every block's first
+    terminator, a repeat + arange gathers each block's ``count``
+    terminators, and one diff (re-anchored at block starts) turns them
+    into values. A block's padding bits are zeros past its last
+    terminator, so they are never gathered."""
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     if total == 0:
         return np.zeros(0, dtype=np.int64)
-    bits = np.unpackbits(np.ascontiguousarray(data))
-    zeros = np.flatnonzero(bits == 0)
+    zeros = np.flatnonzero(np.unpackbits(np.ascontiguousarray(data)) == 0)
     lens = np.asarray(lens, dtype=np.int64)
-    bit_offs = (np.cumsum(lens) - lens) * 8
-    out = np.empty(total, dtype=np.int64)
-    pos = 0
-    for off, cnt in zip(bit_offs, counts):
-        if cnt == 0:
-            continue
-        i0 = int(np.searchsorted(zeros, off))
-        z = zeros[i0:i0 + cnt]
-        out[pos:pos + cnt] = np.diff(z, prepend=off - 1) - 1
-        pos += cnt
-    return out
+    live = counts > 0
+    bit_offs = ((np.cumsum(lens) - lens) * 8)[live]
+    cnt = counts[live]
+    out_starts = np.cumsum(cnt) - cnt
+    first = np.searchsorted(zeros, bit_offs)
+    idx = np.repeat(first - out_starts, cnt) + np.arange(total)
+    if idx[-1] >= len(zeros):
+        raise ValueError("buffer exhausted before decoding %d values" % total)
+    z = zeros[idx]
+    prev = np.empty(total, dtype=np.int64)
+    prev[1:] = z[:-1]
+    prev[out_starts] = bit_offs - 1
+    return z - prev - 1
 
 
 def unary_get(buf: bytes, index: int, last_read: int, bit_offset: int) -> tuple[int, int]:

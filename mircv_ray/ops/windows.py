@@ -400,12 +400,15 @@ def _running_prep(batch: pa.Table, key_col: str, order_col: str,
     if isinstance(ts, pa.ChunkedArray):
         ts = ts.combine_chunks()
     us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
-    cents = _round_half_away(
-        batch[value_col].to_numpy(zero_copy_only=False) * 100.0)
+    # a NULL value stays a NULL cents entry: it adds 0 to the running
+    # sum, and the next row's lag is NULL (SQL's lag of a NULL)
+    value = batch[value_col]
+    cents = pa.array(_value_cents(value),
+                     mask=value.is_null().to_numpy(zero_copy_only=False))
     out = pa.table({id_col: batch[id_col],
                     key_col: batch[key_col],
                     "__us": pa.array(us),
-                    "__cents": pa.array(cents)})
+                    "__cents": cents})
     if frag_width_us is not None:
         out = out.append_column(
             "__frag", pa.array(us // frag_width_us, type=pa.int64()))
@@ -425,12 +428,14 @@ def _running_rank(group: pa.Table, key_col: str, id_col: str,
     order = pc.sort_indices(group, sort_keys=[("__us", "ascending"),
                                               (id_col, "ascending")])
     g = group.take(order)
-    cents = g["__cents"].to_numpy()
+    cents = g["__cents"].fill_null(0).to_numpy()
     rn = rn_off + np.arange(1, len(cents) + 1, dtype=np.int64)
     run = sum_off + np.cumsum(cents)
     lag = np.empty(len(cents), dtype=np.int64)
     lag[1:] = cents[:-1]
     lag_mask = np.zeros(len(cents), dtype=bool)
+    lag_mask[1:] = g["__cents"].is_null().to_numpy(
+        zero_copy_only=False)[:-1]
     if len(cents):
         if lag_carry is None:
             lag[0] = 0
@@ -525,7 +530,7 @@ def _running_salted(events_ds, key_col: str, order_col: str,
             [[True], (key[1:] != key[:-1]) | (frag[1:] != frag[:-1])])
         starts = np.flatnonzero(new)
         ends = np.concatenate([starts[1:], [len(key)]]) - 1
-        cents = g["__cents"].to_numpy()
+        cents = g["__cents"].fill_null(0).to_numpy()
         sums = np.add.reduceat(cents, starts)
         return pa.table({
             key_col: pa.array(key[starts]),
@@ -534,7 +539,7 @@ def _running_salted(events_ds, key_col: str, order_col: str,
             "s": pa.array(sums.astype(np.int64)),
             "last_us": pa.array(g["__us"].to_numpy()[ends]),
             "last_id": pa.array(g[id_col].to_numpy()[ends]),
-            "last_cents": pa.array(cents[ends])})
+            "last_cents": g["__cents"].take(pa.array(ends))})
 
     def combine(group: pa.Table) -> pa.Table:
         if group.num_rows == 0 or group.num_columns == 0:
@@ -571,12 +576,15 @@ def _running_salted(events_ds, key_col: str, order_col: str,
         g = group.take(order)
         cnt = g["cnt"].to_numpy()
         s = g["s"].to_numpy()
-        last = g["last_cents"].to_numpy()
+        last = g["last_cents"].fill_null(0).to_numpy()
         rn_off = np.concatenate([[0], np.cumsum(cnt[:-1])])
         sum_off = np.concatenate([[0], np.cumsum(s[:-1])])
         carry = np.empty(len(last), dtype=np.int64)
         carry[1:] = last[:-1]
+        # a NULL last value carries as a NULL lag
         mask = np.zeros(len(last), dtype=bool)
+        mask[1:] = g["last_cents"].is_null().to_numpy(
+            zero_copy_only=False)[:-1]
         if len(last):
             carry[0] = 0
             mask[0] = True

@@ -6,12 +6,10 @@ terms' champion lists only, falling back to full postings when the
 heap isn't safe. The reference engine has no equivalent (it always
 walks full lists, `MaxScore.java`); this is an index-side extension.
 
-Shape: one streaming decode pass over the postings store (the same
-batched vbyte decode as the dump), a LOSSLESS per-batch pre-top-m (a
-term's per-batch survivors are >= its global top-m within that batch,
-so discarding the rest can never change the final result), then one
-slim (term, doc_id, tf) groupby — the exchange carries at most
-m x terms x batches rows, never the postings themselves.
+Shape: one task per postings shard (``query/dump.py``
+``shard_dataset``). A term's whole posting list sits in one shard
+directory, so each task decodes its shard and takes every term's top-m
+in one pass — no exchange at all.
 """
 
 from __future__ import annotations
@@ -20,13 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dump import dump_postings
-
-_EMPTY = {
-    "term": pa.array([], type=pa.string()),
-    "doc_id": pa.array([], type=pa.int64()),
-    "tf": pa.array([], type=pa.int64()),
-}
+from .dump import EMPTY_ROWS, shard_dataset
 
 
 def _topm_rows(tbl: pa.Table, m: int) -> pa.Table:
@@ -34,7 +26,7 @@ def _topm_rows(tbl: pa.Table, m: int) -> pa.Table:
     dictionary encode + one composite lexsort + run-length ranks, no
     per-term Python."""
     if tbl.num_rows == 0 or tbl.num_columns == 0:
-        return pa.table(_EMPTY)
+        return pa.table(EMPTY_ROWS)
     terms = tbl["term"]
     if isinstance(terms, pa.ChunkedArray):
         terms = terms.combine_chunks()
@@ -62,14 +54,5 @@ def champion_lists(index_dir: str, m: int = 10, docno_offset: int = -1):
     ties broken by ascending doc_id."""
     if m <= 0:
         raise ValueError("m must be positive")
-    ds = dump_postings(index_dir, docno_offset=docno_offset)
-
-    def pre(batch: pa.Table) -> pa.Table:
-        return _topm_rows(batch, m)
-
-    def final(group: pa.Table) -> pa.Table:
-        return _topm_rows(group, m)
-
-    return (ds.map_batches(pre, batch_format="pyarrow")
-            .groupby("term")
-            .map_groups(final, batch_format="pyarrow"))
+    return shard_dataset(index_dir, docno_offset,
+                         lambda rows: _topm_rows(rows, m))

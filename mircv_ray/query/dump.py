@@ -1,18 +1,34 @@
 """Decode the whole postings store back to (term, doc_id, tf) rows.
 
-Used by the driver correctness gate: exercises the full encode ->
-parquet -> decode round trip as a streaming Dataset. The vbyte path
-decodes each BATCH of segment rows with one varint pass + one cumsum
-(the same whole-stream trick as IndexReader.decoded, generalized to many
-terms); ef/none fall back to per-block NumPy decode.
+Every whole-index pass reads postings here, one shard directory per
+task: a term's whole posting list sits in one ``shard=S`` directory,
+so a task holds complete lists — the champion lists take their
+per-term top-m in place, and vacuum / merge / prune decode their
+source shards inside the postings exchange's maps
+(``build/lifecycle.py``). Each segment file is read whole with
+pyarrow, not scanned through Ray Data in 128-row row groups. The vbyte
+path decodes a file's rows with one varint pass + one cumsum (the same
+whole-stream trick as IndexReader.decoded, generalized to many terms);
+ef/none fall back to per-block NumPy decode. ``dump_postings`` is also
+the driver correctness gate's full encode -> parquet -> decode round
+trip.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..codecs.blocks import decode_block_ids, decode_block_tfs
+
+EMPTY_ROWS = {
+    "term": pa.array([], type=pa.string()),
+    "doc_id": pa.array([], type=pa.int64()),
+    "tf": pa.array([], type=pa.int64()),
+}
 
 
 def _flatten_blocks(batch: pa.Table):
@@ -86,33 +102,57 @@ def _decode_batch(batch: pa.Table, codec: str, docno_offset: int) -> pa.Table:
     })
 
 
-def dump_postings(index_dir: str, docno_offset: int = -1,
-                  apply_tombstones: bool = False):
-    """Dataset of (term, doc_id, tf). ``docno_offset=-1`` converts engine
-    docIds back to docnos (docno = docId - 1, DocumentIndex.java:82-84).
-    ``apply_tombstones`` drops postings of deleted docs (the query-time
-    view of an index with a tombstone sidecar; the array rides the
-    closure — it is deletion-sized, not corpus-sized)."""
+def shard_dirs(index_dir: str) -> list[Path]:
+    """The ``postings/shard=S`` directories of ``index_dir`` that hold
+    files, in shard order. A term's whole posting list lives in ONE of
+    them (shard = crc32(term) % num_shards, ``term_shard``), so each is
+    a term-complete unit of work for a whole-index pass."""
+    dirs = [d for d in (Path(index_dir) / "postings").glob("shard=*")
+            if any(d.glob("*.parquet"))]
+    return sorted(dirs, key=lambda d: int(d.name.split("=")[1]))
+
+
+def read_shard(shard_dir: str, codec: str, docno_offset: int) -> pa.Table:
+    """(term, doc_id, tf) rows of one shard directory: each segment file
+    read whole with pyarrow (only the decode inputs — the seg-metadata
+    columns are lexicon fodder) and batch-decoded."""
+    return pa.concat_tables([
+        _decode_batch(pq.ParquetFile(f).read(columns=["term", "blocks"]),
+                      codec, docno_offset)
+        for f in sorted(Path(shard_dir).glob("*.parquet"))])
+
+
+def shard_dataset(index_dir: str, docno_offset: int, step):
+    """Dataset of ``step(rows)`` with ONE task per term-complete shard
+    directory, ``rows`` being that shard's decoded (term, doc_id, tf)
+    rows — so a per-term step (a top-m) needs no term exchange."""
     import ray.data as rd
     from ..build.index_build import load_stats
     codec = load_stats(index_dir)["codec"]
-    # only the decode inputs leave storage (the seg-metadata columns —
-    # df/cores/bytes — are lexicon fodder, ~30% of the file)
-    ds = rd.read_parquet(f"{index_dir}/postings",
-                         columns=["term", "blocks"])
-    ds = ds.map_batches(
-        lambda b: _decode_batch(b, codec, docno_offset),
-        batch_format="pyarrow")
-    if apply_tombstones:
-        from ..build.tombstones import load_tombstones
-        tombs = load_tombstones(index_dir)
-        if len(tombs):
-            def drop(batch: pa.Table) -> pa.Table:
-                eng = batch["doc_id"].to_numpy() - docno_offset
-                pos = np.searchsorted(tombs, eng)
-                hit = np.zeros(len(eng), dtype=bool)
-                inb = pos < len(tombs)
-                hit[inb] = tombs[pos[inb]] == eng[inb]
-                return batch.filter(pa.array(~hit))
-            ds = ds.map_batches(drop, batch_format="pyarrow")
-    return ds
+    dirs = shard_dirs(index_dir)
+    if not dirs:
+        return rd.from_arrow(pa.table(EMPTY_ROWS))
+
+    def task(batch: pa.Table) -> pa.Table:
+        return step(read_shard(batch["dir"][0].as_py(), codec, docno_offset))
+    # one single-row block per shard + batch_size=1: one task per shard
+    return rd.from_arrow([pa.table({"dir": [str(d)]}) for d in dirs]) \
+        .map_batches(task, batch_format="pyarrow", batch_size=1)
+
+
+def dump_postings(index_dir: str, docno_offset: int = -1,
+                  apply_tombstones: bool = False):
+    """Dataset of (term, doc_id, tf), one read task per postings shard.
+    ``docno_offset=-1`` converts engine docIds back to docnos
+    (docno = docId - 1, DocumentIndex.java:82-84). ``apply_tombstones``
+    drops postings of deleted docs (the query-time view of an index with
+    a tombstone sidecar; the array rides the closure — it is
+    deletion-sized, not corpus-sized)."""
+    from ..build.tombstones import _filter_remap, load_tombstones
+    tombs = (load_tombstones(index_dir) if apply_tombstones
+             else np.empty(0, dtype=np.int64))
+    if not len(tombs):
+        return shard_dataset(index_dir, docno_offset, lambda rows: rows)
+    # rows carry docId + docno_offset, so the tombstones shift with them
+    return shard_dataset(index_dir, docno_offset,
+                         _filter_remap(tombs + docno_offset, renumber=False))

@@ -243,12 +243,9 @@ def main() -> None:
                  include_dashboard=False)
     if args.cmd == "positions":
         from mircv_ray.build import build_positions_index
-        from mircv_ray.config import IndexConfig
+        from mircv_ray.build.lifecycle import cfg_from_stats
         from mircv_ray.sources import documents_as_corpus
-        stats = load_stats(args.index)
-        cfg = IndexConfig(parse=stats["parse"], squeeze=stats["squeeze"],
-                          num_shards=stats["num_shards"],
-                          salt_buckets=stats["salt_buckets"])
+        cfg = cfg_from_stats(load_stats(args.index))
         corpus = documents_as_corpus(str(Path(args.corpus).parent)
                                      if args.corpus.endswith(".parquet")
                                      else args.corpus)
@@ -318,13 +315,8 @@ def main() -> None:
     if args.cmd == "merge":
         cfg = None
         if args.codec:
-            from mircv_ray.config import IndexConfig
-            base = load_stats(args.base)
-            cfg = IndexConfig(parse=base["parse"], squeeze=base["squeeze"],
-                              codec=args.codec,
-                              num_shards=base["num_shards"],
-                              salt_buckets=base["salt_buckets"],
-                              k1=base["k1"], b=base["b"])
+            from mircv_ray.build.lifecycle import cfg_from_stats
+            cfg = cfg_from_stats(load_stats(args.base), codec=args.codec)
         stats = merge_indexes(args.base, args.delta, args.out, cfg)
     else:
         stats = vacuum_index(args.index, args.out)

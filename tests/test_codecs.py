@@ -71,6 +71,24 @@ class TestUnary:
         vals = rng.integers(1, 50, size=500)
         assert np.array_equal(unary_decode(unary_encode(vals), 500), vals)
 
+    def test_decode_blocks_equals_per_block(self):
+        """The vectorized many-block decode equals per-block
+        ``unary_decode`` on random blocks, zero-count blocks (a one-byte
+        buffer of padding) and padded tails of every length among them."""
+        from mircv_ray.codecs.unary import unary_decode_blocks
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            blocks = [rng.integers(0, int(rng.choice([2, 9, 300])),
+                                   size=int(rng.choice([0, 0, 1, 3, 7, 40])))
+                      for _ in range(int(rng.integers(1, 25)))]
+            bufs = [unary_encode(b) for b in blocks]
+            counts = [len(b) for b in blocks]
+            want = np.concatenate([unary_decode(buf, c)
+                                   for buf, c in zip(bufs, counts)])
+            got = unary_decode_blocks(bufs, counts)
+            assert got.dtype == np.int64
+            assert got.tolist() == want.tolist()
+
 
 class TestEliasFano:
     @pytest.mark.parametrize("u,n,expected", [

@@ -127,6 +127,32 @@ class TestMergeVariants:
         assert _lex_sorted(str(tmp_path / "merged")).equals(
             _lex_sorted(str(tmp_path / "full")))
 
+    def test_mixed_shard_layouts(self, ray_session, tmp_path):
+        """base num_shards=4, delta num_shards=3 (and salt 1): a source
+        shard is term-complete only within its own index, so the two
+        sides' lists of a term meet in the exchange — still == the full
+        rebuild, with one map task per source shard directory."""
+        from mircv_ray.build import merge_indexes
+        from mircv_ray.build.manifests import read_manifest
+        corpus = _sorted_corpus()
+        cut = 70
+        _build(corpus.slice(0, cut), str(tmp_path / "base"), CFG)
+        _build(corpus.slice(cut), str(tmp_path / "delta"),
+               IndexConfig(parse=True, codec="vbyte", num_shards=3,
+                           salt_buckets=1))
+        _build(corpus, str(tmp_path / "full"), CFG)
+        merge_indexes(str(tmp_path / "base"), str(tmp_path / "delta"),
+                      str(tmp_path / "merged"), CFG)
+        assert _dump_sorted(str(tmp_path / "merged")).equals(
+            _dump_sorted(str(tmp_path / "full")))
+        assert _lex_sorted(str(tmp_path / "merged")).equals(
+            _lex_sorted(str(tmp_path / "full")))
+        n_src = sum(len(list((tmp_path / side / "postings").glob("shard=*")))
+                    for side in ("base", "delta"))
+        assert n_src == 4 + 3
+        sub = read_manifest(str(tmp_path / "merged"), "postings")["sub"]
+        assert sub["n_map_tasks"] == n_src
+
     def test_default_cfg_from_base(self, ray_session, tmp_path):
         """cfg=None derives the output layout from the base index."""
         from mircv_ray.build import load_stats, merge_indexes

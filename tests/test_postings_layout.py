@@ -90,6 +90,19 @@ def test_vacuum_writes_one_file_per_partition(indexes):
     assert sub and sub["n_partitions"] == CFG.num_shards * CFG.salt_buckets
 
 
+def test_lifecycle_maps_one_task_per_source_shard(indexes, tmp_path):
+    """Vacuum and prune read one term-complete source shard directory
+    per exchange map task."""
+    from mircv_ray.build import prune_index
+    from mircv_ray.build.manifests import read_manifest
+    n_src = len(list(Path(indexes["salt2"], "postings").glob("shard=*")))
+    assert n_src == CFG.num_shards
+    pruned = str(tmp_path / "pruned")
+    prune_index(indexes["salt2"], pruned, keep_per_term=3)
+    for idx in (indexes["vacuumed"], pruned):
+        assert read_manifest(idx, "postings")["sub"]["n_map_tasks"] == n_src
+
+
 def test_positions_row_groups(indexes):
     for f in _files(indexes["salt2"], "positions"):
         _assert_term_row_groups(f)

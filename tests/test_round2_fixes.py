@@ -1,5 +1,7 @@
 """Round-2 regression tests: ADVICE.md fixes + sessions determinism."""
 
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -159,6 +161,26 @@ def test_positions_skip_blank_docs(ray_session, tmp_path):
     res = build_positions_index(str(out0), rd.from_arrow(blank), cfg)
     assert res["rows"] == 0
     assert read_term_positions(str(out0), "beta", 2, 2) is None
+
+
+def test_positions_resume_with_empty_partitions(ray_session, tmp_path):
+    """A 3-doc index over 4x2 partitions leaves some partitions without
+    a file; the stage manifest, not a file count, marks the sidecar
+    complete, so the second call re-tokenizes nothing."""
+    import ray.data as rd
+
+    from mircv_ray.build import build_index, build_positions_index
+    from mircv_ray.config import IndexConfig
+    cfg = IndexConfig(parse=False, num_shards=4, salt_buckets=2)
+    t = _keyed_corpus(["a.py", "b.py", "c.py"],
+                      ["alpha beta", "beta gamma", "delta"])
+    out = str(tmp_path / "idx")
+    build_index(rd.from_arrow(t), out, cfg)
+    first = build_positions_index(out, rd.from_arrow(t), cfg)
+    assert "resumed" not in first and first["rows"] > 0
+    assert len(list(Path(out, "positions").glob("shard=*/*.parquet"))) < 8
+    assert build_positions_index(out, rd.from_arrow(t), cfg) == \
+        {"partitions": 8, "resumed": True}
 
 
 # ----------------------------------------------------- stale-stage resumption

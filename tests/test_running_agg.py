@@ -88,6 +88,25 @@ class TestRunningAgg:
         with pytest.raises(ValueError):
             running_agg(rd.from_arrow(tbl), salt_bucket_us=0)
 
+    @pytest.mark.parametrize("salt_bucket_us", [None, 10])
+    def test_null_value_adds_zero_and_nulls_next_lag(self, ray_session,
+                                                     salt_bucket_us):
+        """As in SQL: a NULL value adds 0 to the running sum, and the next
+        row's lag of it is NULL. A 10 us salt puts every row in its own
+        fragment, so the NULL also crosses the fragment carry."""
+        import ray.data as rd
+        tbl = pa.table({
+            "event_id": pa.array([1, 2, 3], type=pa.int64()),
+            "ts": pa.array([10, 20, 30], type=pa.timestamp("us")),
+            "user_id": pa.array([5, 5, 5], type=pa.int64()),
+            "value": pa.array([1.25, None, 2.00]),
+        })
+        out = _got(running_agg(rd.from_arrow(tbl),
+                               salt_bucket_us=salt_bucket_us))
+        assert list(out.running_sum_cents) == [125, 125, 325]
+        lags = out.lag_value_cents
+        assert pd.isna(lags[0]) and lags[1] == 125 and pd.isna(lags[2])
+
 
 class TestFunnel:
     """funnel: ordered stage completion per user
