@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 import json
 import logging
-import math
 import os
 import shutil
 import time
@@ -59,7 +58,8 @@ import ray
 from ..codecs.blocks import encode_blocks, encode_stream_blocks, stream_block_bounds
 from ..config import IndexConfig
 from ..text.tokenizer import Tokenizer
-from ..util import (binary_column_values_view, crc32_column,
+from ..util import (_cached_get, _worker_cache,
+                    binary_column_values_view, crc32_column,
                     packed_tf_dtype, packed_tf_values,
                     sha256_hex_column, sort_pairs)
 from .manifests import read_manifest, stage_complete, write_manifest
@@ -85,8 +85,6 @@ POSTINGS_ROW_GROUP_ROWS = 128
 TERM_ROW_GROUPS = {"row_group_size": POSTINGS_ROW_GROUP_ROWS,
                    "write_statistics": ["term"], "use_dictionary": False}
 
-_worker_cache: dict = {}
-
 # above this many (term, seg) metadata rows the lexicon aggregation runs as
 # shard-local Ray tasks instead of a driver-side Arrow group_by. Measured at
 # 2.4M seg rows (1.58M-doc build): shard-local 3.9 s / 4.1 s at 8 / 32 cpus
@@ -95,19 +93,6 @@ _worker_cache: dict = {}
 # scaling measurements), so it only remains for small builds where its
 # term-sorted single output file gives byte-stable reference parity.
 DRIVER_LEXICON_MAX_SEGROWS = 1_000_000
-
-
-def _cached_get(ref):
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    if key not in _worker_cache:
-        # bound the per-worker memo: each entry can be broadcast-sized
-        # (the id-mapping key buffer) and can pin its plasma object via
-        # zero-copy views — repeated builds in one session must not
-        # accumulate them (same policy as textops._lm_cache)
-        while len(_worker_cache) >= 8:
-            _worker_cache.pop(next(iter(_worker_cache)))
-        _worker_cache[key] = ray.get(ref)
-    return _worker_cache[key]
 
 
 def term_shard(terms: list[str], num_shards: int) -> np.ndarray:
@@ -326,22 +311,6 @@ def _mapping_keys(mapping_ref) -> tuple[int, np.ndarray, np.ndarray]:
     """Worker-side read of an :func:`_assign_ids` mapping —
     zero-copy from the object store, memoized per worker."""
     return _cached_get(mapping_ref)
-
-
-class AttachIdsTokenizeHash:
-    """Map-only stage for the resume path: blank filter + broadcast
-    (repo,path)->doc_id lookup + tokenize + sha256 in one content scan.
-
-    At 10^12 keys the broadcast becomes a hash-partitioned join of the
-    corpus against the mapping table on (repo, path); the bench-scale
-    path keeps it a ray.put broadcast read once per worker."""
-
-    def __init__(self, cfg: IndexConfig, mapping_ref):
-        self.tok = TokenizeHash(cfg)
-        self.attach = AttachIds(mapping_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.tok(self.attach(_drop_blank(batch)))
 
 
 class TokenizeHashDropBlank:
@@ -1663,11 +1632,12 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
             # token stream — the id mapping comes from the checkpointed doc
             # table, tokenization is deterministic.
             if n_docs <= DRIVER_IDMAP_MAX_ROWS:
-                # the doc table is read and sorted inside the assign task
+                # the doc table is read and sorted inside the assign task;
+                # ids attach inside the exchange maps, as in a fresh build
                 mapping_ref, _ = _assign_ids.remote(str(out / "docs"), None)
-                tok_mat = corpus.map_batches(
-                    AttachIdsTokenizeHash(cfg, mapping_ref),
-                    batch_format="pyarrow", batch_size=cfg.tokenize_batch_size)
+                tok0 = corpus.map_batches(
+                    TokenizeHashDropBlank(cfg), batch_format="pyarrow",
+                    batch_size=cfg.tokenize_batch_size)
             else:
                 # scale resume: join the re-derived token stream against
                 # the checkpointed mapping parquet (streamed, no driver)
@@ -1679,10 +1649,10 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
                     str(out / "docs"), columns=["repo", "path", "doc_id"])
                 tok_mat = attach_ids_via_join(tok0r, mapping_ds)
         explode = _make_explode(cfg.num_shards, cfg.salt_buckets, n_docs)
-        if tok0 is not None:
-            # fresh broadcast build: AttachIds runs inside the exchange's
-            # maps (tok0 has no doc_id yet); every other token stream
-            # already carries doc_id
+        if mapping_ref is not None:
+            # broadcast build or resume: AttachIds runs inside the
+            # exchange's maps (tok0 has no doc_id yet); the scale path's
+            # joined token stream already carries doc_id
             tokens, to_partials = tok0, _TokensToPartials(explode, mapping_ref)
         else:
             tokens, to_partials = tok_mat, _TokensToPartials(explode)

@@ -24,12 +24,11 @@ Dataflow (one content scan):
   over already-combined (distinct-per-batch) rows.
 - ``min_count`` filters the bigram stream BEFORE unigram counts attach
   (the standard collocation cut, and it bounds the join input).
-- unigram counts attach to the surviving bigram rows either by
-  broadcast (vocab <= ``broadcast_max_vocab``: one ray.put of sorted
-  fixed-width keys + counts, map-only searchsorted) or, above the
-  threshold, by a term-hash partitioned reduce-side join per side
-  (the ``unigram_logprob`` scale path — nothing vocabulary-sized on
-  the driver). pytest pins both paths value-identical.
+- unigram counts attach to the surviving bigram rows through two
+  ``lookup_join``s against the unigram table (c_a by term_a, then c_b
+  by term_b): map-only against a broadcast sorted vocabulary when it
+  fits the gate, else term-partitioned — nothing vocabulary-sized on
+  the driver either way.
 
 The reference engine (DavideBruni/MIRCV_project) has no collocation
 op; this extends its text-analysis surface for LLM-data pipelines.
@@ -40,21 +39,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .textops import LM_BROADCAST_MAX_VOCAB, _alnum_flat_terms
+from .textops import _alnum_flat_terms
 
 _OUT_SCHEMA = pa.schema([
     ("term_a", pa.string()),
     ("term_b", pa.string()),
     ("pair_count", pa.int64()),
     ("pmi", pa.float64()),
-])
-
-_JOIN_SCHEMA = pa.schema([
-    ("term_a", pa.string()),
-    ("term_b", pa.string()),
-    ("c_ab", pa.int64()),
-    ("c_a", pa.int64()),
-    ("c_b", pa.int64()),
 ])
 
 
@@ -81,29 +72,6 @@ def _counts_partials(batch: pa.Table, text_col: str) -> pa.Table:
     return pa.concat_tables([uni_t, bi_t]).combine_chunks()
 
 
-def _skeys(col) -> np.ndarray:
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    return np.asarray(col.to_pylist(), dtype="S")
-
-
-def _lookup(sorted_keys: np.ndarray, counts: np.ndarray,
-            probe: np.ndarray) -> np.ndarray:
-    """counts[key] for each probe key; raises on a miss (every bigram
-    term is by construction also a unigram)."""
-    if len(probe) == 0:
-        return np.zeros(0, dtype=np.int64)
-    width = max(int(sorted_keys.dtype.itemsize or 1),
-                int(probe.dtype.itemsize or 1))
-    sk = sorted_keys.astype(f"S{width}")
-    pk = probe.astype(f"S{width}")
-    pos = np.searchsorted(sk, pk)
-    pos_c = np.minimum(pos, max(len(sk) - 1, 0))
-    if len(sk) == 0 or not np.all(sk[pos_c] == pk):
-        raise AssertionError("bigram term missing from unigram vocab")
-    return counts[pos_c]
-
-
 def _pmi_table(term_a, term_b, c_ab: np.ndarray, c_a: np.ndarray,
                c_b: np.ndarray, total_uni: float,
                total_bi: float) -> pa.Table:
@@ -116,73 +84,7 @@ def _pmi_table(term_a, term_b, c_ab: np.ndarray, c_a: np.ndarray,
                      "pmi": pa.array(pmi, type=pa.float64())})
 
 
-_bcast_cache: dict = {}
-
-
-def _fill_count_joined(bi_ds, uni_ds, key_col: str, fill_col: str):
-    """Attach the unigram count for ``key_col`` into ``fill_col`` of the
-    bigram rows via a term-hash partitioned reduce-side join (tag +
-    union + one pkey groupby) — the scale path when the vocabulary must
-    never land in one heap. Both sides share the 5-column _JOIN_SCHEMA;
-    state rows park (term, count) in (term_a, c_ab)."""
-    from ..util import crc32_column, default_join_partitions
-    nparts = default_join_partitions()
-
-    def left_rows(t: pa.Table) -> pa.Table:
-        k = t[key_col]
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
-        pkey = (crc32_column(k) % np.uint32(nparts)).astype(np.int64)
-        return pa.table({
-            "pkey": pa.array(pkey),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-            "term_a": t["term_a"], "term_b": t["term_b"],
-            "c_ab": t["c_ab"], "c_a": t["c_a"], "c_b": t["c_b"],
-        })
-
-    def state_rows(t: pa.Table) -> pa.Table:
-        term = t["term_a"]
-        if isinstance(term, pa.ChunkedArray):
-            term = term.combine_chunks()
-        n = t.num_rows
-        pkey = (crc32_column(term) % np.uint32(nparts)).astype(np.int64)
-        z = pa.array(np.zeros(n, dtype=np.int64))
-        return pa.table({
-            "pkey": pa.array(pkey),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-            "term_a": term,
-            "term_b": pa.array([""] * n, type=pa.string()),
-            "c_ab": t["c"].cast(pa.int64()), "c_a": z, "c_b": z,
-        })
-
-    join_schema = pa.schema([("pkey", pa.int64()), ("side", pa.int8())]
-                            + list(_JOIN_SCHEMA))
-
-    def attach(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return join_schema.empty_table()
-        side = group["side"].to_numpy()
-        st = group.filter(pa.array(side == 0))
-        lf = group.filter(pa.array(side == 1))
-        if lf.num_rows == 0:
-            return join_schema.empty_table()
-        skeys = _skeys(st["term_a"])
-        order = np.argsort(skeys, kind="stable")
-        cnt = _lookup(skeys[order], st["c_ab"].to_numpy()[order],
-                      _skeys(lf[key_col]))
-        cols = {c: lf[c] for c in ("pkey", "side", "term_a", "term_b",
-                                   "c_ab", "c_a", "c_b")}
-        cols[fill_col] = pa.array(cnt, type=pa.int64())
-        return pa.table(cols)
-
-    tagged = uni_ds.map_batches(state_rows, batch_format="pyarrow") \
-        .union(bi_ds.map_batches(left_rows, batch_format="pyarrow"))
-    return tagged.groupby("pkey").map_groups(attach,
-                                             batch_format="pyarrow")
-
-
-def pmi_collocations(ds, text_col: str = "text", min_count: int = 5,
-                     broadcast_max_vocab: int | None = None):
+def pmi_collocations(ds, text_col: str = "text", min_count: int = 5):
     """Every adjacent alnum-token bigram with corpus count >=
     ``min_count``, scored by PMI (log10, rounded to 4 decimals).
 
@@ -190,11 +92,9 @@ def pmi_collocations(ds, text_col: str = "text", min_count: int = 5,
     The output is collocation-vocabulary-sized; the corpus content is
     scanned exactly once.
     """
-    import ray
     from ray.data.aggregate import Sum
 
-    if broadcast_max_vocab is None:
-        broadcast_max_vocab = LM_BROADCAST_MAX_VOCAB
+    from .equijoin import lookup, lookup_join, sorted_keys
 
     counts = (ds.map_batches(lambda b: _counts_partials(b, text_col),
                              batch_format="pyarrow")
@@ -226,56 +126,32 @@ def pmi_collocations(ds, text_col: str = "text", min_count: int = 5,
             lambda t: pa.table({"c": t.filter(
                 pc.invert(pc.equal(t["term_b"], "")))["c"]}),
             batch_format="pyarrow").sum("c") or 0)
-    n_vocab = uni_ds.count()
     if total_bi == 0:
         # no adjacent pair anywhere — preserve the output schema
         import ray.data as rd
         return rd.from_arrow(_OUT_SCHEMA.empty_table())
 
-    if n_vocab > broadcast_max_vocab:
-        def widen(t: pa.Table) -> pa.Table:
-            z = pa.array(np.zeros(t.num_rows, dtype=np.int64))
-            return pa.table({"term_a": t["term_a"], "term_b": t["term_b"],
-                             "c_ab": t["c"].cast(pa.int64()),
-                             "c_a": z, "c_b": z})
-        bi = bi_all.map_batches(widen, batch_format="pyarrow")
-        bi = _fill_count_joined(bi, uni_ds, "term_a", "c_a")
-        bi = _fill_count_joined(bi, uni_ds, "term_b", "c_b")
+    def prepare(t: pa.Table):
+        keys, order = sorted_keys(t["term_a"])
+        return keys, t["c"].to_numpy()[order].astype(np.int64)
 
-        def finish(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or t.num_rows == 0:
-                return _OUT_SCHEMA.empty_table()
-            return _pmi_table(t["term_a"], t["term_b"],
-                              t["c_ab"].to_numpy(), t["c_a"].to_numpy(),
-                              t["c_b"].to_numpy(), total_uni, total_bi)
-        return bi.map_batches(finish, batch_format="pyarrow")
+    def attach(key_col: str, out_col: str):
+        def apply(t: pa.Table, state) -> pa.Table:
+            return t.append_column(out_col, pa.array(
+                lookup(*state, t[key_col]), type=pa.int64()))
+        return apply
 
-    # broadcast path: the whole (small) vocab ships once per worker
-    tbls = [t for t in ray.get(uni_ds.to_arrow_refs()) if t.num_rows]
-    if tbls:
-        vt = pa.concat_tables(tbls).combine_chunks()
-        keys = _skeys(vt["term_a"])
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        cnts = vt["c"].to_numpy()[order].astype(np.int64)
-    else:
-        keys = np.zeros(0, dtype="S1")
-        cnts = np.zeros(0, dtype=np.int64)
-    ref = ray.put((keys, cnts))
+    # every bigram term is by construction also a unigram
+    bi = lookup_join(bi_all, uni_ds, "term_a", prepare,
+                     attach("term_a", "c_a"))
+    bi = lookup_join(bi, uni_ds, "term_b", prepare,
+                     attach("term_b", "c_b"), right_on="term_a")
 
     def score(t: pa.Table) -> pa.Table:
         if t.num_columns == 0 or t.num_rows == 0:
             return _OUT_SCHEMA.empty_table()
-        key = ref.hex() if hasattr(ref, "hex") else id(ref)
-        if key not in _bcast_cache:
-            _bcast_cache[key] = ray.get(ref)
-            while len(_bcast_cache) > 2:
-                _bcast_cache.pop(next(iter(_bcast_cache)))
-        vkeys, vcnts = _bcast_cache[key]
-        c_ab = t["c"].to_numpy()
-        c_a = _lookup(vkeys, vcnts, _skeys(t["term_a"]))
-        c_b = _lookup(vkeys, vcnts, _skeys(t["term_b"]))
-        return _pmi_table(t["term_a"], t["term_b"], c_ab, c_a, c_b,
+        return _pmi_table(t["term_a"], t["term_b"], t["c"].to_numpy(),
+                          t["c_a"].to_numpy(), t["c_b"].to_numpy(),
                           total_uni, total_bi)
 
-    return bi_all.map_batches(score, batch_format="pyarrow")
+    return bi.map_batches(score, batch_format="pyarrow")

@@ -14,8 +14,9 @@ All stages are `map_batches`/`groupby`/`join` compositions — no
 driver-side loops over rows and no driver materialization of per-doc
 state: bucket groupbys move only (key, id) pairs, and verification
 state (signatures / shingle sets / embeddings) reaches the verify stage
-through partitioned hash joins of the distinct candidate pairs against
-the state dataset (`_join_pair_state`).
+through two lookup joins of the distinct candidate pairs against the
+state dataset (`_join_pair_state`): broadcast under the one byte gate,
+hash-partitioned above it.
 """
 
 from __future__ import annotations
@@ -364,192 +365,78 @@ def _unpack_varlen(col, dtype) -> tuple[np.ndarray, np.ndarray]:
     return data[idx][:total].view(dtype), (lens // itemsize)
 
 
-def _attach_state_once(left_ds, state_ds, id_col: str, state_col: str,
-                       key_name: str, carry_bin: list[str], out_name: str,
-                       parts: int, dedup_pairs: bool = False):
-    """Reduce-side inner join of ``left_ds`` (pair rows, keyed by its
-    ``key_name`` column) against ``state_ds`` (id -> binary state): tag
-    both sides into one schema, union, hash-pack by join key into
-    ``parts`` partitions, and attach inside each grouped task with one
-    sort + searchsorted.
+def _attach_state(sides: str, distinct: bool = False):
+    """``lookup_join`` apply for the pair-state verify: inner-attach the
+    state of each pair member in ``sides`` ("a", "b" or "ab") as
+    ``state_<side>``; ``distinct`` also drops repeated (a, b) pairs
+    within its input."""
+    carry = ["a", "b"] + (["state_a"] if sides == "b" else [])
+    schema = pa.schema([("a", pa.int64()), ("b", pa.int64())]
+                       + [(c, pa.binary()) for c in carry[2:]]
+                       + [(f"state_{s}", pa.binary()) for s in sides])
 
-    Hand-rolled instead of ``Dataset.join`` because Ray 2.49's join
-    aggregator builds a ZERO-COLUMN table for any partition that
-    received no rows and acero then fails to resolve the key field —
-    candidate pairs are SPARSE (often fewer pairs than partitions), so
-    empty partitions are the common case here, not an edge."""
-    schema = pa.schema(
-        [("jkey", pa.int64()), ("side", pa.int8()),
-         ("a", pa.int64()), ("b", pa.int64())]
-        + [(c, pa.binary()) for c in carry_bin]
-        + [("state", pa.binary())])
-
-    def tag_left(batch: pa.Table) -> pa.Table:
+    def apply(batch: pa.Table, state) -> pa.Table:
+        # pair blocks from map_groups can be zero-column
         if batch.num_columns == 0 or batch.num_rows == 0:
-            return pa.Table.from_pylist([], schema=schema)
-        n = batch.num_rows
-        cols = {"jkey": batch[key_name],
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-                "a": batch["a"], "b": batch["b"],
-                **{c: batch[c] for c in carry_bin},
-                "state": pa.nulls(n, pa.binary())}
-        return pa.table(cols).cast(schema)
-
-    def tag_state(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {"jkey": batch[id_col],
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-                "a": pa.nulls(n, pa.int64()), "b": pa.nulls(n, pa.int64()),
-                **{c: pa.nulls(n, pa.binary()) for c in carry_bin},
-                "state": batch[state_col]}
-        return pa.table(cols).cast(schema)
-
-    tagged = (left_ds.map_batches(tag_left, batch_format="pyarrow")
-              .union(state_ds.map_batches(tag_state,
-                                          batch_format="pyarrow"))
-              .map_batches(lambda b: _add_pkey(b, ["jkey"], parts),
-                           batch_format="pyarrow"))
-
-    def join_group(group: pa.Table) -> pa.Table:
-        side = group["side"].to_numpy(zero_copy_only=False)
-        st = group.filter(pa.array(side == 1))
-        lf = group.filter(pa.array(side == 0))
-        out_cols = ["a", "b"] + carry_bin
-        if lf.num_rows == 0 or st.num_rows == 0:
-            return pa.Table.from_pylist([], schema=pa.schema(
-                [(c, pa.int64() if c in ("a", "b") else pa.binary())
-                 for c in out_cols] + [(out_name, pa.binary())]))
-        skeys = st["jkey"].to_numpy()
-        order = np.argsort(skeys, kind="stable")
-        skeys = skeys[order]
-        svals = st["state"].combine_chunks().take(pa.array(order))
-        lkeys = lf["jkey"].to_numpy()
-        pos = np.searchsorted(skeys, lkeys)
-        pos_c = np.minimum(pos, len(skeys) - 1)
-        hit = skeys[pos_c] == lkeys      # inner-join semantics
-        lf = lf.filter(pa.array(hit))
-        attach = svals.take(pa.array(pos_c[hit]))
-        out = pa.table({
-            **{c: lf[c] for c in out_cols},
-            out_name: attach,
-        })
-        if dedup_pairs and out.num_rows:
-            # all duplicates of an (a, b) pair share this partition's
-            # join key, so a per-group dedup IS the global distinct —
-            # saves the separate distinct exchange over all candidates
+            return schema.empty_table()
+        from .equijoin import probe
+        keys, vals = state
+        out = batch.select(carry)
+        for side in sides:
+            pos, hit = probe(keys, out[side])
+            out = out.filter(pa.array(hit)).append_column(
+                f"state_{side}", vals.take(pa.array(pos[hit])))
+        out = out.cast(schema)
+        if distinct and out.num_rows:
             arr = np.stack([out["a"].to_numpy(), out["b"].to_numpy()],
                            axis=1)
             _, idx = np.unique(arr, axis=0, return_index=True)
             out = out.take(pa.array(np.sort(idx)))
         return out
-
-    return tagged.groupby("pkey").map_groups(join_group,
-                                             batch_format="pyarrow")
-
-
-# state tables under this many bytes verify via the broadcast path (one
-# ray.put + per-batch searchsorted) instead of two partitioned joins —
-# the joins are the only path that survives 10^12 docs, but at toy scale
-# their exchange machinery costs ~3x the broadcast (BENCH r2: 12.8 s vs
-# 3.6 s for dedup_minhash at sf0.1). pytest pins both paths value-equal.
-BROADCAST_STATE_MAX_BYTES = 256 * 1024 * 1024
-
-_bcast_cache: dict = {}
-
-
-def _get_bcast(ref):
-    import ray
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    if key not in _bcast_cache:
-        _bcast_cache[key] = ray.get(ref)
-        # each entry can pin up to BROADCAST_STATE_MAX_BYTES in the
-        # worker heap — evict oldest so repeated dedup/verify runs in
-        # one long-lived process don't accumulate (same policy as
-        # textops._lm_cache)
-        while len(_bcast_cache) > 2:
-            _bcast_cache.pop(next(iter(_bcast_cache)))
-    return _bcast_cache[key]
-
-
-def _broadcast_pair_state(pairs_ds, state_ds, id_col: str, state_col: str):
-    """Small-state verify path: the packed state table is ray.put once
-    and read per worker; pairs get a global distinct (one slim exchange
-    over (a, b) rows) then attach both states map-side by binary search.
-    Value-identical to the partitioned-join path (pytest-pinned)."""
-    import ray
-    tbls = [t for t in ray.get(state_ds.to_arrow_refs()) if t.num_rows]
-    if tbls:
-        tbl = pa.concat_tables(tbls).combine_chunks()
-        keys = tbl[id_col].to_numpy()
-        order = np.argsort(keys, kind="stable")
-        keys = np.ascontiguousarray(keys[order])
-        vals = tbl[state_col].combine_chunks().take(pa.array(order))
-    else:
-        keys = np.zeros(0, dtype=np.int64)
-        vals = pa.array([], type=pa.binary())
-    ref = ray.put((keys, vals))
-    out_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                            ("state_a", pa.binary()),
-                            ("state_b", pa.binary())])
-
-    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-
-    def norm(batch: pa.Table) -> pa.Table:
-        # pair blocks from map_groups can be zero-column (empty sort
-        # partitions) — pin the schema before the distinct exchange
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return pa.Table.from_pylist([], schema=pair_schema)
-        return pa.table({"a": batch["a"],
-                         "b": batch["b"]}).cast(pair_schema)
-
-    def attach(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return pa.Table.from_pylist([], schema=out_schema)
-        keys, vals = _get_bcast(ref)
-        if len(keys) == 0:
-            return pa.Table.from_pylist([], schema=out_schema)
-        a = batch["a"].to_numpy()
-        b = batch["b"].to_numpy()
-        posa = np.minimum(np.searchsorted(keys, a), len(keys) - 1)
-        posb = np.minimum(np.searchsorted(keys, b), len(keys) - 1)
-        hit = (keys[posa] == a) & (keys[posb] == b)
-        sel = pa.array(hit)
-        return pa.table({
-            "a": batch["a"].filter(sel), "b": batch["b"].filter(sel),
-            "state_a": vals.take(pa.array(posa[hit])),
-            "state_b": vals.take(pa.array(posb[hit]))}).cast(out_schema)
-
-    return _distinct_pairs(
-        pairs_ds.map_batches(norm, batch_format="pyarrow")).map_batches(
-            attach, batch_format="pyarrow")
+    return apply
 
 
 def _join_pair_state(pairs_ds, state_ds, id_col: str, state_col: str,
-                     num_partitions: int | None = None,
-                     broadcast_max_bytes: int | None = None):
-    """Attach per-id state to BOTH sides of candidate pairs.
+                     num_partitions: int | None = None):
+    """Attach per-id state to BOTH sides of the distinct candidate
+    pairs through ``lookup_join`` against the state table. Under the
+    gate: a global pair-distinct, then one map-side pass attaches both
+    states from the one broadcast (map-side attaches see batches, not
+    partitions, so the distinct cannot fuse into them). Above it: two
+    joins keyed by ``a`` then ``b``, each moving only (a, b, state)
+    rows hash-partitioned by its key — the 100-TB path where nothing
+    lands on the driver or in any single worker heap. The second
+    partitions by b, so every duplicate of a pair (same (a, b) from
+    different LSH bands) meets in one partition and the global
+    pair-distinct fuses into it."""
+    from .equijoin import fits_broadcast, lookup_join
 
-    ADAPTIVE: a state table under ``broadcast_max_bytes`` (default
-    BROADCAST_STATE_MAX_BYTES) is broadcast once and attached map-side;
-    above it, two partitioned reduce-side joins move only (a, b, state)
-    rows hash-partitioned by join key — the 100-TB path where nothing
-    lands on the driver or in any single worker heap."""
-    if broadcast_max_bytes is None:
-        broadcast_max_bytes = BROADCAST_STATE_MAX_BYTES
-    size = state_ds.size_bytes()
-    if size is not None and size <= broadcast_max_bytes:
-        return _broadcast_pair_state(pairs_ds, state_ds, id_col, state_col)
-    if num_partitions is None:
-        from ..util import default_join_partitions
-        num_partitions = default_join_partitions()
-    j1 = _attach_state_once(pairs_ds, state_ds, id_col, state_col,
-                            "a", [], "state_a", num_partitions)
-    # the second pass hash-partitions by b: every duplicate of a pair
-    # (same (a, b) from different LSH bands) lands in one partition, so
-    # the global pair-distinct fuses into this exchange for free
-    return _attach_state_once(j1, state_ds, id_col, state_col,
-                              "b", ["state_a"], "state_b", num_partitions,
-                              dedup_pairs=True)
+    def prepare(t: pa.Table):
+        keys = t[id_col].to_numpy()
+        order = np.argsort(keys, kind="stable")
+        return (np.ascontiguousarray(keys[order]),
+                t[state_col].combine_chunks().take(pa.array(order)))
+
+    if fits_broadcast(state_ds):
+        pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+
+        def norm(batch: pa.Table) -> pa.Table:
+            # pin the schema of zero-column blocks before the exchange
+            if batch.num_columns == 0 or batch.num_rows == 0:
+                return pair_schema.empty_table()
+            return batch.select(["a", "b"]).cast(pair_schema)
+
+        # the gate reads the same materialized state_ds, so this join
+        # broadcasts too and each batch sees the whole state table
+        return lookup_join(_distinct_pairs(
+            pairs_ds.map_batches(norm, batch_format="pyarrow")),
+            state_ds, "a", prepare, _attach_state("ab"), right_on=id_col)
+    j1 = lookup_join(pairs_ds, state_ds, "a", prepare,
+                     _attach_state("a"), right_on=id_col,
+                     num_partitions=num_partitions)
+    return lookup_join(j1, state_ds, "b", prepare,
+                       _attach_state("b", distinct=True),
+                       right_on=id_col, num_partitions=num_partitions)
 
 
 def _distinct_pairs(pairs_ds):
@@ -599,11 +486,11 @@ def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
 
     Verification uses the signature estimate (matching components /
     num_perm) — the scale-appropriate check (exact shingle Jaccard would
-    re-shuffle full text). Signatures reach the verify stage through two
-    partitioned hash joins of the DISTINCT candidate pairs against the
-    signature dataset (pairs keyed by ``a`` then ``b``) — nothing is
-    materialized on the driver or broadcast, so the path holds at 10^12
-    docs where the old ray.put broadcast held the whole matrix.
+    re-shuffle full text). Signatures reach the verify stage through
+    ``_join_pair_state`` (the DISTINCT candidate pairs against the
+    signature dataset, keyed by ``a`` then ``b``) — broadcast from a
+    task only under the byte gate, so nothing is materialized on the
+    driver and the path holds at 10^12 docs.
     """
     from .. import use_push_shuffle
     use_push_shuffle(ds)
@@ -840,9 +727,9 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     Candidates come from the same MinHash-LSH banding as
     minhash_candidate_pairs (recall bounded by the band curve); the
     verification intersects the true shingle sets — which reach the
-    verify stage through two partitioned hash joins of the distinct
-    candidate pairs against the (packed) shingle-set dataset, never a
-    driver broadcast. The per-batch intersection is one sort +
+    verify stage through ``_join_pair_state`` (the distinct candidate
+    pairs against the packed shingle-set dataset), never a driver
+    materialization. The per-batch intersection is one sort +
     adjacent-equality count over all pairs at once (both sides are
     distinct-element sets, so an equal adjacent duo within a pair is
     exactly one a/b match) — no per-pair Python loop.

@@ -14,15 +14,13 @@ token of a raw doc is in-vocab by construction).
 
 Shape: ONE counting pass — each batch emits map-side-combined
 (feature, c_all, c_tgt) partials, one feature-sized groupby sums them —
-then the model broadcasts (ray.put once, read once per worker) and a
-map-only scoring pass does two searchsorted lookups per batch. The
-hashed path bounds the broadcast at ``buckets`` floats regardless of
-corpus size (the paper's point); the unhashed path above
-``DSIR_BROADCAST_MAX_VOCAB`` features would attach counts via the same
-tagged-union partitioned join as textops._lm_score_joined (documented
-shared machinery; the hashed path is the production route, so the
-join fallback raises with that pointer instead of silently pulling a
-10^9-term vocab onto the driver).
+then one ``lookup_join`` of each doc's (doc, feature, k) runs against
+the counts scores it: the model broadcasts (read once per worker, a
+map-only pass) when it fits the gate, else the runs meet the counts
+feature-partitioned with a doc-partitioned finish. The hashed path
+bounds the model at ``buckets`` floats regardless of corpus size (the
+paper's point); the unhashed twin takes the partitioned path when its
+vocabulary outgrows the gate.
 """
 
 from __future__ import annotations
@@ -31,9 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .textops import _alnum_flat_terms
-
-DSIR_BROADCAST_MAX_VOCAB = 50_000_000
+from .textops import _alnum_flat_terms, _doc_key_runs, _per_doc_sums
 
 
 def dsir_weights(ds, target_col: str, target_value,
@@ -47,8 +43,9 @@ def dsir_weights(ds, target_col: str, target_value,
     Returns (id_col, n_tokens, log_weight) with log_weight rounded to 4
     decimals (per-doc float sums associate differently across engines).
     """
-    import ray
     from ray.data.aggregate import Sum
+
+    from .equijoin import lookup, lookup_join, sorted_keys
 
     def featurize(batch: pa.Table):
         flat, parent, counts = _alnum_flat_terms(batch, text_col)
@@ -78,83 +75,39 @@ def dsir_weights(ds, target_col: str, target_value,
                  .aggregate(Sum("c_all", alias_name="c_all"),
                             Sum("c_tgt", alias_name="c_tgt"))
                  .materialize())
-    n_vocab = counts_ds.count()
-    if buckets is None and n_vocab > DSIR_BROADCAST_MAX_VOCAB:
-        raise NotImplementedError(
-            "unhashed DSIR above DSIR_BROADCAST_MAX_VOCAB features: use "
-            "buckets=<int> (the production path — model size is bounded "
-            "by construction) or attach counts via the tagged-union "
-            "partitioned join (textops._lm_score_joined machinery)")
+    v = float(counts_ds.count())
+    sums = counts_ds.aggregate(Sum("c_all"), Sum("c_tgt")) or {}
+    n_all = float(sums.get("sum(c_all)") or 0)
+    n_tgt = float(sums.get("sum(c_tgt)") or 0)
 
-    tbls = [t for t in ray.get(counts_ds.to_arrow_refs()) if t.num_rows]
-    if tbls:
-        m = pa.concat_tables(tbls).combine_chunks()
-        if buckets is None:
-            feats = np.asarray(m["feature"].to_pylist(), dtype="S")
-        else:
-            feats = m["feature"].to_numpy()
-        order = np.argsort(feats, kind="stable")
-        feats = feats[order]
+    def explode(batch: pa.Table) -> pa.Table:
+        feats, parent, _ = featurize(batch)
+        return _doc_key_runs(batch, id_col, feats, parent)
+
+    def prepare(m: pa.Table):
+        keys, order = sorted_keys(m["feature"])
         c_all = m["c_all"].to_numpy()[order].astype(np.float64)
         c_tgt = m["c_tgt"].to_numpy()[order].astype(np.float64)
-    else:
-        feats = np.zeros(0, dtype="S1" if buckets is None else np.int64)
-        c_all = np.zeros(0, dtype=np.float64)
-        c_tgt = np.zeros(0, dtype=np.float64)
-    v = float(len(feats))
-    n_all = float(c_all.sum())
-    n_tgt = float(c_tgt.sum())
-    # log10 p under add-one smoothing; V is the RAW vocab/bucket count
-    # on both sides so the ratio is well-defined for unseen-in-target
-    log_p_t = np.log10(c_tgt + 1.0) - np.log10(max(n_tgt + v, 1.0))
-    log_p_r = np.log10(c_all + 1.0) - np.log10(max(n_all + v, 1.0))
-    ratio = log_p_t - log_p_r
-    model_ref = ray.put((feats, ratio))
-    cache: dict = {}
+        # log10 p under add-one smoothing; V is the RAW vocab/bucket
+        # count on both sides so the ratio is well-defined for
+        # unseen-in-target
+        log_p_t = np.log10(c_tgt + 1.0) - np.log10(max(n_tgt + v, 1.0))
+        log_p_r = np.log10(c_all + 1.0) - np.log10(max(n_all + v, 1.0))
+        return keys, log_p_t - log_p_r
 
-    def score(batch: pa.Table) -> pa.Table:
-        key = model_ref.hex() if hasattr(model_ref, "hex") \
-            else id(model_ref)
-        if key not in cache:
-            cache[key] = ray.get(model_ref)
-            while len(cache) > 4:
-                cache.pop(next(iter(cache)))
-        fv, r = cache[key]
-        feats_b, parent, n_tok = featurize(batch)
-        n_docs = batch.num_rows
-        if len(parent) == 0:
-            lw = np.zeros(n_docs, dtype=np.float64)
-        else:
-            if buckets is None:
-                # look up only the batch's UNIQUE tokens (dictionary
-                # values), then fan the ratios back out via the codes —
-                # no per-occurrence Python objects (the textops
-                # broadcast-score shape)
-                denc = pc.dictionary_encode(feats_b)
-                if isinstance(denc, pa.ChunkedArray):
-                    denc = denc.combine_chunks()
-                uq = np.asarray(denc.dictionary.to_pylist(), dtype="S")
-                codes = denc.indices.to_numpy(zero_copy_only=False)
-                pos = np.searchsorted(fv, uq)
-                pos = np.minimum(pos, max(len(fv) - 1, 0))
-                uvals = r[pos] if len(fv) else np.zeros(len(uq))
-                if len(fv):
-                    uvals = np.where(fv[pos] != uq, 0.0, uvals)
-                vals = uvals[codes]
-            else:
-                qs = feats_b.to_numpy()
-                pos = np.searchsorted(fv, qs)
-                pos = np.minimum(pos, max(len(fv) - 1, 0))
-                vals = r[pos] if len(fv) else np.zeros(len(qs))
-                if len(fv):
-                    vals = np.where(fv[pos] != qs, 0.0, vals)
-            lw = np.bincount(parent, weights=vals,
-                             minlength=n_docs)
+    def apply(rows: pa.Table, state) -> pa.Table:
+        w = lookup(*state, rows["key"], 0.0) * rows["k"].to_numpy()
+        return rows.append_column("w", pa.array(w, type=pa.float64()))
+
+    def finish(rows: pa.Table) -> pa.Table:
+        ids, (n_tok, lw) = _per_doc_sums(rows, id_col, ["k", "w"])
         lw = np.trunc(lw * 1e4 + np.where(lw >= 0, 0.5, -0.5)) / 1e4
         return pa.table({
-            id_col: batch[id_col],
-            "n_tokens": pa.array(n_tok, type=pa.int64()),
+            id_col: ids,
+            "n_tokens": pa.array(n_tok.astype(np.int64), type=pa.int64()),
             "log_weight": pa.array(lw, type=pa.float64()),
         })
 
-    return ds.map_batches(score, batch_format="pyarrow")
+    return lookup_join(ds, counts_ds, "key", prepare, apply,
+                       right_on="feature", explode=explode,
+                       regroup=(id_col, finish))

@@ -10,32 +10,23 @@ Scale shape:
 - (doc, term, tf) pairs are exact per batch (a document never spans
   batches), so tf needs NO exchange; the only full exchange is the
   df groupby over the already-doc-distinct pairs.
-- df attaches back by broadcast when the vocabulary fits
-  (``ray.put`` of sorted fixed-width keys + counts, map-only
-  searchsorted — the ``unigram_logprob`` pattern), and the per-doc
-  top-k then happens INSIDE the same map task: zero additional
-  shuffles.
-- above ``broadcast_max_vocab`` the df table meets the pairs
-  co-partitioned by term hash (tagged union) and the scored pairs
-  take one more doc-hash exchange for the per-doc top-k — nothing
+- df attaches to each doc's pairs through one ``lookup_join``: against
+  a broadcast sorted vocabulary when it fits the gate, with the per-doc
+  top-k INSIDE the same map task (zero additional shuffles); else the
+  pairs meet the df table co-partitioned by term and the scored pairs
+  take one doc-partitioned exchange for the top-k — nothing
   vocabulary-sized on the driver.
-
-Both paths produce identical output (pytest-pinned at threshold 0).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from .textops import LM_BROADCAST_MAX_VOCAB, _alnum_flat_terms
-from ..util import crc32_column
+from .textops import _alnum_flat_terms
 
 _OUT = pa.schema([("doc_id", pa.int64()), ("rank", pa.int64()),
                   ("term", pa.string()), ("tfidf", pa.float64())])
-
-_kw_cache: dict = {}
 
 
 def _pair_table(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
@@ -70,139 +61,48 @@ def _topk_rows(did: np.ndarray, terms: np.ndarray, score: np.ndarray,
 
 
 def tfidf_keywords(ds, k: int = 5, id_col: str = "doc_id",
-                   text_col: str = "text",
-                   broadcast_max_vocab: int | None = None):
+                   text_col: str = "text"):
     """(doc_id, rank, term, tfidf): the top-k tf*log10(N/df) terms per
     document (ties by term asc); docs with no tokens emit nothing."""
-    import ray
     from ray.data.aggregate import Sum
+
+    from .equijoin import lookup, lookup_join, sorted_keys
 
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if broadcast_max_vocab is None:
-        broadcast_max_vocab = LM_BROADCAST_MAX_VOCAB
 
     n_docs = ds.count()
-    pairs = ds.map_batches(
-        lambda b: _pair_table(b, id_col, text_col),
-        batch_format="pyarrow")
+
+    def explode(batch: pa.Table) -> pa.Table:
+        return _pair_table(batch, id_col, text_col)
 
     def df_partials(batch: pa.Table) -> pa.Table:
         return pa.table({"term": batch["term"],
                          "c": pa.array(
                              np.ones(batch.num_rows, dtype=np.int64))})
 
-    df_ds = (pairs.map_batches(df_partials, batch_format="pyarrow")
+    df_ds = (ds.map_batches(explode, batch_format="pyarrow")
+             .map_batches(df_partials, batch_format="pyarrow")
              .groupby("term").aggregate(Sum("c", alias_name="df"))
              .materialize())
-    vocab = df_ds.count()
-    if vocab > broadcast_max_vocab:
-        return _tfidf_joined(pairs, df_ds, n_docs, k)
 
-    tbls = [t for t in ray.get(df_ds.to_arrow_refs()) if t.num_rows]
-    if tbls:
-        dt = pa.concat_tables(tbls).combine_chunks()
-        terms = dt["term"].combine_chunks() \
-            if isinstance(dt["term"], pa.ChunkedArray) else dt["term"]
-        key = terms.to_numpy(zero_copy_only=False).astype("U")
-        dfv = dt["df"].to_numpy().astype(np.float64)
-        order = np.argsort(key, kind="stable")
-        state = (key[order], dfv[order])
-    else:
-        state = (np.array([], dtype="U1"), np.array([]))
-    ref = ray.put(state)
+    def prepare(t: pa.Table):
+        keys, order = sorted_keys(t["term"])
+        return keys, t["df"].to_numpy()[order].astype(np.float64)
 
-    def score_topk(batch: pa.Table) -> pa.Table:
-        ck = ref.hex() if hasattr(ref, "hex") else id(ref)
-        if ck not in _kw_cache:
-            _kw_cache[ck] = ray.get(ref)
-            while len(_kw_cache) > 4:
-                _kw_cache.pop(next(iter(_kw_cache)))
-        keys, dfv = _kw_cache[ck]
-        p = _pair_table(batch, id_col, text_col)
+    def apply(p: pa.Table, state) -> pa.Table:
+        # every term is in the global df table by construction
+        df = lookup(*state, p["term"])
+        score = p["tf"].to_numpy() * np.log10(n_docs / df)
+        return p.append_column("score", pa.array(score, type=pa.float64()))
+
+    def finish(p: pa.Table) -> pa.Table:
         if p.num_rows == 0:
             return _OUT.empty_table()
-        terms = p["term"].to_numpy(zero_copy_only=False).astype("U")
-        pos = np.searchsorted(keys, terms)
-        # every term is in the global df table by construction
-        df = dfv[np.minimum(pos, len(keys) - 1)]
-        score = p["tf"].to_numpy() * np.log10(n_docs / df)
-        return _topk_rows(p["doc_id"].to_numpy(), terms, score, k)
-
-    return ds.map_batches(score_topk, batch_format="pyarrow")
-
-
-def _tfidf_joined(pairs, df_ds, n_docs: int, k: int):
-    """Scale path: term-hash attach exchange + doc-hash top-k
-    exchange (the linededup/_lm tagged-union shape)."""
-    from .dedup import _add_pkey
-
-    tag = pa.schema([("pkey", pa.int64()), ("side", pa.int8()),
-                     ("term", pa.string()), ("doc_id", pa.int64()),
-                     ("tf", pa.int64()), ("df", pa.int64())])
-
-    def _pk(col) -> np.ndarray:
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        from ..util import default_join_partitions
-        return (crc32_column(col)
-                % np.uint32(default_join_partitions())).astype(np.int64)
-
-    def tag_pair(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({"pkey": pa.array(_pk(batch["term"])),
-                         "side": pa.array(np.ones(m, dtype=np.int8)),
-                         "term": batch["term"],
-                         "doc_id": batch["doc_id"],
-                         "tf": batch["tf"],
-                         "df": pa.nulls(m, pa.int64())}).cast(tag)
-
-    def tag_df(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({"pkey": pa.array(_pk(batch["term"])),
-                         "side": pa.array(np.zeros(m, dtype=np.int8)),
-                         "term": batch["term"],
-                         "doc_id": pa.nulls(m, pa.int64()),
-                         "tf": pa.nulls(m, pa.int64()),
-                         "df": batch["df"]}).cast(tag)
-
-    scored_schema = pa.schema([("doc_id", pa.int64()),
-                               ("term", pa.string()),
-                               ("score", pa.float64())])
-
-    def attach(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return scored_schema.empty_table()
-        side = group["side"].to_numpy(zero_copy_only=False)
-        st = group.filter(pa.array(side == 0))
-        lf = group.filter(pa.array(side == 1))
-        if lf.num_rows == 0 or st.num_rows == 0:
-            return scored_schema.empty_table()
-        keys = st["term"].to_numpy(zero_copy_only=False).astype("U")
-        dfv = st["df"].to_numpy().astype(np.float64)
-        order = np.argsort(keys, kind="stable")
-        keys, dfv = keys[order], dfv[order]
-        terms = lf["term"].to_numpy(zero_copy_only=False).astype("U")
-        pos = np.minimum(np.searchsorted(keys, terms), len(keys) - 1)
-        df = dfv[pos]
-        score = lf["tf"].to_numpy() * np.log10(n_docs / df)
-        return pa.table({"doc_id": lf["doc_id"], "term": lf["term"],
-                         "score": pa.array(score, type=pa.float64())})
-
-    scored = (df_ds.map_batches(tag_df, batch_format="pyarrow")
-              .union(pairs.map_batches(tag_pair, batch_format="pyarrow"))
-              .groupby("pkey").map_groups(attach,
-                                          batch_format="pyarrow"))
-
-    def topk_group(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return _OUT.empty_table()
         return _topk_rows(
-            group["doc_id"].to_numpy(),
-            group["term"].to_numpy(zero_copy_only=False).astype("U"),
-            group["score"].to_numpy(), k)
+            p["doc_id"].to_numpy(),
+            p["term"].to_numpy(zero_copy_only=False).astype("U"),
+            p["score"].to_numpy(), k)
 
-    return (scored.map_batches(lambda b: _add_pkey(b, ["doc_id"]),
-                               batch_format="pyarrow")
-            .groupby("pkey").map_groups(topk_group,
-                                        batch_format="pyarrow"))
+    return lookup_join(ds, df_ds, "term", prepare, apply, explode=explode,
+                       regroup=("doc_id", finish))

@@ -11,18 +11,13 @@ Scale shape of `line_dedup`:
 - pass 1 (count): per-batch map-side combine over distinct lines, then
   ONE (line -> count) groupby — the only exchange that moves line
   content, and only distinct-per-batch lines enter it.
-- pass 2 (rebuild): dup set <= ``broadcast_max_lines``: the distinct
-  duplicated lines broadcast once via ``ray.put`` and every doc task
-  filters map-only (hash-set `is_in` membership, exact on bytes).
-  Larger: two tagged-union partitioned exchanges — (doc, ord, line)
-  occurrence rows meet the dup set co-partitioned by line hash
-  (matching by LINE BYTES, so hash collisions cannot flip the result),
-  only the FLAGGED (doc_id, ord) pairs come back and meet the full
-  docs co-partitioned by doc hash for the rebuild. Nothing
-  corpus-sized ever lands on the driver.
-
-Both paths produce byte-identical output (pytest-pinned across a
-forced threshold of 0).
+- pass 2 (rebuild): one ``lookup_join`` of each doc's (doc, ord, line)
+  rows against the dup set, matching on line BYTES (hash-set `is_in`,
+  so hash collisions cannot flip the result), then a per-doc rebuild.
+  Map-only against the broadcast dup set when it fits the gate; else
+  the lines meet the dup set co-partitioned by line hash and the
+  flagged lines take one doc-partitioned exchange to the rebuild.
+  Nothing corpus-sized ever lands on the driver.
 
 `duplicate_line_stats` is one map-only pass (no shuffle): an
 occurrence is a duplicate iff an identical line/paragraph appeared
@@ -36,13 +31,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-# above this many DISTINCT duplicated lines the dup set stops
-# broadcasting and the partitioned rebuild runs instead (same knob
-# pattern as textops.LM_BROADCAST_MAX_VOCAB)
-LINE_BROADCAST_MAX = 2_000_000
-
-_line_cache: dict = {}
 
 
 def _split_lines(col):
@@ -85,19 +73,17 @@ def _rebuild(batch: pa.Table, flat, counts, parent, is_dup: np.ndarray,
 
 
 def line_dedup(ds, min_count: int = 2, id_col: str = "doc_id",
-               text_col: str = "text",
-               broadcast_max_lines: int | None = None):
+               text_col: str = "text"):
     """(doc_id, n_lines, n_dup_lines, text_clean): remove every line
     whose exact content occurs >= ``min_count`` times corpus-wide;
     kept lines re-join with '\\n' in original order (all-duplicate docs
     yield ''). Matching is exact on line BYTES on both paths."""
-    import ray
     from ray.data.aggregate import Sum
+
+    from .equijoin import lookup_join
 
     if min_count < 2:
         raise ValueError(f"min_count must be >= 2, got {min_count}")
-    if broadcast_max_lines is None:
-        broadcast_max_lines = LINE_BROADCAST_MAX
 
     def line_counts(batch: pa.Table) -> pa.Table:
         flat, _, _ = _split_lines(batch[text_col])
@@ -114,164 +100,39 @@ def line_dedup(ds, min_count: int = 2, id_col: str = "doc_id",
                 .groupby("line").aggregate(Sum("c", alias_name="c"))
                 .map_batches(only_dups, batch_format="pyarrow")
                 .materialize())
-    n_dup_lines = dup_ds.count()
-    if n_dup_lines > broadcast_max_lines:
-        return _line_dedup_joined(ds, dup_ds, id_col, text_col)
 
-    tbls = [t for t in ray.get(dup_ds.to_arrow_refs()) if t.num_rows]
-    dup_arr = (pa.concat_tables(tbls).combine_chunks()["line"]
-               .combine_chunks()
-               if tbls else pa.array([], type=pa.string()))
-    dup_ref = ray.put(dup_arr)
-
-    def clean(batch: pa.Table) -> pa.Table:
-        key = dup_ref.hex() if hasattr(dup_ref, "hex") else id(dup_ref)
-        if key not in _line_cache:
-            _line_cache[key] = ray.get(dup_ref)
-            while len(_line_cache) > 4:
-                _line_cache.pop(next(iter(_line_cache)))
-        dup_set = _line_cache[key]
+    def explode(batch: pa.Table) -> pa.Table:
+        # every doc has >= 1 line (NULL and '' split to one empty line)
         flat, counts, parent = _split_lines(batch[text_col])
-        if len(dup_set):
-            is_dup = pc.is_in(flat, value_set=dup_set) \
-                .to_numpy(zero_copy_only=False)
-        else:
-            is_dup = np.zeros(len(flat), dtype=bool)
-        return _rebuild(batch, flat, counts, parent, is_dup, id_col)
-
-    return ds.map_batches(clean, batch_format="pyarrow")
-
-
-_FLAG_SCHEMA = pa.schema([("doc_id", pa.int64()), ("ord", pa.int64())])
-
-
-def _line_dedup_joined(ds, dup_ds, id_col: str, text_col: str):
-    """line_dedup's scale path: no driver dup set, no broadcast. Two
-    tagged-union partitioned exchanges (cf. textops._lm_score_joined's
-    join shape — Dataset.join is avoided for the same sparse-partition
-    reasons, see ops/dedup.py)."""
-    from ..util import crc32_column, default_join_partitions
-    nparts = default_join_partitions()
-
-    def occ_rows(batch: pa.Table) -> pa.Table:
-        flat, counts, parent = _split_lines(batch[text_col])
-        did = batch[id_col].to_numpy()[parent]
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]]) \
-            .astype(np.int64)
+        ids = batch[id_col]
+        if isinstance(ids, pa.ChunkedArray):
+            ids = ids.combine_chunks()
         ords = np.arange(len(parent), dtype=np.int64) - np.repeat(
-            starts, counts)
-        pkey = (crc32_column(flat) % np.uint32(nparts)).astype(np.int64)
-        return pa.table({
-            "pkey": pa.array(pkey, type=pa.int64()),
-            "side": pa.array(np.ones(len(parent), dtype=np.int8)),
-            "line": flat,
-            "doc_id": pa.array(did, type=pa.int64()),
-            "ord": pa.array(ords, type=pa.int64()),
-        })
+            np.cumsum(counts) - counts, counts)
+        return pa.table({id_col: ids.take(pa.array(parent)),
+                         "ord": pa.array(ords), "line": flat})
 
-    def dup_rows(batch: pa.Table) -> pa.Table:
-        line = batch["line"]
-        if isinstance(line, pa.ChunkedArray):
-            line = line.combine_chunks()
-        n = len(line)
-        pkey = (crc32_column(line) % np.uint32(nparts)).astype(np.int64)
-        return pa.table({
-            "pkey": pa.array(pkey, type=pa.int64()),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-            "line": line,
-            "doc_id": pa.array(np.zeros(n, dtype=np.int64)),
-            "ord": pa.array(np.zeros(n, dtype=np.int64)),
-        })
+    def apply(rows: pa.Table, dup_set) -> pa.Table:
+        return rows.append_column(
+            "dup", pc.is_in(rows["line"], value_set=dup_set))
 
-    def flag(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return _FLAG_SCHEMA.empty_table()
-        side = group["side"].to_numpy()
-        st = group.filter(pa.array(side == 0))
-        lf = group.filter(pa.array(side == 1))
-        if lf.num_rows == 0 or st.num_rows == 0:
-            return _FLAG_SCHEMA.empty_table()
-        dup_set = st["line"]
-        if isinstance(dup_set, pa.ChunkedArray):
-            dup_set = dup_set.combine_chunks()
-        hit = pc.is_in(lf["line"].combine_chunks()
-                       if isinstance(lf["line"], pa.ChunkedArray)
-                       else lf["line"], value_set=dup_set)
-        flagged = lf.filter(hit)
-        return pa.table({"doc_id": flagged["doc_id"],
-                         "ord": flagged["ord"]})
-
-    flagged = (dup_ds.map_batches(dup_rows, batch_format="pyarrow")
-               .union(ds.map_batches(occ_rows, batch_format="pyarrow"))
-               .groupby("pkey").map_groups(flag, batch_format="pyarrow"))
-
-    # exchange 2: flagged (doc_id, ord) pairs meet the full docs
-    # co-partitioned by doc hash; each partition rebuilds its docs
-    def doc_rows(batch: pa.Table) -> pa.Table:
-        did = batch[id_col]
-        if isinstance(did, pa.ChunkedArray):
-            did = did.combine_chunks()
-        dkey = did.cast(pa.int64()).to_numpy() % nparts
-        text = batch[text_col]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        return pa.table({
-            "dkey": pa.array(dkey, type=pa.int64()),
-            "side": pa.array(np.ones(batch.num_rows, dtype=np.int8)),
-            "doc_id": did.cast(pa.int64()),
-            "ord": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-            "text": text,
-        })
-
-    def ord_rows(batch: pa.Table) -> pa.Table:
-        did = batch["doc_id"]
-        if isinstance(did, pa.ChunkedArray):
-            did = did.combine_chunks()
-        dkey = did.cast(pa.int64()).to_numpy() % nparts
-        n = batch.num_rows
-        return pa.table({
-            "dkey": pa.array(dkey, type=pa.int64()),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-            "doc_id": did.cast(pa.int64()),
-            "ord": batch["ord"].cast(pa.int64()),
-            "text": pa.array([""] * n, type=pa.string()),
-        })
-
-    out_schema = pa.schema([(id_col, pa.int64()),
-                            ("n_lines", pa.int64()),
-                            ("n_dup_lines", pa.int64()),
-                            ("text_clean", pa.string())])
-
-    def rebuild(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return out_schema.empty_table()
-        side = group["side"].to_numpy()
-        docs = group.filter(pa.array(side == 1))
-        fl = group.filter(pa.array(side == 0))
-        if docs.num_rows == 0:
-            return out_schema.empty_table()
-        flat, counts, parent = _split_lines(docs["text"])
-        is_dup = np.zeros(len(flat), dtype=bool)
-        if fl.num_rows:
-            doc_ids = docs["doc_id"].to_numpy()
-            order = np.argsort(doc_ids, kind="stable")
-            sorted_ids = doc_ids[order]
-            starts = np.zeros(docs.num_rows + 1, dtype=np.int64)
-            np.cumsum(counts, out=starts[1:])
-            f_did = fl["doc_id"].to_numpy()
-            f_ord = fl["ord"].to_numpy()
-            pos = np.searchsorted(sorted_ids, f_did)
-            row = order[np.minimum(pos, len(order) - 1)]
-            ok = sorted_ids[np.minimum(pos, len(order) - 1)] == f_did
-            is_dup[starts[row[ok]] + f_ord[ok]] = True
+    def finish(rows: pa.Table) -> pa.Table:
+        rows = rows.take(pc.sort_indices(rows, sort_keys=[
+            (id_col, "ascending"), ("ord", "ascending")]))
+        ids = rows[id_col].to_numpy()
+        n = len(ids)
+        starts = np.flatnonzero(np.append(True, ids[1:] != ids[:-1])) \
+            if n else np.zeros(0, dtype=np.int64)
+        counts = np.diff(np.append(starts, n)).astype(np.int64)
+        parent = np.repeat(np.arange(len(starts)), counts)
         return _rebuild(
-            pa.table({id_col: docs["doc_id"]}), flat, counts, parent,
-            is_dup, id_col)
+            pa.table({id_col: rows[id_col].take(pa.array(starts))}),
+            rows["line"].combine_chunks(), counts, parent,
+            rows["dup"].to_numpy(zero_copy_only=False), id_col)
 
-    tagged = (flagged.map_batches(ord_rows, batch_format="pyarrow")
-              .union(ds.map_batches(doc_rows, batch_format="pyarrow")))
-    return tagged.groupby("dkey").map_groups(rebuild,
-                                             batch_format="pyarrow")
+    return lookup_join(ds, dup_ds, "line",
+                       lambda t: t["line"].combine_chunks(), apply,
+                       explode=explode, regroup=(id_col, finish))
 
 
 # ------------------------- within-doc repetition fractions (Gopher 1-4)

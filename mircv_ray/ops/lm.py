@@ -20,18 +20,14 @@ Dataflow (two content scans — one trains, one scores):
 1. counts: the collocations partial-combiner emits map-side-combined
    unigram + bigram counts in ONE tagged stream; a single counts
    groupby is the training exchange.
-2. score: bigram vocab <= ``broadcast_max_vocab``: both count tables
-   broadcast as sorted fixed-width key arrays; scoring is MAP-ONLY
-   (searchsorted + one weighted bincount per batch — transitions never
-   shuffle). Above the threshold (code corpora at 10^12 docs have
-   multi-billion-entry bigram vocabularies): per-batch combined
-   (doc, a, b, k) transition runs attach c_ab / c_a / c_b through
-   THREE term-hash partitioned reduce-side joins (tag + union + one
-   pkey groupby each — the `unigram_logprob` / `pmi_collocations`
-   scale shape; nothing vocabulary-sized on the driver or in one
-   heap), then one (doc_id) groupby re-aggregates; zero-transition
-   docs ride sentinel rows straight to the final groupby. pytest pins
-   both paths value-identical.
+2. score: one ``lookup_join`` of the transitions against the counts
+   table on (term_a, term_b): each distinct (doc, a, b) run looks up
+   (a, ""), (b, "") and (a, b), and a per-doc finish folds the three
+   counts into log p. Map-only against broadcast sorted keys when the
+   counts fit the gate (transitions never shuffle); else key-partitioned
+   with a doc-partitioned finish — nothing vocabulary-sized on the
+   driver or in one heap. Zero-transition docs ride a NULL-key
+   sentinel row to the finish.
 """
 from __future__ import annotations
 
@@ -39,52 +35,51 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .collocations import _counts_partials, _lookup, _skeys
-from .textops import LM_BROADCAST_MAX_VOCAB, _alnum_flat_terms
+from .collocations import _counts_partials
+from .textops import _alnum_flat_terms, _per_doc_sums
 
 _SEP = "\x1f"   # never appears in an alnum token
-
-_OUT_SCHEMA = pa.schema([
-    ("doc_id", pa.int64()),
-    ("n_transitions", pa.int64()),
-    ("sum_log10_p", pa.float64()),
-    ("avg_neg_logprob", pa.float64()),
-])
-
-_bcast_cache: dict = {}
 
 
 def _doc_transitions(batch: pa.Table, id_col: str,
                      text_col: str) -> pa.Table:
-    """Per-batch map-side-combined transition runs: one row per
-    distinct (doc, a, b) with multiplicity k, plus one k=0 sentinel
-    row per document (term_a == "" — impossible as a real token) so
-    zero-transition docs survive to the final aggregate."""
+    """Per-batch map-side-combined transition runs, keyed for one lookup
+    against the counts table: run r (one distinct (doc, a, b) with
+    multiplicity k) emits roles 0, 1, 2 keyed (a, ""), (b, "") and
+    (a, b); each doc also emits one NULL-key k=0 role -1 row so
+    zero-transition docs reach the finish."""
     flat, parent, _ = _alnum_flat_terms(batch, text_col)
-    ids = batch[id_col].to_numpy()
+    ids = batch[id_col]
+    if isinstance(ids, pa.ChunkedArray):
+        ids = ids.combine_chunks()
     n = len(flat)
     if n > 1:
         adj = pa.array(parent[1:] == parent[:-1])
         a = flat.slice(0, n - 1).filter(adj)
         b = flat.slice(1, n - 1).filter(adj)
-        did = ids[parent[:-1][adj.to_numpy(zero_copy_only=False)]]
+        row = parent[:-1][adj.to_numpy(zero_copy_only=False)]
     else:
         a = b = flat.slice(0, 0)
-        did = np.zeros(0, dtype=np.int64)
-    g = pa.table({"doc_id": pa.array(did, type=pa.int64()),
-                  "term_a": a, "term_b": b}) \
-        .group_by(["doc_id", "term_a", "term_b"]) \
-        .aggregate([([], "count_all")])
-    runs = pa.table({"doc_id": g["doc_id"], "term_a": g["term_a"],
-                     "term_b": g["term_b"],
-                     "k": g["count_all"].cast(pa.int64())})
-    sent = pa.table({
-        "doc_id": pa.array(ids, type=pa.int64()),
-        "term_a": pa.array([""] * len(ids), type=pa.string()),
-        "term_b": pa.array([""] * len(ids), type=pa.string()),
-        "k": pa.array(np.zeros(len(ids), dtype=np.int64)),
+        row = np.zeros(0, dtype=np.int64)
+    g = pa.table({"row": pa.array(row, type=pa.int64()), "a": a, "b": b}) \
+        .group_by(["row", "a", "b"]).aggregate([([], "count_all")]) \
+        .combine_chunks()
+    r, m = g.num_rows, len(ids)
+    doc = ids.take(g["row"].combine_chunks())
+    ga, gb = g["a"].combine_chunks(), g["b"].combine_chunks()
+    blank = pa.array([""] * r, type=pa.string())
+    k = g["count_all"].combine_chunks().cast(pa.int64())
+    return pa.table({
+        id_col: pa.concat_arrays([doc, doc, doc, ids]),
+        "term_a": pa.concat_arrays([ga, gb, ga, pa.nulls(m, pa.string())]),
+        "term_b": pa.concat_arrays([blank, blank, gb,
+                                    pa.nulls(m, pa.string())]),
+        "k": pa.concat_arrays([k, k, k, pa.array(np.zeros(m, np.int64))]),
+        "run": pa.array(np.concatenate([np.tile(np.arange(r), 3),
+                                        np.full(m, -1)]).astype(np.int64)),
+        "role": pa.array(np.repeat(np.array([0, 1, 2, -1], np.int8),
+                                   [r, r, r, m])),
     })
-    return pa.concat_tables([runs, sent]).combine_chunks()
 
 
 def _logp(c_ab: np.ndarray, c_a: np.ndarray, c_b: np.ndarray,
@@ -107,15 +102,13 @@ def _finish(doc_ids, n_trans: np.ndarray, sums: np.ndarray) -> pa.Table:
 
 
 def bigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
-                   lam: float = 0.7,
-                   broadcast_max_vocab: int | None = None):
+                   lam: float = 0.7):
     """(doc_id, n_transitions, sum_log10_p, avg_neg_logprob) under the
     corpus-trained interpolated bigram LM. See module docstring."""
-    import ray
     from ray.data.aggregate import Sum
 
-    if broadcast_max_vocab is None:
-        broadcast_max_vocab = LM_BROADCAST_MAX_VOCAB
+    from .equijoin import lookup, lookup_join, sorted_keys
+
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam={lam} must be in (0, 1)")
 
@@ -126,21 +119,13 @@ def bigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
                 .aggregate(Sum("c", alias_name="c"))
                 .materialize())
 
-    def split(is_uni: bool):
-        def f(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or t.num_rows == 0:
-                return pa.schema([("term_a", pa.string()),
-                                  ("term_b", pa.string()),
-                                  ("c", pa.int64())]).empty_table()
-            mask = pc.equal(t["term_b"], "")
-            return t.filter(mask if is_uni else pc.invert(mask))
-        return f
+    def unigrams(t: pa.Table) -> pa.Table:
+        if t.num_columns == 0 or t.num_rows == 0:
+            return pa.table({"c": pa.array([], type=pa.int64())})
+        return t.filter(pc.equal(t["term_b"], "")).select(["c"])
 
-    uni_ds = counts.map_batches(split(True), batch_format="pyarrow") \
-                   .materialize()
-    bi_ds = counts.map_batches(split(False), batch_format="pyarrow") \
-                  .materialize()
-    total = float(uni_ds.sum("c") or 0)
+    total = float(counts.map_batches(unigrams, batch_format="pyarrow")
+                  .sum("c") or 0)
     if total == 0:
         return ds.select_columns([id_col]).map_batches(
             lambda b: _finish(b[id_col],
@@ -148,221 +133,38 @@ def bigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
                               np.zeros(b.num_rows)),
             batch_format="pyarrow")
 
-    if bi_ds.count() > broadcast_max_vocab:
-        return _bigram_score_joined(ds, uni_ds, bi_ds, total, lam,
-                                    id_col, text_col)
+    def pair_key(t: pa.Table):
+        return pc.binary_join_element_wise(t["term_a"], t["term_b"], _SEP)
 
-    # broadcast path: both count tables ship once per worker; scoring
-    # is map-only over the content (transitions never shuffle)
-    def sorted_pairs(t):
-        tbls = [x for x in ray.get(t.to_arrow_refs()) if x.num_rows]
-        if not tbls:
-            return np.zeros(0, dtype="S1"), np.zeros(0, dtype=np.int64)
-        vt = pa.concat_tables(tbls).combine_chunks()
-        key_col = pc.binary_join_element_wise(vt["term_a"].combine_chunks(),
-                                              vt["term_b"].combine_chunks(),
-                                              _SEP)
-        keys = _skeys(key_col)
-        order = np.argsort(keys, kind="stable")
-        return keys[order], vt["c"].to_numpy()[order].astype(np.int64)
+    def prepare(t: pa.Table):
+        keys, order = sorted_keys(pair_key(t))
+        return keys, t["c"].to_numpy()[order].astype(np.int64)
 
-    ukeys, ucnts = sorted_pairs(uni_ds)     # keys look like "term\x1f"
-    bkeys, bcnts = sorted_pairs(bi_ds)
-    ref = ray.put((ukeys, ucnts, bkeys, bcnts))
+    def apply(rows: pa.Table, state) -> pa.Table:
+        return rows.append_column("c", pa.array(
+            lookup(*state, pair_key(rows)), type=pa.int64()))
 
-    def score(batch: pa.Table) -> pa.Table:
-        key = ref.hex() if hasattr(ref, "hex") else id(ref)
-        if key not in _bcast_cache:
-            _bcast_cache[key] = ray.get(ref)
-            while len(_bcast_cache) > 2:
-                _bcast_cache.pop(next(iter(_bcast_cache)))
-        ukeys, ucnts, bkeys, bcnts = _bcast_cache[key]
-        t = _doc_transitions(batch, id_col, text_col)
-        sent = pc.equal(t["term_a"], "")
-        runs = t.filter(pc.invert(sent))
-        did_all = batch[id_col].to_numpy()
-        n_docs = batch.num_rows
-        # map run doc_ids to batch row positions (ids within a batch
-        # are unique but not necessarily sorted)
-        id_order = np.argsort(did_all)
-        pos = id_order[np.searchsorted(did_all[id_order],
-                                       runs["doc_id"].to_numpy())]
-        k = runs["k"].to_numpy()
-        if runs.num_rows:
-            a = runs["term_a"].combine_chunks()
-            b = runs["term_b"].combine_chunks()
-            blank = pa.array([""] * runs.num_rows, type=pa.string())
-            c_a = _lookup(ukeys, ucnts, _skeys(
-                pc.binary_join_element_wise(a, blank, _SEP)))
-            c_b = _lookup(ukeys, ucnts, _skeys(
-                pc.binary_join_element_wise(b, blank, _SEP)))
-            c_ab = _lookup(bkeys, bcnts, _skeys(
-                pc.binary_join_element_wise(a, b, _SEP)))
-            w = k * _logp(c_ab, c_a, c_b, total, lam)
-            sums = np.bincount(pos, weights=w, minlength=n_docs)
-            n_trans = np.bincount(pos, weights=k,
-                                  minlength=n_docs).astype(np.int64)
-        else:
-            sums = np.zeros(n_docs)
-            n_trans = np.zeros(n_docs, dtype=np.int64)
-        return _finish(batch[id_col], n_trans, sums)
+    def finish(rows: pa.Table) -> pa.Table:
+        live = rows.filter(pc.greater_equal(rows["role"], 0))
+        # the three role rows of each run sit together, roles in order
+        live = live.take(pc.sort_indices(live, sort_keys=[
+            (id_col, "ascending"), ("run", "ascending"),
+            ("role", "ascending")]))
+        c = live["c"].to_numpy().reshape(-1, 3)
+        k = live["k"].to_numpy()[::3]
+        w = k * _logp(c[:, 2], c[:, 0], c[:, 1], total, lam)
+        sent = rows.filter(pc.less(rows["role"], 0))
+        ids, (n_trans, sums) = _per_doc_sums(pa.table({
+            id_col: pa.concat_arrays([
+                sent[id_col].combine_chunks(),
+                live[id_col].combine_chunks().take(
+                    pa.array(np.arange(0, live.num_rows, 3)))]),
+            "k": pa.array(np.concatenate([np.zeros(sent.num_rows), k])),
+            "w": pa.array(np.concatenate([np.zeros(sent.num_rows), w])),
+        }), id_col, ["k", "w"])
+        return _finish(ids, n_trans.astype(np.int64), sums)
 
-    return ds.map_batches(score, batch_format="pyarrow")
-
-
-def _bigram_score_joined(ds, uni_ds, bi_ds, total: float, lam: float,
-                         id_col: str, text_col: str):
-    """Scale path: transition runs attach c_ab / c_a / c_b through three
-    term-hash partitioned reduce-side joins, then one (doc_id) groupby.
-    Nothing vocabulary-sized leaves the tasks."""
-    from ray.data.aggregate import Sum
-
-    from ..util import crc32_column, default_join_partitions
-    nparts = default_join_partitions()
-
-    wide = pa.schema([
-        ("pkey", pa.int64()), ("side", pa.int8()),
-        ("doc_id", pa.int64()), ("key", pa.string()),
-        ("term_a", pa.string()), ("term_b", pa.string()),
-        ("k", pa.int64()), ("c_a", pa.int64()), ("c_b", pa.int64()),
-        ("c_ab", pa.int64()),
-    ])
-
-    def transitions(batch: pa.Table):
-        t = _doc_transitions(batch, id_col, text_col)
-        sent = pc.equal(t["term_a"], "")
-        runs = t.filter(pc.invert(sent))
-        sents = t.filter(sent)
-        n = runs.num_rows
-        z = pa.array(np.zeros(n, dtype=np.int64))
-        a = runs["term_a"].combine_chunks() if n else \
-            pa.array([], type=pa.string())
-        key0 = a    # first join attaches c_a, keyed by term_a
-        yield pa.table({
-            "pkey": pa.array((crc32_column(key0) % np.uint32(nparts))
-                             .astype(np.int64)),
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-            "doc_id": runs["doc_id"], "key": key0,
-            "term_a": runs["term_a"], "term_b": runs["term_b"],
-            "k": runs["k"], "c_a": z, "c_b": z, "c_ab": z,
-        })
-        m = sents.num_rows
-        zf = np.zeros(m, dtype=np.int64)
-        yield pa.table({
-            "pkey": pa.array(np.full(m, -1, dtype=np.int64)),
-            "side": pa.array(np.full(m, 2, dtype=np.int8)),  # sentinel
-            "doc_id": sents["doc_id"],
-            "key": pa.array([""] * m, type=pa.string()),
-            "term_a": sents["term_a"], "term_b": sents["term_b"],
-            "k": pa.array(zf), "c_a": pa.array(zf), "c_b": pa.array(zf),
-            "c_ab": pa.array(zf),
-        })
-
-    def state_rows(paired: bool):
-        def f(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or t.num_rows == 0:
-                return wide.empty_table()
-            ta = t["term_a"].combine_chunks()
-            if paired:
-                key = pc.binary_join_element_wise(
-                    ta, t["term_b"].combine_chunks(), _SEP)
-            else:
-                key = ta
-            n = t.num_rows
-            z = pa.array(np.zeros(n, dtype=np.int64))
-            return pa.table({
-                "pkey": pa.array((crc32_column(key) % np.uint32(nparts))
-                                 .astype(np.int64)),
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-                "doc_id": z, "key": key,
-                "term_a": t["term_a"], "term_b": t["term_b"],
-                "k": t["c"].cast(pa.int64()),       # state parks c in k
-                "c_a": z, "c_b": z, "c_ab": z,
-            })
-        return f
-
-    def attach(fill_col: str, next_key):
-        """next_key(tbl) -> the key column for the FOLLOWING join (or
-        None on the last one); re-keys + re-pkeys the left rows."""
-        def fn(group: pa.Table) -> pa.Table:
-            if group.num_columns == 0 or group.num_rows == 0:
-                return wide.empty_table()
-            side = group["side"].to_numpy()
-            st = group.filter(pa.array(side == 0))
-            lf = group.filter(pa.array(side == 1))
-            if lf.num_rows == 0:
-                return wide.empty_table()
-            skeys = _skeys(st["key"])
-            order = np.argsort(skeys, kind="stable")
-            cnt = _lookup(skeys[order], st["k"].to_numpy()[order],
-                          _skeys(lf["key"]))
-            cols = {c: lf[c] for c in wide.names}
-            cols[fill_col] = pa.array(cnt, type=pa.int64())
-            out = pa.table(cols)
-            if next_key is not None:
-                nk = next_key(out)
-                out = out.set_column(
-                    out.schema.get_field_index("key"), "key", nk)
-                out = out.set_column(
-                    out.schema.get_field_index("pkey"), "pkey",
-                    pa.array((crc32_column(nk) % np.uint32(nparts))
-                             .astype(np.int64)))
-            return out
-        return fn
-
-    left = ds.map_batches(transitions, batch_format="pyarrow")
-    sentinels = left.map_batches(
-        lambda t: t.filter(pc.equal(t["side"], 2)),
-        batch_format="pyarrow")
-    runs = left.map_batches(
-        lambda t: t.filter(pc.equal(t["side"], 1)),
-        batch_format="pyarrow")
-
-    def key_b(t):
-        return t["term_b"].combine_chunks()
-
-    def key_ab(t):
-        return pc.binary_join_element_wise(
-            t["term_a"].combine_chunks(), t["term_b"].combine_chunks(),
-            _SEP)
-
-    j1 = runs.union(uni_ds.map_batches(state_rows(False),
-                                       batch_format="pyarrow")) \
-        .groupby("pkey").map_groups(attach("c_a", key_b),
-                                    batch_format="pyarrow")
-    j2 = j1.union(uni_ds.map_batches(state_rows(False),
-                                     batch_format="pyarrow")) \
-        .groupby("pkey").map_groups(attach("c_b", key_ab),
-                                    batch_format="pyarrow")
-    j3 = j2.union(bi_ds.map_batches(state_rows(True),
-                                    batch_format="pyarrow")) \
-        .groupby("pkey").map_groups(attach("c_ab", None),
-                                    batch_format="pyarrow")
-
-    def weigh(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or t.num_rows == 0:
-            return pa.schema([("doc_id", pa.int64()), ("k", pa.int64()),
-                              ("w", pa.float64())]).empty_table()
-        k = t["k"].to_numpy()
-        w = np.zeros(len(k), dtype=np.float64)
-        live = k > 0               # sentinel rows carry zero counts
-        if live.any():
-            w[live] = k[live] * _logp(
-                t["c_ab"].to_numpy()[live], t["c_a"].to_numpy()[live],
-                t["c_b"].to_numpy()[live], total, lam)
-        return pa.table({"doc_id": t["doc_id"],
-                         "k": t["k"],
-                         "w": pa.array(w, type=pa.float64())})
-
-    agg = j3.union(sentinels).map_batches(weigh, batch_format="pyarrow") \
-        .groupby("doc_id") \
-        .aggregate(Sum("k", alias_name="n"), Sum("w", alias_name="s"))
-
-    def out(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or t.num_rows == 0:
-            return _OUT_SCHEMA.empty_table()
-        n = pc.fill_null(t["n"], 0).to_numpy().astype(np.int64)
-        s = pc.fill_null(t["s"], 0.0).to_numpy().astype(np.float64)
-        return _finish(t["doc_id"], n, s)
-
-    return agg.map_batches(out, batch_format="pyarrow")
+    return lookup_join(ds, counts, ["term_a", "term_b"], prepare, apply,
+                       explode=lambda b: _doc_transitions(b, id_col,
+                                                          text_col),
+                       regroup=(id_col, finish))

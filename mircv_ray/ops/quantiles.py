@@ -356,12 +356,8 @@ def winsorize(ds, value_col: str, lo: float = 0.01, hi: float = 0.99,
     return ds.map_batches(clip, batch_format="pyarrow")
 
 
-ZSCORE_BROADCAST_MAX_GROUPS = 5_000_000
-
-
 def zscore_normalize(ds, group_col: str, value_col: str,
-                     id_col: str = "event_id",
-                     broadcast_max_groups: int | None = None):
+                     id_col: str = "event_id"):
     """Per-group feature scaling — z-score ((x − mean)/stddev_pop) and
     min-max ((x − min)/(max − min)) of ``value_col`` within each
     ``group_col``: the standardization step before training on tabular
@@ -371,21 +367,19 @@ def zscore_normalize(ds, group_col: str, value_col: str,
 
     Scale shape: ONE pass emits per-batch map-side sufficient
     statistics (count, sum, sum-of-squares, min, max) per group; one
-    group-sized groupby merges them. At ``<= broadcast_max_groups``
-    distinct groups the tiny stats table broadcasts (ray.put once) and
-    a map-only pass scales — content never shuffles. ABOVE the gate
-    (per-user scaling at 10^9 users) the stats NEVER land in one heap:
-    a group-hash partitioned reduce-side attach (tag + union + one
-    pkey groupby — the `pmi_collocations` / `unigram_logprob` join
-    pattern) scales each partition with only ITS groups' stats.
-    Degenerate groups (one value / zero variance) emit 0.
-    NULL values pass through NULL and are excluded from the stats;
-    rows whose group is NULL or absent from the stats emit NULL scaled
-    columns (never another group's statistics).
+    group-sized groupby merges them. A ``lookup_join`` on the group
+    then scales the rows: map-only against the broadcast stats when
+    they fit the gate (content never shuffles), else group-partitioned
+    (per-user scaling at 10^9 users), where each partition scales with
+    only ITS groups' stats. Degenerate groups (one value / zero
+    variance) emit 0. NULL values pass through NULL and are excluded
+    from the stats; rows whose group is NULL or absent from the stats
+    emit NULL scaled columns (never another group's statistics).
     """
-    import ray
     import pyarrow.compute as pc
     from ray.data.aggregate import Max, Min, Sum
+
+    from .equijoin import lookup_join
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({group_col: batch[group_col],
@@ -409,9 +403,6 @@ def zscore_normalize(ds, group_col: str, value_col: str,
                          "s": a["v_sum"], "ss": a["sq_sum"],
                          "mn": a["v_min"], "mx": a["v_max"]})
 
-    if broadcast_max_groups is None:
-        broadcast_max_groups = ZSCORE_BROADCAST_MAX_GROUPS
-
     stats_ds = (ds.map_batches(partial, batch_format="pyarrow")
                 .groupby(group_col)
                 .aggregate(Sum("n", alias_name="n"),
@@ -419,40 +410,19 @@ def zscore_normalize(ds, group_col: str, value_col: str,
                            Sum("ss", alias_name="ss"),
                            Min("mn", alias_name="mn"),
                            Max("mx", alias_name="mx"))).materialize()
-    if stats_ds.count() > broadcast_max_groups:
-        return _zscore_joined(ds, stats_ds, group_col, value_col, id_col)
-
-    tbls = [t for t in ray.get(stats_ds.to_arrow_refs()) if t.num_rows]
-    if tbls:
-        st = pa.concat_tables(tbls).combine_chunks()
-        keys, mean, std, mn, mx = _zs_stats_arrays(st, group_col)
-    else:
-        keys = np.zeros(0, dtype="S1")
-        mean = std = mn = mx = np.zeros(0)
-    ref = ray.put((keys, mean, std, mn, mx))
-    cache: dict = {}
-
-    def scale(batch: pa.Table) -> pa.Table:
-        key = ref.hex() if hasattr(ref, "hex") else id(ref)
-        if key not in cache:
-            cache[key] = ray.get(ref)
-            while len(cache) > 4:
-                cache.pop(next(iter(cache)))
-        kv, me, sd, lo, hi = cache[key]
-        return _zs_scale_batch(batch, kv, me, sd, lo, hi,
-                               group_col, value_col, id_col)
-
-    return ds.map_batches(scale, batch_format="pyarrow")
+    return lookup_join(
+        ds, stats_ds, group_col, lambda st: _zs_stats_arrays(st, group_col),
+        lambda batch, state: _zs_scale_batch(batch, *state, group_col,
+                                             value_col, id_col))
 
 
 def _zs_stats_arrays(st: pa.Table, group_col: str):
     """Finalize merged sufficient statistics into sorted lookup arrays
-    (keys as byte strings, mean / stddev_pop / min / max) — the one
-    place both execution paths derive mean/std, so they are
-    value-identical by construction."""
-    keys = np.asarray(st[group_col].to_pylist(), dtype="S")
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    (keys, mean / stddev_pop / min / max) — the one place both
+    execution paths derive mean/std, so they are value-identical by
+    construction."""
+    from .equijoin import sorted_keys
+    keys, order = sorted_keys(st[group_col])
     n = st["n"].to_numpy()[order].astype(np.float64)
     s = st["s"].to_numpy()[order]
     ss = st["ss"].to_numpy()[order]
@@ -469,16 +439,11 @@ def _zs_scale_batch(batch: pa.Table, kv, me, sd, lo, hi,
     """Scale one batch against sorted per-group stat arrays. Rows whose
     group is NULL or ABSENT from the stats emit NULL scaled columns —
     a clamped searchsorted alone would silently borrow a neighboring
-    group's statistics (ADVICE r4)."""
+    group's statistics."""
     import pyarrow.compute as pc
-    g = batch[group_col]
-    if isinstance(g, pa.ChunkedArray):
-        g = g.combine_chunks()
-    gb = np.asarray(g.to_pylist(), dtype="S")
-    pos = np.minimum(np.searchsorted(kv, gb), max(len(kv) - 1, 0))
-    found = (kv[pos] == gb) if len(kv) else np.zeros(len(gb), bool)
-    if g.null_count:
-        found &= g.is_valid().to_numpy(zero_copy_only=False)
+
+    from .equijoin import probe
+    pos, found = probe(kv, batch[group_col])
     v = batch[value_col]
     if isinstance(v, pa.ChunkedArray):
         v = v.combine_chunks()
@@ -504,75 +469,3 @@ def _zs_scale_batch(batch: pa.Table, kv, me, sd, lo, hi,
                      group_col: batch[group_col],
                      value_col: v,
                      "zscore": za, "minmax": ma})
-
-
-def _zscore_joined(ds, stats_ds, group_col: str, value_col: str,
-                   id_col: str):
-    """Reduce-side stats attach for :func:`zscore_normalize` above the
-    broadcast gate: tag data rows (side=1) and stat rows (side=0) with
-    pkey = hash(group) % nparts, union, ONE pkey groupby — each
-    partition scales with only its own groups' stat rows, so no heap
-    ever holds the full group table (the `pmi_collocations` /
-    `unigram_logprob` reduce-side join pattern)."""
-    import pyarrow.compute as pc
-    from ..util import crc32_column, default_join_partitions
-    nparts = default_join_partitions()
-    schema = ds.schema().base_schema
-    id_type = schema.field(id_col).type
-    grp_type = schema.field(group_col).type
-    val_type = schema.field(value_col).type
-    out_schema = pa.schema([
-        (id_col, id_type), (group_col, grp_type), (value_col, val_type),
-        ("zscore", pa.float64()), ("minmax", pa.float64())])
-
-    def pkey_of(col) -> pa.Array:
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        s = pc.fill_null(pc.cast(col, pa.string()), "")
-        return pa.array((crc32_column(s) % np.uint32(nparts))
-                        .astype(np.int64))
-
-    def data_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        z = pa.array(np.zeros(n), type=pa.float64())
-        return pa.table({
-            "pkey": pkey_of(t[group_col]),
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-            id_col: t[id_col], group_col: t[group_col],
-            value_col: t[value_col],
-            "n": pa.array(np.zeros(n, dtype=np.int64)),
-            "s": z, "ss": z, "mn": z, "mx": z,
-        })
-
-    def stat_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({
-            "pkey": pkey_of(t[group_col]),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-            id_col: pa.nulls(n, id_type),
-            group_col: t[group_col],
-            value_col: pa.nulls(n, val_type),
-            "n": t["n"].cast(pa.int64()), "s": t["s"], "ss": t["ss"],
-            "mn": t["mn"], "mx": t["mx"],
-        })
-
-    def attach(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return out_schema.empty_table()
-        side = group["side"].to_numpy()
-        st = group.filter(pa.array(side == 0))
-        data = group.filter(pa.array(side == 1))
-        if data.num_rows == 0:
-            return out_schema.empty_table()
-        if st.num_rows:
-            kv, me, sd, lo, hi = _zs_stats_arrays(st, group_col)
-        else:
-            kv = np.zeros(0, dtype="S1")
-            me = sd = lo = hi = np.zeros(0)
-        return _zs_scale_batch(data, kv, me, sd, lo, hi,
-                               group_col, value_col, id_col)
-
-    tagged = (stats_ds.map_batches(stat_rows, batch_format="pyarrow")
-              .union(ds.map_batches(data_rows, batch_format="pyarrow")))
-    return tagged.groupby("pkey").map_groups(attach,
-                                             batch_format="pyarrow")

@@ -523,9 +523,9 @@ def embedding_near_dup_pairs(emb_ds, threshold: float = 0.9,
     ``bands`` buckets (pairs within Hamming distance 64/bands of each
     other share a band with high probability for high-cosine pairs);
     exact cosine verification inside each bucket. The normalized vectors
-    reach the verify stage through two partitioned hash joins of the
-    distinct candidate pairs against the (binary-packed) embedding
-    dataset — never a driver materialization or broadcast.
+    reach the verify stage through ``dedup._join_pair_state`` (the
+    distinct candidate pairs against the binary-packed embedding
+    dataset) — never a driver materialization.
     """
     from .. import use_push_shuffle
     use_push_shuffle(emb_ds)

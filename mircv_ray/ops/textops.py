@@ -294,9 +294,6 @@ def contamination_check(ds, probes, text_col: str = "text",
 
 # --------------------------------------------------- unigram LM scoring
 
-_lm_cache: dict = {}
-
-
 def _alnum_flat_terms(batch: pa.Table, text_col: str):
     """Lowercased alnum token STRINGS per doc -> (flat StringArray,
     parent doc indices, per-doc counts). The same token definition as
@@ -316,31 +313,48 @@ def _alnum_flat_terms(batch: pa.Table, text_col: str):
     return flat, parent, counts
 
 
-# vocabularies up to this many terms broadcast as one sorted array
-# (ray.put once, read once per worker). Code corpora at 10^12 docs have
-# multi-billion-term vocabularies (every identifier is a term — Heaps'
-# law does not flatten), so above the threshold the counts attach to the
-# token stream via a term-hash partitioned reduce-side join instead:
-# nothing vocabulary-sized ever lands on the driver or in one heap.
-# pytest pins both paths value-identical on the same corpus.
-LM_BROADCAST_MAX_VOCAB = 50_000_000
+def _doc_key_runs(batch: pa.Table, id_col: str, keys: pa.Array,
+                  parent: np.ndarray) -> pa.Table:
+    """(id_col, key, k): one row per distinct (doc, key) with its count
+    k, plus one NULL-key k=0 row per doc, so docs without keys still
+    reach the per-doc finish of a ``lookup_join``."""
+    ids = batch[id_col]
+    if isinstance(ids, pa.ChunkedArray):
+        ids = ids.combine_chunks()
+    g = pa.table({id_col: ids.take(pa.array(parent, type=pa.int64())),
+                  "key": keys}).group_by([id_col, "key"]) \
+        .aggregate([([], "count_all")])
+    return pa.concat_tables([
+        pa.table({id_col: g[id_col], "key": g["key"],
+                  "k": g["count_all"].cast(pa.int64())}),
+        pa.table({id_col: ids, "key": pa.nulls(len(ids), keys.type),
+                  "k": pa.array(np.zeros(len(ids), dtype=np.int64))}),
+    ]).combine_chunks()
 
 
-def unigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
-                    broadcast_max_vocab: int | None = None):
+def _per_doc_sums(rows: pa.Table, id_col: str, cols: list[str]):
+    """(one id per doc, [per-doc sum of each column]) over keyed rows."""
+    ids = rows[id_col]
+    if isinstance(ids, pa.ChunkedArray):
+        ids = ids.combine_chunks()
+    uniq, first, inv = np.unique(ids.to_numpy(zero_copy_only=False),
+                                 return_index=True, return_inverse=True)
+    return ids.take(pa.array(first, type=pa.int64())), [
+        np.bincount(inv, weights=rows[c].to_numpy(zero_copy_only=False),
+                    minlength=len(uniq)) for c in cols]
+
+
+def unigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text"):
     """Perplexity-style quality scoring under a unigram LM trained on
     the corpus itself (the shape of CCNet / Gopher perplexity filters,
     with the n=1 model exactly SQL-mirrorable). Two passes:
 
     1. global term counts — per-batch map-side combine, one vocab-sized
        groupby (materialized: it is read twice).
-    2. attach counts to the token stream and reduce per doc. Vocab <=
-       ``broadcast_max_vocab``: broadcast sorted arrays, map-only
-       searchsorted + one weighted bincount per batch. Larger: tagged-
-       union partitioned join — (doc, term, k) occurrence rows and
-       (term, c) count rows co-partition by term hash, counts attach by
-       in-partition searchsorted, then one (doc_id) groupby re-aggregates
-       — two slim exchanges, no driver vocab.
+    2. a ``lookup_join`` of each doc's (doc, term, k) runs against the
+       counts, then a per-doc sum: map-only against a broadcast sorted
+       vocabulary when it fits the gate, else term-partitioned with a
+       doc-partitioned finish — no driver vocab either way.
 
     Returns (doc_id, n_tokens, sum_log10_count, avg_neg_logprob) where
     avg_neg_logprob = log10(total_tokens) - sum_log10_count/n_tokens,
@@ -349,11 +363,9 @@ def unigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
     sums associate differently across engines, and 1e-10 absolute error
     against a 1e-4 grid keeps the SQL oracle hash-stable.
     """
-    import ray
     from ray.data.aggregate import Sum
 
-    if broadcast_max_vocab is None:
-        broadcast_max_vocab = LM_BROADCAST_MAX_VOCAB
+    from .equijoin import lookup, lookup_join, sorted_keys
 
     def term_counts(batch: pa.Table) -> pa.Table:
         flat, _, _ = _alnum_flat_terms(batch, text_col)
@@ -365,203 +377,43 @@ def unigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
     counts_ds = (ds.map_batches(term_counts, batch_format="pyarrow")
                    .groupby("term").aggregate(Sum("c", alias_name="c"))
                    .materialize())
-    n_vocab = counts_ds.count()
     total = float(counts_ds.sum("c") or 0)
     log_total = float(np.log10(max(total, 1.0)))
-    if n_vocab > broadcast_max_vocab:
-        return _lm_score_joined(ds, counts_ds, log_total, id_col, text_col)
 
-    tbls = [t for t in ray.get(counts_ds.to_arrow_refs()) if t.num_rows]
-    if tbls:
-        vocab_tbl = pa.concat_tables(tbls).combine_chunks()
-        terms = np.asarray(vocab_tbl["term"].to_pylist(), dtype="S")
-        order = np.argsort(terms, kind="stable")
-        terms = terms[order]
-        counts = vocab_tbl["c"].to_numpy()[order].astype(np.float64)
-    else:
-        terms = np.zeros(0, dtype="S1")
-        counts = np.zeros(0, dtype=np.float64)
-    lm_ref = ray.put((terms, np.log10(np.maximum(counts, 1.0)),
-                      log_total))
-
-    def score(batch: pa.Table) -> pa.Table:
-        key = lm_ref.hex() if hasattr(lm_ref, "hex") else id(lm_ref)
-        if key not in _lm_cache:
-            _lm_cache[key] = ray.get(lm_ref)
-            while len(_lm_cache) > 4:
-                _lm_cache.pop(next(iter(_lm_cache)))
-        vocab, logc, log_total = _lm_cache[key]
-        flat, parent, n_tok = _alnum_flat_terms(batch, text_col)
-        n_docs = batch.num_rows
-        denc = pc.dictionary_encode(flat)
-        if isinstance(denc, pa.ChunkedArray):
-            denc = denc.combine_chunks()
-        if len(denc):
-            dterms = np.asarray(denc.dictionary.to_pylist(), dtype="S")
-            width = max(int(vocab.dtype.itemsize),
-                        int(dterms.dtype.itemsize))
-            pos = np.searchsorted(vocab.astype(f"S{width}"),
-                                  dterms.astype(f"S{width}"))
-            vals = logc[pos][denc.indices.to_numpy(zero_copy_only=False)]
-            sums = np.bincount(parent, weights=vals, minlength=n_docs)
-        else:
-            sums = np.zeros(n_docs)
-        avg = np.where(n_tok > 0, log_total - sums / np.maximum(n_tok, 1),
-                       0.0)
-        return pa.table({
-            id_col: batch[id_col],
-            "n_tokens": pa.array(n_tok, type=pa.int64()),
-            "sum_log10_count": pa.array(np.round(sums, 4)),
-            "avg_neg_logprob": pa.array(np.round(avg, 4)),
-        })
-
-    return ds.map_batches(score, batch_format="pyarrow")
-
-
-_LM_ATTACH_SCHEMA = pa.schema([("doc_id", pa.int64()), ("k", pa.int64()),
-                               ("w", pa.float64())])
-
-
-def _lm_score_joined(ds, counts_ds, log_total: float, id_col: str,
-                     text_col: str):
-    """unigram_logprob's scale path: term counts attach to the documents'
-    (doc, term, k) occurrence rows via a term-hash partitioned reduce-side
-    join (tag + union + one groupby; Dataset.join is avoided — it crashes
-    on sparsely-occupied partitions, see ops/dedup.py), then one (doc_id)
-    groupby re-aggregates per-doc sums. Each doc also emits one sentinel
-    ''-term row (the alnum splitter never yields an empty term) so
-    zero-token docs survive to the output, value-equal to the broadcast
-    path."""
-    from ray.data.aggregate import Sum
-
-    from ..util import crc32_column, default_join_partitions
-    nparts = default_join_partitions()
-
-    def left_rows(batch: pa.Table) -> pa.Table:
+    def explode(batch: pa.Table) -> pa.Table:
         flat, parent, _ = _alnum_flat_terms(batch, text_col)
-        did_all = batch[id_col].to_numpy()
-        denc = pc.dictionary_encode(flat)
-        if isinstance(denc, pa.ChunkedArray):
-            denc = denc.combine_chunks()
-        codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        did = did_all[parent]
-        if len(codes):
-            order = np.lexsort((codes, did))
-            c2, d2 = codes[order], did[order]
-            change = np.empty(len(c2), dtype=bool)
-            change[0] = True
-            np.logical_or(c2[1:] != c2[:-1], d2[1:] != d2[:-1],
-                          out=change[1:])
-            starts = np.flatnonzero(change)
-            k = np.diff(np.append(starts, len(c2))).astype(np.int64)
-            terms = denc.dictionary.take(
-                pa.array(c2[starts], type=pa.int64())).cast(pa.string())
-            run_dids = d2[starts]
-        else:
-            terms = pa.array([], type=pa.string())
-            k = np.zeros(0, dtype=np.int64)
-            run_dids = np.zeros(0, dtype=np.int64)
-        term_col = pa.concat_arrays(
-            [terms, pa.array([""] * len(did_all), type=pa.string())])
-        # the ''-term sentinel rows (one per doc) never match a count
-        # row — partition them by DOC ID hash, not crc32(''), or every
-        # sentinel in the corpus lands in ONE pkey group and the scale
-        # path re-creates the single-heap hotspot it exists to avoid
-        pkey = (crc32_column(term_col)
-                % np.uint32(nparts)).astype(np.int64)
-        sent = np.arange(len(term_col)) >= len(k)
-        doc_ids_all = np.concatenate([run_dids, did_all])
-        pkey[sent] = (doc_ids_all[sent].astype(np.uint64)
-                      * np.uint64(2654435761)
-                      % np.uint64(nparts)).astype(np.int64)
-        nrows = len(term_col)
-        return pa.table({
-            "pkey": pa.array(pkey, type=pa.int64()),
-            "side": pa.array(np.ones(nrows, dtype=np.int8)),
-            "term": term_col,
-            "c": pa.array(np.zeros(nrows, dtype=np.int64)),
-            "doc_id": pa.array(np.concatenate([run_dids, did_all]),
-                               type=pa.int64()),
-            "k": pa.array(np.concatenate([k, np.zeros(len(did_all),
-                                                      dtype=np.int64)])),
-        })
+        return _doc_key_runs(batch, id_col, flat, parent)
 
-    def state_rows(batch: pa.Table) -> pa.Table:
-        term = batch["term"]
-        if isinstance(term, pa.ChunkedArray):
-            term = term.combine_chunks()
-        n = len(term)
-        pkey = (crc32_column(term) % np.uint32(nparts)).astype(np.int64)
-        return pa.table({
-            "pkey": pa.array(pkey, type=pa.int64()),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-            "term": term,
-            "c": batch["c"].cast(pa.int64()),
-            "doc_id": pa.array(np.zeros(n, dtype=np.int64)),
-            "k": pa.array(np.zeros(n, dtype=np.int64)),
-        })
+    def prepare(t: pa.Table):
+        keys, order = sorted_keys(t["term"])
+        c = t["c"].to_numpy()[order].astype(np.float64)
+        return keys, np.log10(np.maximum(c, 1.0))
 
-    def attach(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return _LM_ATTACH_SCHEMA.empty_table()
-        side = group["side"].to_numpy()
-        st = group.filter(pa.array(side == 0))
-        lf = group.filter(pa.array(side == 1))
-        if lf.num_rows == 0:
-            return _LM_ATTACH_SCHEMA.empty_table()
-        val = np.zeros(lf.num_rows, dtype=np.float64)
-        if st.num_rows:
-            sterms = np.asarray(st["term"].to_pylist(), dtype="S")
-            sorder = np.argsort(sterms, kind="stable")
-            sterms = sterms[sorder]
-            slogc = np.log10(np.maximum(
-                st["c"].to_numpy().astype(np.float64)[sorder], 1.0))
-            lterms = np.asarray(lf["term"].to_pylist(), dtype="S")
-            width = max(int(sterms.dtype.itemsize),
-                        int(lterms.dtype.itemsize))
-            sw = sterms.astype(f"S{width}")
-            pos = np.searchsorted(sw, lterms.astype(f"S{width}"))
-            pos_c = np.minimum(pos, len(sw) - 1)
-            hit = sw[pos_c] == lterms.astype(f"S{width}")
-            val[hit] = slogc[pos_c[hit]]
-        kk = lf["k"].to_numpy().astype(np.float64)
-        return pa.table({"doc_id": lf["doc_id"],
-                         "k": lf["k"],
-                         "w": pa.array(kk * val, type=pa.float64())})
+    def apply(rows: pa.Table, state) -> pa.Table:
+        w = lookup(*state, rows["key"]) * rows["k"].to_numpy()
+        return rows.append_column("w", pa.array(w, type=pa.float64()))
 
-    tagged = counts_ds.map_batches(state_rows, batch_format="pyarrow") \
-        .union(ds.map_batches(left_rows, batch_format="pyarrow"))
-    attached = tagged.groupby("pkey").map_groups(attach,
-                                                 batch_format="pyarrow")
-    agg = attached.groupby("doc_id").aggregate(
-        Sum("k", alias_name="n_tokens"), Sum("w", alias_name="wsum"))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return pa.schema([(id_col, pa.int64()),
-                              ("n_tokens", pa.int64()),
-                              ("sum_log10_count", pa.float64()),
-                              ("avg_neg_logprob", pa.float64())]) \
-                .empty_table()
-        n_tok = batch["n_tokens"].to_numpy()
-        sums = batch["wsum"].to_numpy()
+    def finish(rows: pa.Table) -> pa.Table:
+        ids, (n_tok, sums) = _per_doc_sums(rows, id_col, ["k", "w"])
+        n_tok = n_tok.astype(np.int64)
         avg = np.where(n_tok > 0, log_total - sums / np.maximum(n_tok, 1),
                        0.0)
         return pa.table({
-            id_col: batch["doc_id"].cast(pa.int64()),
+            id_col: ids,
             "n_tokens": pa.array(n_tok, type=pa.int64()),
             "sum_log10_count": pa.array(np.round(sums, 4)),
             "avg_neg_logprob": pa.array(np.round(avg, 4)),
         })
 
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return lookup_join(ds, counts_ds, "key", prepare, apply,
+                       right_on="term", explode=explode,
+                       regroup=(id_col, finish))
 
 
 # --------------------------------- n-gram decontamination (Bloom prefilter)
 
 def contamination_ngram(ds, probes, n: int = 20, text_col: str = "text",
-                        id_col: str = "doc_id", fpr: float = 1e-3,
-                        attach_broadcast_max_bytes: int | None = None):
+                        id_col: str = "doc_id", fpr: float = 1e-3):
     """(doc_id, n_shared_grams, contaminated) for every document —
     n-gram-overlap decontamination: a document is contaminated iff it
     shares any length-``n`` byte window with any probe (the GPT-3
@@ -700,15 +552,13 @@ def contamination_ngram(ds, probes, n: int = 20, text_col: str = "text",
         verify, batch_format="pyarrow")
     counts = per_part.groupby(id_col).sum("c")
     # per-doc counts attach back onto the full id column via the
-    # ADAPTIVE equi-join (judge r4 note): a small contaminated set
-    # broadcasts map-side exactly as before, but an adversarially
-    # contaminated corpus (output approaching corpus-sized) switches to
-    # the partitioned MR join — the counts never land in the driver
-    # heap at ANY size
+    # equi-join: a small contaminated set broadcasts map-side, an
+    # adversarially contaminated corpus (output approaching corpus-
+    # sized) takes the partitioned path — the counts never land in the
+    # driver heap at ANY size
     from .equijoin import equi_join
     joined = equi_join(ds.select_columns([id_col]), counts,
-                       on=id_col, how="left",
-                       broadcast_max_bytes=attach_broadcast_max_bytes)
+                       on=id_col, how="left")
 
     def finish(batch: pa.Table) -> pa.Table:
         cnt = pc.fill_null(batch["sum(c)"], 0).to_numpy(

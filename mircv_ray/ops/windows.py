@@ -42,7 +42,7 @@ def tumbling_window_agg(events_ds, width_us: int = US_PER_HOUR):
     (window, type) partials — equivalent to a streaming tumbling-window
     count/sum with batch semantics.
     """
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     from .. import use_push_shuffle
     use_push_shuffle(events_ds)

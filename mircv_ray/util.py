@@ -244,13 +244,33 @@ def crc32_column(arr: pa.Array | pa.ChunkedArray,
 
 
 def default_join_partitions(lo: int = 2, hi: int = 64) -> int:
-    """Hash-join partition count sized to the cluster: each Dataset.join
-    spawns one aggregator actor per partition, so a fixed large count
-    starves a small node (deadlock) while a small count under-parallelizes
-    a big cluster. ~half the CPUs leaves room for the map tasks."""
+    """Hash-partition count for ``ops.equijoin.lookup_join``'s
+    partitioned path (one split task per block, one reduce per
+    partition), sized to the cluster: too many partitions make tiny
+    reduces on a small node, too few under-parallelize a big cluster.
+    ~half the CPUs leaves room for the split tasks."""
     import ray
     cpus = int(ray.cluster_resources().get("CPU", 8))
     return max(lo, min(hi, cpus // 2))
+
+
+_worker_cache: dict = {}
+
+
+def _cached_get(ref):
+    """``ray.get`` memoized per worker process, keyed by the ref: every
+    broadcast (the build's id mapping, a lookup join's prepared right
+    side) is fetched once per worker, not once per batch. Bounded:
+    an entry can be broadcast-sized and pin its plasma object through
+    zero-copy views, so repeated jobs in one long-lived process must
+    not accumulate them."""
+    key = ref.hex() if hasattr(ref, "hex") else id(ref)
+    if key not in _worker_cache:
+        import ray
+        while len(_worker_cache) >= 8:
+            _worker_cache.pop(next(iter(_worker_cache)))
+        _worker_cache[key] = ray.get(ref)
+    return _worker_cache[key]
 
 
 def sha256_hex_column(arr: pa.Array | pa.ChunkedArray,

@@ -6,6 +6,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+import mircv_ray.ops.equijoin as ej
+
 
 def _brute(docs, lam):
     """Independent pure-Python interpolated bigram LM."""
@@ -36,8 +38,10 @@ def _run(docs, lam, threshold, parts=4):
         "doc_id": pa.array([d for d, _ in docs], type=pa.int64()),
         "text": pa.array([t for _, t in docs]),
     })).repartition(parts)
-    return bigram_logprob(ds, lam=lam, broadcast_max_vocab=threshold) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ej, "BROADCAST_MAX_BYTES", threshold)
+        return bigram_logprob(ds, lam=lam) \
+            .to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
 @pytest.fixture(scope="module")

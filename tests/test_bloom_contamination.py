@@ -3,6 +3,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+import mircv_ray.ops.equijoin as ej
+
 
 def _brute_contaminated(docs, probes, n):
     """(doc_id -> count of DISTINCT shared n-byte windows)."""
@@ -79,10 +81,11 @@ def test_contamination_ngram_equals_brute_force(ray_session, n,
         "doc_id": pa.array([d for d, _ in docs], type=pa.int64()),
         "text": pa.array([t for _, t in docs]),
     })).repartition(5)
-    got = contamination_ngram(
-        ds, probes, n=n,
-        attach_broadcast_max_bytes=attach_bcast).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
+    with pytest.MonkeyPatch.context() as mp:
+        if attach_bcast is not None:
+            mp.setattr(ej, "BROADCAST_MAX_BYTES", attach_bcast)
+        got = contamination_ngram(ds, probes, n=n).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
     exp = _brute_contaminated(docs, probes, n)
     assert got.doc_id.tolist() == sorted(exp)
     for _, row in got.iterrows():

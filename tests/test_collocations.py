@@ -6,6 +6,8 @@ import re
 import pyarrow as pa
 import pytest
 
+import mircv_ray.ops.equijoin as ej
+
 from mircv_ray.ops.collocations import pmi_collocations
 
 
@@ -47,8 +49,9 @@ FIXTURE = [
 @pytest.mark.parametrize("min_count", [1, 2, 3])
 @pytest.mark.parametrize("bmax", [10**9, 0])  # broadcast vs joined path
 def test_pmi_vs_brute_force(ray_session, min_count, bmax):
-    t = pmi_collocations(_ds(FIXTURE), min_count=min_count,
-                         broadcast_max_vocab=bmax).to_pandas()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ej, "BROADCAST_MAX_BYTES", bmax)
+        t = pmi_collocations(_ds(FIXTURE), min_count=min_count).to_pandas()
     got = {(r.term_a, r.term_b): (r.pair_count, r.pmi)
            for r in t.itertuples()}
     assert got == _brute(FIXTURE, min_count)
@@ -62,8 +65,9 @@ def test_random_corpus_both_paths_identical(ray_session):
             for _ in range(120)]
     exp = _brute(docs, 2)
     for bmax in (10**9, 0):
-        t = pmi_collocations(_ds(docs, 5), min_count=2,
-                             broadcast_max_vocab=bmax).to_pandas()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ej, "BROADCAST_MAX_BYTES", bmax)
+            t = pmi_collocations(_ds(docs, 5), min_count=2).to_pandas()
         got = {(r.term_a, r.term_b): (r.pair_count, r.pmi)
                for r in t.itertuples()}
         assert got == exp

@@ -83,3 +83,25 @@ class TestDsirWeights:
         np.testing.assert_allclose(out.log_weight, want, atol=2e-4)
         np.testing.assert_array_equal(out.n_tokens,
                                       [len(tk) for tk in toks])
+
+
+@pytest.mark.parametrize("buckets", [None, 64])
+def test_partitioned_path_equals_broadcast(ray_session, monkeypatch,
+                                           buckets):
+    # above the broadcast gate the model attaches key-partitioned with a
+    # doc-partitioned finish; both paths give the same weights
+    import ray.data as rd
+    import mircv_ray.ops.equijoin as ej
+    from mircv_ray.ops import dsir_weights
+    tbl = _corpus()
+
+    def run():
+        return (dsir_weights(rd.from_arrow(tbl).repartition(3), "lang",
+                             "en", buckets=buckets)
+                .to_pandas().sort_values("doc_id").reset_index(drop=True))
+
+    a = run()
+    monkeypatch.setattr(ej, "BROADCAST_MAX_BYTES", 0)
+    b = run()
+    assert a.doc_id.tolist() == list(range(tbl.num_rows))
+    assert a.equals(b)

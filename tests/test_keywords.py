@@ -5,6 +5,9 @@ from collections import Counter
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pytest
+
+import mircv_ray.ops.equijoin as ej
 
 
 DOCS = [
@@ -37,7 +40,7 @@ def _brute(docs, k):
     return out
 
 
-def _run(docs, parts=3, **kw):
+def _run(docs, parts=3, gate=None, **kw):
     import ray
     import ray.data as rd
     from mircv_ray.ops import tfidf_keywords
@@ -45,7 +48,10 @@ def _run(docs, parts=3, **kw):
         "doc_id": pa.array([d for d, _ in docs], type=pa.int64()),
         "text": pa.array([t for _, t in docs], type=pa.string()),
     })).repartition(parts)
-    out = tfidf_keywords(ds, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        if gate is not None:
+            mp.setattr(ej, "BROADCAST_MAX_BYTES", gate)
+        out = tfidf_keywords(ds, **kw)
     t = pa.concat_tables(ray.get(out.to_arrow_refs()),
                          promote_options="default").combine_chunks()
     t = t.take(pc.sort_indices(t, sort_keys=[("doc_id", "ascending"),
@@ -72,7 +78,7 @@ def test_tfidf_keywords_equals_brute_force(ray_session):
 
 def test_tfidf_keywords_joined_path_identical(ray_session):
     a = _run(DOCS, k=4)
-    b = _run(DOCS, k=4, broadcast_max_vocab=0)
+    b = _run(DOCS, k=4, gate=0)
     assert a == b
 
 

@@ -2,6 +2,9 @@
 parity on handcrafted docs, broadcast ≡ partitioned-join identity."""
 import pyarrow as pa
 import pyarrow.compute as pc
+import pytest
+
+import mircv_ray.ops.equijoin as ej
 
 
 DOCS = [
@@ -29,11 +32,14 @@ def _brute_line_dedup(docs, min_count=2):
     return out
 
 
-def _run(ds, **kw):
+def _run(ds, gate=None, **kw):
     import ray
     from mircv_ray.ops import line_dedup
-    t = pa.concat_tables(ray.get(line_dedup(ds, **kw).to_arrow_refs()),
-                         promote_options="default").combine_chunks()
+    with pytest.MonkeyPatch.context() as mp:
+        if gate is not None:
+            mp.setattr(ej, "BROADCAST_MAX_BYTES", gate)
+        t = pa.concat_tables(ray.get(line_dedup(ds, **kw).to_arrow_refs()),
+                             promote_options="default").combine_chunks()
     return t.take(pc.sort_indices(t, sort_keys=[("doc_id", "ascending")]))
 
 
@@ -79,12 +85,12 @@ def test_line_dedup_min_count_3(ray_session):
 
 
 def test_line_dedup_joined_path_identical(ray_session):
-    # broadcast_max_lines=0 forces the partitioned-join rebuild; output
+    # gate=0 forces the partitioned-join rebuild; output
     # must be byte-identical to the broadcast path
     a = _run(_docs_ds())
-    b = _run(_docs_ds(), broadcast_max_lines=0)
+    b = _run(_docs_ds(), gate=0)
     assert a.equals(b)
-    c = _run(_docs_ds(), min_count=3, broadcast_max_lines=0)
+    c = _run(_docs_ds(), min_count=3, gate=0)
     d = _run(_docs_ds(), min_count=3)
     assert c.equals(d)
 

@@ -6,6 +6,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
+import mircv_ray.ops.equijoin as ej
+
 from mircv_ray.ops import grouped_quantiles
 
 QS = {"p25": 0.25, "p50": 0.5, "p75": 0.75, "p95": 0.95}
@@ -138,15 +140,16 @@ class TestZscoreNormalize:
 
     @pytest.mark.parametrize("gate", [None, 0])
     def test_matches_reference_and_paths_identical(self, ray_session,
-                                                   gate):
+                                                   monkeypatch, gate):
         # gate=None -> broadcast path; gate=0 -> reduce-side join path
         # (judge r4 item 3: both must be value-identical)
         import ray.data as rd
         from mircv_ray.ops import zscore_normalize
         tbl = self._events()
+        if gate is not None:
+            monkeypatch.setattr(ej, "BROADCAST_MAX_BYTES", gate)
         out = (zscore_normalize(rd.from_arrow(tbl).repartition(5),
-                                "event_type", "value",
-                                broadcast_max_groups=gate)
+                                "event_type", "value")
                .to_pandas().sort_values("event_id").reset_index(drop=True))
         df = tbl.to_pandas()
         got = out.set_index("event_id")
@@ -166,7 +169,7 @@ class TestZscoreNormalize:
 
     @pytest.mark.parametrize("gate", [None, 0])
     def test_null_group_rows_emit_null_not_borrowed(self, ray_session,
-                                                    gate):
+                                                    monkeypatch, gate):
         # ADVICE r4: NULL-group rows must NOT borrow a neighboring
         # group's stats — they emit NULL scaled columns
         import ray.data as rd
@@ -176,8 +179,10 @@ class TestZscoreNormalize:
             "event_type": pa.array(["a", "a", None, "b", None]),
             "value": pa.array([1.0, 3.0, 100.0, 7.0, None]),
         })
+        if gate is not None:
+            monkeypatch.setattr(ej, "BROADCAST_MAX_BYTES", gate)
         out = (zscore_normalize(rd.from_arrow(tbl), "event_type",
-                                "value", broadcast_max_groups=gate)
+                                "value")
                .to_pandas().sort_values("event_id").reset_index(drop=True))
         assert out.zscore[2] != out.zscore[2]        # NaN (null)
         assert out.minmax[2] != out.minmax[2]

@@ -244,8 +244,8 @@ class TestAdaptiveBroadcastParity:
     threshold so BOTH paths run on the same input."""
 
     def _pairs_df(self, ds_fn, monkeypatch, max_bytes):
-        import mircv_ray.ops.dedup as dd
-        monkeypatch.setattr(dd, "BROADCAST_STATE_MAX_BYTES", max_bytes)
+        import mircv_ray.ops.equijoin as ej
+        monkeypatch.setattr(ej, "BROADCAST_MAX_BYTES", max_bytes)
         df = ds_fn().to_pandas()
         return df.sort_values(["a", "b"]).reset_index(drop=True)
 

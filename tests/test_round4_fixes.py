@@ -21,6 +21,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
+import mircv_ray.ops.equijoin as ej
+
 from mircv_ray.config import IndexConfig
 from mircv_ray.sources import generate_corpus_table
 
@@ -210,14 +212,14 @@ class TestBcastCacheBound:
     def test_eviction(self, ray_session):
         import ray
 
-        from mircv_ray.ops import dedup
-        dedup._bcast_cache.clear()
-        refs = [ray.put(i) for i in range(5)]
+        from mircv_ray import util
+        util._worker_cache.clear()
+        refs = [ray.put(i) for i in range(10)]
         for r in refs:
-            assert dedup._get_bcast(r) is not None
-        assert len(dedup._bcast_cache) <= 2
+            assert util._cached_get(r) is not None
+        assert len(util._worker_cache) <= 8
         # most recent entry still cached and correct
-        assert dedup._get_bcast(refs[-1]) == 4
+        assert util._cached_get(refs[-1]) == 9
 
 
 # ---------------------------------------------- LM join-path parity
@@ -236,26 +238,27 @@ class TestLmJoinPathParity:
             "text": pa.array(texts, type=pa.string()),
         })
 
-    def test_join_equals_broadcast(self, ray_session):
+    def test_join_equals_broadcast(self, ray_session, monkeypatch):
         import ray.data as rd
 
         from mircv_ray.ops.textops import unigram_logprob
         tbl = self._docs()
         a = _collect(unigram_logprob(
             rd.from_arrow(tbl).repartition(6)), ["doc_id"])
+        monkeypatch.setattr(ej, "BROADCAST_MAX_BYTES", 0)
         b = _collect(unigram_logprob(
-            rd.from_arrow(tbl).repartition(6), broadcast_max_vocab=0),
-            ["doc_id"])
+            rd.from_arrow(tbl).repartition(6)), ["doc_id"])
         assert a.num_rows == tbl.num_rows        # zero-token docs survive
         assert a.equals(b)
 
-    def test_empty_corpus(self, ray_session):
+    def test_empty_corpus(self, ray_session, monkeypatch):
         import ray.data as rd
 
         from mircv_ray.ops.textops import unigram_logprob
         empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
                           "text": pa.array([], type=pa.string())})
-        out = unigram_logprob(rd.from_arrow(empty), broadcast_max_vocab=0)
+        monkeypatch.setattr(ej, "BROADCAST_MAX_BYTES", 0)
+        out = unigram_logprob(rd.from_arrow(empty))
         assert out.count() == 0
 
 
