@@ -18,7 +18,13 @@ id so top-k SETS are deterministic.
 from __future__ import annotations
 
 import hashlib
+import math
+import re
+import shutil
+import tempfile
+from collections import Counter
 from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -26,6 +32,20 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
+import ray.data as rd
+from ray.data.aggregate import Count
+
+from mircv_ray import ops
+from mircv_ray.build import (build_index, build_positions_index, delete_docs,
+                             merge_indexes, positions, prune_index,
+                             reshard_index, upsert_docs, vacuum_index)
+from mircv_ray.config import IndexConfig, QueryConfig
+from mircv_ray.ops.bpe import EOW
+from mircv_ray.query import (QueryEngine, bm25f, boolean, champions, dump,
+                             explain, facets, federated, feedback, fuzzy,
+                             kgram, phrase, snippets)
+from mircv_ray.sources import documents_as_corpus, documents_as_corpus_table
 
 _CACHE_ROOT = Path("/tmp/mircv_ray_cache")
 _CACHE_VERSION = 3  # bump when corpus mapping / index layout changes
@@ -928,22 +948,31 @@ _TFIDF_EXPR = "(1.0 + log10(tf.tf)) * log10(s.n / df.df)"
 
 
 # ---------------------------------------------------------------------------
-# Ray-side helpers
+# Ray-side helpers: cached index fixtures, source readers, result tails
 # ---------------------------------------------------------------------------
+
+# every cached fixture index uses the basic (SQL-mirrorable) tokenizer
+_BASIC_CFG = IndexConfig(parse=False, squeeze=False, codec="vbyte",
+                         num_shards=4, salt_buckets=2)
+
+
+def _cached(spec: str, name: str, make: Callable[[Path], Any],
+            marker: str | None = "stats.json") -> str:
+    """The cache dir ``{name}_{sha1(spec|version)}`` of one derived
+    index. ``make(out)`` builds it unless ``out/marker`` exists; with no
+    marker the builder is resumable and always runs."""
+    key = hashlib.sha1(f"{spec}|v{_CACHE_VERSION}".encode()).hexdigest()[:12]
+    out = _CACHE_ROOT / f"{name}_{key}"
+    if marker is None or not (out / marker).exists():
+        make(out)
+    return str(out)
+
 
 def _basic_index(sf_dir: str) -> str:
     """Build (once, resumable) the basic-mode index for sf_dir."""
-    import ray.data as rd
-    from mircv_ray.build import build_index
-    from mircv_ray.config import IndexConfig
-    from mircv_ray.sources import documents_as_corpus
-    key = hashlib.sha1(f"{sf_dir}|v{_CACHE_VERSION}".encode()).hexdigest()[:12]
-    out = _CACHE_ROOT / f"basic_{key}"
-    cfg = IndexConfig(parse=False, squeeze=False, codec="vbyte",
-                      num_shards=4, salt_buckets=2)
-    build_index(documents_as_corpus(sf_dir), str(out), cfg,
-                lineage={"source": f"{sf_dir}/documents.parquet"})
-    return str(out)
+    return _cached(sf_dir, "basic", lambda out: build_index(
+        documents_as_corpus(sf_dir), str(out), _BASIC_CFG,
+        lineage={"source": f"{sf_dir}/documents.parquet"}), marker=None)
 
 
 def _title_index(sf_dir: str) -> str:
@@ -952,26 +981,17 @@ def _title_index(sf_dir: str) -> str:
     characters — the second field of the BM25F entry. A doc whose
     title slice trims blank is simply absent from this index (BM25F
     joins fields by path key, immune to per-field drops)."""
-    import ray.data as rd
-    from mircv_ray.build import build_index
-    from mircv_ray.config import IndexConfig
-    from mircv_ray.sources import documents_as_corpus
-    key = hashlib.sha1(f"{sf_dir}|title|v{_CACHE_VERSION}"
-                       .encode()).hexdigest()[:12]
-    out = _CACHE_ROOT / f"title_{key}"
-
     def to_title(batch: pa.Table) -> pa.Table:
         i = batch.schema.get_field_index("content")
         return batch.set_column(
             i, "content", pc.utf8_slice_codeunits(batch["content"], 0, 40))
 
-    cfg = IndexConfig(parse=False, squeeze=False, codec="vbyte",
-                      num_shards=4, salt_buckets=2)
-    build_index(documents_as_corpus(sf_dir)
-                .map_batches(to_title, batch_format="pyarrow"),
-                str(out), cfg,
-                lineage={"source": f"{sf_dir}/documents.parquet#title40"})
-    return str(out)
+    return _cached(f"{sf_dir}|title", "title", lambda out: build_index(
+        documents_as_corpus(sf_dir).map_batches(to_title,
+                                                batch_format="pyarrow"),
+        str(out), _BASIC_CFG,
+        lineage={"source": f"{sf_dir}/documents.parquet#title40"}),
+        marker=None)
 
 
 def _merged_index(sf_dir: str) -> str:
@@ -980,34 +1000,26 @@ def _merged_index(sf_dir: str) -> str:
     the rest, then merge_indexes them. Append-ordered split, so the
     merged index is bit-identical to the full-corpus build — its
     postings dump shares the full corpus's SQL oracle."""
-    import ray.data as rd
-    from mircv_ray.build import build_index, merge_indexes
-    from mircv_ray.config import IndexConfig
-    from mircv_ray.sources import documents_as_corpus
-    key = hashlib.sha1(f"{sf_dir}|merge|v{_CACHE_VERSION}"
-                       .encode()).hexdigest()[:12]
-    out = _CACHE_ROOT / f"merged_{key}"
-    if (out / "stats.json").exists():
-        return str(out)
-    ids = np.sort(pq.read_table(f"{sf_dir}/documents.parquet",
-                                columns=["doc_id"])["doc_id"].to_numpy())
-    cut = int(ids[len(ids) // 2])
+    def make(out: Path) -> None:
+        ids = np.sort(pq.read_table(f"{sf_dir}/documents.parquet",
+                                    columns=["doc_id"])["doc_id"].to_numpy())
+        cut = int(ids[len(ids) // 2])
 
-    def half(lo: bool):
-        def f(batch: pa.Table) -> pa.Table:
-            did = pc.cast(pc.utf8_slice_codeunits(batch["path"], 4, 12),
-                          pa.int64())
-            keep = pc.less(did, cut) if lo else pc.greater_equal(did, cut)
-            return batch.filter(keep)
-        return documents_as_corpus(sf_dir).map_batches(
-            f, batch_format="pyarrow")
+        def half(lo: bool):
+            def f(batch: pa.Table) -> pa.Table:
+                did = pc.cast(pc.utf8_slice_codeunits(batch["path"], 4, 12),
+                              pa.int64())
+                keep = pc.less(did, cut) if lo else pc.greater_equal(did, cut)
+                return batch.filter(keep)
+            return documents_as_corpus(sf_dir).map_batches(
+                f, batch_format="pyarrow")
 
-    cfg = IndexConfig(parse=False, squeeze=False, codec="vbyte",
-                      num_shards=4, salt_buckets=2)
-    build_index(half(True), str(out) + ".base", cfg)
-    build_index(half(False), str(out) + ".delta", cfg)
-    merge_indexes(str(out) + ".base", str(out) + ".delta", str(out), cfg)
-    return str(out)
+        build_index(half(True), str(out) + ".base", _BASIC_CFG)
+        build_index(half(False), str(out) + ".delta", _BASIC_CFG)
+        merge_indexes(str(out) + ".base", str(out) + ".delta", str(out),
+                      _BASIC_CFG)
+
+    return _cached(f"{sf_dir}|merge", "merged", make)
 
 
 def _upserted_index(sf_dir: str) -> str:
@@ -1017,17 +1029,6 @@ def _upserted_index(sf_dir: str) -> str:
     rows (build/upsert.py). The dump view (tombstones applied) is
     SQL-mirrorable: unchanged docs keep their docnos, upserted versions
     take post-base docnos in doc_id order."""
-    import ray.data as rd
-    from mircv_ray.build import upsert_docs
-    from mircv_ray.config import IndexConfig
-    from mircv_ray.sources import documents_as_corpus
-    key = hashlib.sha1(f"{sf_dir}|upsert|v{_CACHE_VERSION}"
-                       .encode()).hexdigest()[:12]
-    out = _CACHE_ROOT / f"upserted_{key}"
-    if (out / "_UPSERTED").exists():
-        return str(out)
-    base = _basic_index(sf_dir)
-
     def modified(batch: pa.Table) -> pa.Table:
         did = pc.cast(pc.utf8_slice_codeunits(batch["path"], 4, 12),
                       pa.int64()).to_numpy(zero_copy_only=False)
@@ -1039,25 +1040,20 @@ def _upserted_index(sf_dir: str) -> str:
             pc.binary_join_element_wise(
                 b["content"], " upserted edition", ""))
 
-    delta = documents_as_corpus(sf_dir).map_batches(
-        modified, batch_format="pyarrow")
-    cfg = IndexConfig(parse=False, squeeze=False, codec="vbyte",
-                      num_shards=4, salt_buckets=2)
-    upsert_docs(base, delta, str(out), cfg)
-    (out / "_UPSERTED").touch()
-    return str(out)
+    def make(out: Path) -> None:
+        delta = documents_as_corpus(sf_dir).map_batches(
+            modified, batch_format="pyarrow")
+        upsert_docs(_basic_index(sf_dir), delta, str(out), _BASIC_CFG)
+        (out / "_UPSERTED").touch()
+
+    return _cached(f"{sf_dir}|upsert", "upserted", make, marker="_UPSERTED")
 
 
 def _deleted_index(sf_dir: str) -> str:
     """Copy of the basic index with every doc whose ORIGINAL doc_id is a
     multiple of 7 tombstoned (engine docId = original + 1, so the
     tombstone set is SQL-mirrorable as ``doc_id % 7 = 0``)."""
-    import shutil
-    from mircv_ray.build import delete_docs
-    key = hashlib.sha1(f"{sf_dir}|del|v{_CACHE_VERSION}"
-                       .encode()).hexdigest()[:12]
-    out = _CACHE_ROOT / f"deleted_{key}"
-    if not (out / "_DELETED").exists():
+    def make(out: Path) -> None:
         src = _basic_index(sf_dir)
         tmp = Path(str(out) + ".tmp")
         shutil.rmtree(tmp, ignore_errors=True)
@@ -1068,40 +1064,89 @@ def _deleted_index(sf_dir: str) -> str:
         delete_docs(str(tmp), orig[orig % 7 == 0] + 1)
         (tmp / "_DELETED").touch()
         tmp.rename(out)
-    return str(out)
+
+    return _cached(f"{sf_dir}|del", "deleted", make, marker="_DELETED")
 
 
 def _vacuumed_index(sf_dir: str) -> str:
-    from mircv_ray.build import vacuum_index
-    key = hashlib.sha1(f"{sf_dir}|vac|v{_CACHE_VERSION}"
-                       .encode()).hexdigest()[:12]
-    out = _CACHE_ROOT / f"vacuumed_{key}"
-    if not (out / "stats.json").exists():
-        vacuum_index(_deleted_index(sf_dir), str(out))
-    return str(out)
+    return _cached(f"{sf_dir}|vac", "vacuumed", lambda out: vacuum_index(
+        _deleted_index(sf_dir), str(out)))
 
 
-def _round6(tbl: pa.Table, col: str) -> pa.Table:
-    i = tbl.schema.get_field_index(col)
-    return tbl.set_column(i, col, pc.round(tbl[col], ndigits=6))
+def _resharded_index(sf_dir: str) -> str:
+    return _cached(f"{sf_dir}|reshard", "resharded",
+                   lambda out: reshard_index(_basic_index(sf_dir), str(out),
+                                             num_shards=5, salt_buckets=3))
 
 
-def _docs_ds(sf_dir: str):
-    import ray.data as rd
-    return rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+def _federated_indexes(sf_dir: str) -> list[str]:
+    """Build (once, resumable) TWO sub-indexes over a doc_id split of
+    the documents corpus — the federated entry's partitioned twin of
+    the basic index."""
+    tbl = documents_as_corpus_table(sf_dir)
+    ids = np.array([int(p[4:12]) for p in tbl["path"].to_pylist()])
+    cut = int(np.median(ids))
+    return [_cached(f"{sf_dir}|fed{name}", f"fed_{name}",
+                    lambda out, mask=mask: build_index(
+                        rd.from_arrow(tbl.filter(pa.array(mask))),
+                        str(out), _BASIC_CFG))
+            for name, mask in (("lo", ids < cut), ("hi", ids >= cut))]
+
+
+def _positions_index(sf_dir: str) -> str:
+    """The basic index plus its positional sidecar (a no-op once built)."""
+    idx = _basic_index(sf_dir)
+    build_positions_index(idx, documents_as_corpus(sf_dir), _BASIC_CFG)
+    return idx
+
+
+def _round6(tbl: pa.Table, *cols: str) -> pa.Table:
+    for col in cols:
+        i = tbl.schema.get_field_index(col)
+        tbl = tbl.set_column(i, col, pc.round(tbl[col], ndigits=6))
+    return tbl
+
+
+def _read(sf_dir: str, src):
+    """A source as a Dataset: a runner's output, or ``src`` = (table,
+    *columns) of sf_dir (every column when none are named)."""
+    if callable(src):
+        return src(sf_dir)
+    return rd.read_parquet(f"{sf_dir}/{src[0]}.parquet",
+                           columns=list(src[1:]) or None)
+
+
+def _query_vectors(sf_dir: str, n: int) -> np.ndarray:
+    """Query vector q = the embedding of vec_id q, for q < n — the rows
+    every dense oracle's query CTE selects."""
+    t = pq.read_table(f"{sf_dir}/embeddings.parquet",
+                      columns=["vec_id", "embedding"],
+                      filters=[("vec_id", "<", n)])
+    t = t.take(pc.sort_indices(t["vec_id"]))
+    return np.stack([np.asarray(v) for v in t["embedding"].to_pylist()])
 
 
 def _sorted_table(ds, keys: list[str]) -> pa.Table:
     """Materialize a (small, aggregate-sized) result Dataset into one Arrow
     table deterministically sorted by ``keys`` — group/pair outputs arrive
     in nondeterministic block order, and the driver's value hash must not
-    depend on parallelism."""
-    import ray
-    t = pa.concat_tables(ray.get(ds.to_arrow_refs()),
-                         promote_options="default").combine_chunks()
+    depend on parallelism. An Arrow table is only sorted."""
+    t = ds if isinstance(ds, pa.Table) else pa.concat_tables(
+        ray.get(ds.to_arrow_refs()),
+        promote_options="default").combine_chunks()
     return t.take(pc.sort_indices(
         t, sort_keys=[(k, "ascending") for k in keys]))
+
+
+def _qid_rows(t, *round6: str, docno: bool = True) -> pa.Table:
+    """The ranked-entry tail: rows sorted by (qid, doc_id), the engine
+    docId turned into the docno (engine id - 1 == documents.doc_id)
+    unless ``docno=False``, and the ``round6`` columns rounded."""
+    t = _sorted_table(t, ["qid", "doc_id"])
+    if docno:
+        t = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
+                         pc.subtract(t["doc_id"], 1))
+    return _round6(t, *round6)
 
 
 def _non_blank(batch: pa.Table) -> pa.Table:
@@ -1111,46 +1156,108 @@ def _non_blank(batch: pa.Table) -> pa.Table:
     return batch.filter(keep)
 
 
-def _federated_indexes(sf_dir: str) -> list[str]:
-    """Build (once, resumable) TWO sub-indexes over a doc_id split of
-    the documents corpus — the federated entry's partitioned twin of
-    the basic index."""
-    import ray.data as rd
-    from mircv_ray.build import build_index
-    from mircv_ray.config import IndexConfig
-    from mircv_ray.sources import documents_as_corpus_table
-    tbl = documents_as_corpus_table(sf_dir)
-    ids = np.array([int(p[4:12]) for p in tbl["path"].to_pylist()])
-    cut = int(np.median(ids))
-    cfg = IndexConfig(parse=False, squeeze=False, codec="vbyte",
-                      num_shards=4, salt_buckets=2)
-    dirs = []
-    for name, mask in (("lo", ids < cut), ("hi", ids >= cut)):
-        key = hashlib.sha1(f"{sf_dir}|fed{name}|v{_CACHE_VERSION}"
-                           .encode()).hexdigest()[:12]
-        out = _CACHE_ROOT / f"fed_{name}_{key}"
-        if not (out / "stats.json").exists():
-            build_index(rd.from_arrow(tbl.filter(pa.array(mask))),
-                        str(out), cfg)
-        dirs.append(str(out))
-    return dirs
+def _text_view(*swaps: tuple[str, str]) -> Callable[[pa.Table], pa.Table]:
+    """A ``map_batches`` fn giving (doc_id, text), NULL text as '', with
+    each (old, new) substring swap applied in order: the deterministic
+    multi-line / decomposed views of the single-line synthetic docs."""
+    def view(b: pa.Table) -> pa.Table:
+        t = pc.fill_null(b["text"], "")
+        for old, new in swaps:
+            t = pc.replace_substring(t, old, new)
+        return pa.table({"doc_id": b["doc_id"], "text": t})
+    return view
 
 
-def _topk_run(sf_dir: str, standard: str) -> pa.Table:
-    from mircv_ray.config import QueryConfig
-    from mircv_ray.query import QueryEngine
-    idx = _basic_index(sf_dir)
-    eng = QueryEngine(idx, QueryConfig(standard=standard, k=10, parse=False,
-                                       squeeze=False))
+# ---------------------------------------------------------------------------
+# runners: one parameterized body per recurring entry shape; queries()
+# binds each to its parameters
+# ---------------------------------------------------------------------------
+
+def _src(src, op=None, keys: list[str] | None = None, *, maps=(),
+         right=None, round6=(), select: list[str] | None = None, **kw):
+    """Source runner: read ``src`` — (table, *columns) of sf_dir, or
+    another runner's output — run the batch ``maps``, then ``op(ds,
+    **kw)`` (``op(ds, right side, **kw)`` for a two-source op), keep
+    the ``select`` columns, round the ``round6`` columns, and sort by
+    ``keys`` into one table (no ``keys``: the Dataset itself)."""
+    def run(sf_dir: str):
+        ds = _read(sf_dir, src)
+        for f in maps:
+            ds = ds.map_batches(f, batch_format="pyarrow")
+        if op is not None:
+            ds = (op(ds, **kw) if right is None
+                  else op(ds, _read(sf_dir, right), **kw))
+        if select is not None:
+            ds = ds.select_columns(select)
+        if round6:
+            ds = ds.map_batches(lambda b: _round6(b, *round6),
+                                batch_format="pyarrow")
+        return ds if keys is None else _sorted_table(ds, keys)
+    return run
+
+
+_DOCS = ("documents", "doc_id", "text")
+_EMB = ("embeddings", "vec_id", "embedding")
+_docs_ds, _emb_ds = _src(_DOCS), _src(_EMB)
+
+
+def _engine_topk(sf_dir: str, standard: str = "BM25", algo: str = "auto",
+                 mode: str = "or", prefix: bool = False) -> pa.Table:
+    """Engine top-k runner: the top-10 (qid, doc_id = docno, score round
+    6) of each _BM25_QUERIES query (each _WILDCARD_QUERIES prefix expanded
+    over the lexicon if ``prefix``) over the basic index, scored as OR,
+    the reference's MaxScore "and", or a clean AND ("strict")."""
+    eng = QueryEngine(_basic_index(sf_dir),
+                      QueryConfig(standard=standard, k=10, parse=False,
+                                  squeeze=False, algo=algo))
+    qs = ((eng.reader.prefix_terms(p) for p in _WILDCARD_QUERIES) if prefix
+          else (list(terms) for terms in _BM25_QUERIES))
     qids, dids, scores = [], [], []
-    for qid, terms in enumerate(_BM25_QUERIES):
-        for doc_id, score in eng.score_terms(list(terms), conjunctive=False):
+    for qid, terms in enumerate(qs):
+        top = (eng.score_terms_strict_and(terms) if mode == "strict" else
+               eng.score_terms(terms, conjunctive=mode == "and"))
+        for doc_id, score in top:
             qids.append(qid)
             dids.append(doc_id - 1)   # docno == original documents.doc_id
             scores.append(round(score, 6))
     return pa.table({"qid": pa.array(qids, type=pa.int64()),
                      "doc_id": pa.array(dids, type=pa.int64()),
                      "score": pa.array(scores, type=pa.float64())})
+
+
+def _ranked(fn, queries, *round6: str, index=_basic_index,
+            corpus: bool = False, **kw):
+    """Index-extension runner: ``fn(index(sf_dir)[, corpus], queries,
+    **kw)`` with the basic tokenizer, then the ranked-entry tail
+    (docno, sort, the ``round6`` columns)."""
+    def run(sf_dir: str) -> pa.Table:
+        idx = index(sf_dir)
+        args = (idx, documents_as_corpus(sf_dir)) if corpus else (idx,)
+        out = fn(*args, queries, parse=False, squeeze=False, **kw)
+        if isinstance(out, tuple):        # (results, per-query expansion)
+            out = out[0]
+        return _qid_rows(out, *round6)
+    return run
+
+
+def _vec(op, keys: list[str] | None = None, **kw):
+    """Dense runner: ``op(embeddings, query vectors of vec_id 0..2,
+    **kw)``, sorted by ``keys`` if given, its score column round 6."""
+    def run(sf_dir: str):
+        out = op(_emb_ds(sf_dir), _query_vectors(sf_dir, 3), **kw)
+        if keys is not None:
+            out = _sorted_table(out, keys)
+        if isinstance(out, pa.Table):
+            return _round6(out, "score")
+        return out.map_batches(lambda b: _round6(b, "score"),
+                               batch_format="pyarrow")
+    return run
+
+
+def _dump(index, tombstones: bool = False):
+    """Postings-dump runner over one cached index (docnos)."""
+    return lambda sf_dir: dump.dump_postings(
+        index(sf_dir), docno_offset=-1, apply_tombstones=tombstones)
 
 
 # ---------------------------------------------------------------------------
@@ -1187,249 +1294,979 @@ _PROBES = ["hash scan join", "batch batch batch", "spark window",
            "sort table scan", "quantum zebra lattice"]
 
 
+# ---------------------------------------------------------------------------
+# entries with a one-off pipeline or an in-entry self-validation, and the
+# runners they build on or validate against
+# ---------------------------------------------------------------------------
+
+_DOCS_LANG = ("documents", "doc_id", "lang", "text")
+_DOCS_SOURCE = ("documents", "doc_id", "text", "source")
+_ORDERS = ("orders", "o_orderkey", "o_custkey", "o_totalprice")
+_EV_PURCH = ("events", "event_id", "user_id", "event_type", "value")
+_EV_ASOF = ("events", "event_id", "user_id", "ts", "event_type", "value")
+_EV_WIN = ("events", "ts", "event_type", "value")
+_EV_RUN = ("events", "event_id", "ts", "user_id", "value")
+_EV_SESS = ("events", "user_id", "ts", "event_id", "value")
+_EV_FUNNEL = ("events", "user_id", "ts", "event_type")
+_EV_TYPE_USER = ("events", "event_type", "user_id")
+_EV_TYPE_VALUE = ("events", "event_type", "value")
+_QUARTILES = {"p25": 0.25, "p50": 0.5, "p75": 0.75, "p95": 0.95}
+_FUNNEL = ["signup", "click", "purchase"]
+
+_DOC_LENGTHS = _src(_DOCS, maps=(_non_blank, ops.basic_token_stats))
+_ENTROPY = _src(_DOCS, maps=(ops.char_entropy,),
+                select=["doc_id", "char_entropy"])
+# DSIR importance weights (arXiv:2302.03169) toward lang='en',
+# UNHASHED feature space — the exact twin, SQL-mirrorable
+_DSIR_EXACT = _src(_DOCS_LANG, ops.dsir_weights, ["doc_id"],
+                   target_col="lang", target_value="en")
+# exact cosine kNN graph (tiled block-nested-loop, per-tile
+# partial top-k both directions, per-src merge) — the ground
+# truth the LSH graph is recall-validated against
+_KNN_EXACT = _src(_EMB, ops.knn_graph, ["src", "dst"], round6=("cosine",),
+                  k=5)
+# prefix-filtered EXACT set-similarity join (recall 1, no LSH) —
+# unlike minhash_pairs/ngram_jaccard this one is fully
+# SQL-expressible, closing the near-dup axis's oracle gap
+_JACCARD_EXACT = _src(_DOCS, ops.jaccard_simjoin_exact, ["a", "b"],
+                      round6=("jaccard",), threshold=0.5)
+# document pairs sharing any 30-char window — substring-level
+# dedup (Lee et al., ACL 2022) on the all-windows exact path:
+# windows pair by BYTES, so the result is SQL-mirrorable
+# gram-for-gram (substr + generate_series on the oracle side)
+_SUBSTRING_EXACT = _src(_DOCS, ops.shared_ngram_pairs, ["a", "b"], n=30)
+# SemDeDup with n_clusters=1 IS the exact global rule: drop every
+# vector that has an EARLIER (smaller-id) vector at cosine >= 0.3
+# (same value-gap threshold as embedding_near_dups_exact) —
+# min-id dominance, exactly SQL-expressible
+_SEMDEDUP_EXACT = _src(_EMB, ops.semantic_dedup, ["vec_id"],
+                       select=["vec_id", "keep"], n_clusters=1,
+                       threshold=0.3)
+# exact per-type COUNT(DISTINCT user): only unique pairs shuffle
+_DISTINCT_USERS = _src(_EV_TYPE_USER, ops.exact_distinct_per_group,
+                       ["event_type"], group_col="event_type",
+                       value_col="user_id", alias="n_users")
+
+
+def _doc_stats(sf_dir: str) -> pa.Table:
+    ds = _DOC_LENGTHS(sf_dir)
+    return pa.table({"n_docs": pa.array([ds.count()], type=pa.int64()),
+                     "total_tokens": pa.array([ds.sum("doc_len")],
+                                              type=pa.int64())})
+
+
+def _lexicon(sf_dir: str, *cols: str) -> pa.Table:
+    return pq.read_table(f"{_basic_index(sf_dir)}/lexicon",
+                         columns=list(cols))
+
+
+def _top_terms(sf_dir: str) -> pa.Table:
+    t = _lexicon(sf_dir, "term", "df")
+    order = pc.sort_indices(t, sort_keys=[("df", "descending"),
+                                          ("term", "ascending")])
+    return t.take(order[:50])
+
+
+def _pruned_postings(sf_dir: str) -> pa.Table:
+    # static index pruning (Carmel et al. SIGIR'01, uniform top-k):
+    # the pruned index's ENTIRE posting store must equal per-term
+    # top-5 of the full postings — and it is a fully functional
+    # standard index (engine-queryable, recomputed df/UBs,
+    # unchanged doc lengths), pytest-pinned
+    out = tempfile.mkdtemp(prefix="pruned_idx_")
+    prune_index(_basic_index(sf_dir), out, keep_per_term=5)
+    return _sorted_table(dump.dump_postings(out, docno_offset=-1),
+                         ["term", "doc_id"])
+
+
+def _score_explain(sf_dir: str) -> pa.Table:
+    # per-term contribution breakdown of each query's TOP-1 BM25
+    # doc — the "why did this doc rank here" debugging surface;
+    # contributions use the engine's exact expressions, so they
+    # sum to the engine score (pytest-pinned)
+    idx = _basic_index(sf_dir)
+    eng = QueryEngine(idx, QueryConfig(standard="BM25", k=1,
+                                       parse=False, squeeze=False))
+    qs = [list(terms) for terms in _BM25_QUERIES]
+    tops = [eng.score_terms(list(q), conjunctive=False) for q in qs]
+    docs = [top[0][0] if top else 1 << 60 for top in tops]  # 1<<60: no doc
+    t = explain.explain_scores(idx, qs, docs, reader=eng.reader)
+    return _sorted_table(_round6(t, "idf", "contribution"),
+                         ["qid", "term"])
+
+
+def _hybrid(fuse, col: str, round_dense: bool = False, **kw):
+    """Hybrid runner: ``fuse`` of the engine's BM25 top-10 and the dense
+    cosine top-10; the fused ``col`` round 6, sorted by (qid, doc_id)."""
+    def run(sf_dir: str) -> pa.Table:
+        dense = _sorted_table(ops.cosine_topk(
+            _emb_ds(sf_dir), _query_vectors(sf_dir, len(_BM25_QUERIES)),
+            k=10), ["query_id", "vec_id"])
+        dense = dense.rename_columns(["qid", "doc_id", "score"])
+        if round_dense:
+            dense = _round6(dense, "score")
+        fused = fuse([_engine_topk(sf_dir), dense], k=10, **kw)
+        return _qid_rows(fused, col, docno=False)
+    return run
+
+
+def _passage_maxp(sf_dir: str) -> pa.Table:
+    # MaxP passage retrieval (Dai & Callan SIGIR'19): BM25 over the
+    # chunk-level index, document score = max over its chunks
+    out = _cached(f"{sf_dir}|passage", "passage",
+                  lambda out: ops.build_passage_index(
+                      _docs_ds(sf_dir), str(out), size=40, stride=25),
+                  marker=None)
+    t = ops.passage_topk_maxp(out, [list(q) for q in _BM25_QUERIES], k=10)
+    return _qid_rows(t, "score", docno=False)
+
+
+def _ltr_features(sf_dir: str) -> pa.Table:
+    # learning-to-rank feature table (LETOR-style export): one row
+    # per (query, candidate) with bm25/tfidf/qld/cosine/dl/n_match;
+    # candidates = sparse BM25 top-10 UNION dense cosine top-10
+    t = ops.ltr_features(_basic_index(sf_dir), _emb_ds(sf_dir),
+                         [list(q) for q in _BM25_QUERIES],
+                         _query_vectors(sf_dir, len(_BM25_QUERIES)), k=10)
+    return _qid_rows(t, "bm25", "tfidf", "qld", "cosine", docno=False)
+
+
+def _snippet_search(sf_dir: str) -> pa.Table:
+    # keyword-in-context snippets: the proximity queries' BEST
+    # minimal-cover window per doc (argmin span, then start) ± 3
+    # context tokens, sliced from content in one candidate-only
+    # scan. start_pos reported 1-based to match the SQL slicing.
+    out = snippets.snippet_extract(
+        _positions_index(sf_dir), documents_as_corpus(sf_dir),
+        _PROXIMITY_QUERIES, ctx=_SNIPPET_CTX, parse=False, squeeze=False)
+    t = _qid_rows(out)
+    t = t.set_column(t.schema.get_field_index("start"), "start",
+                     pc.add(t["start"], 1))
+    return t.rename_columns(
+        ["qid", "doc_id", "start_pos", "min_span", "snippet"])
+
+
+def _dsir_weights_hashed(sf_dir: str) -> pa.Table:
+    # the paper's production shape: crc32-hashed feature buckets
+    # bound the model at `buckets` floats regardless of corpus
+    # size. Bucketing is not SQL-expressible (no crc32 in DuckDB)
+    # -> rows-only, but SELF-VALIDATING in-entry: the hashed
+    # weights must rank-correlate with the exact twin (hash
+    # collisions only blur, never invert, a clear en/non-en split)
+    hashed = _sorted_table(ops.dsir_weights(
+        _read(sf_dir, _DOCS_LANG), "lang", "en", buckets=4096), ["doc_id"])
+    exact = _DSIR_EXACT(sf_dir)
+    a = np.asarray(hashed["log_weight"].to_pylist())
+    b = np.asarray(exact["log_weight"].to_pylist())
+    if len(a) > 2 and float(np.std(a)) > 0 and float(np.std(b)) > 0:
+        ra = np.argsort(np.argsort(a)).astype(np.float64)
+        rb = np.argsort(np.argsort(b)).astype(np.float64)
+        rho = float(np.corrcoef(ra, rb)[0, 1])
+        if rho < 0.9:
+            raise AssertionError(
+                f"hashed-DSIR rank correlation {rho:.3f} < 0.9 "
+                "vs the exact feature space")
+    return hashed
+
+
+def _bpe_merge_pair(syms: list[str], a: str, b: str) -> list[str]:
+    """One pure-Python Sennrich merge of every adjacent (a, b)."""
+    out, i = [], 0
+    while i < len(syms):
+        if i < len(syms) - 1 and syms[i] == a and syms[i + 1] == b:
+            out.append(a + b)
+            i += 2
+        else:
+            out.append(syms[i])
+            i += 1
+    return out
+
+
+def _bpe_merges(sf_dir: str) -> pa.Table:
+    # distributed BPE vocabulary training (Sennrich ACL'16): the
+    # word vocab stays a sharded Dataset, each merge round is one
+    # streaming pass + one pair-count groupby, the driver sees one
+    # row per block per round. Iterative argmax is not
+    # SQL-expressible -> rows-only, but SELF-VALIDATING in-entry:
+    # the merge list must EXACTLY equal a pure-Python Sennrich
+    # reference run over the same texts (counts included).
+    got = ops.bpe_train(_docs_ds(sf_dir), n_merges=25, min_count=2)
+    texts = pq.read_table(f"{sf_dir}/documents.parquet",
+                          columns=["text"])["text"].to_pylist()
+    words = Counter(w for t in texts if t
+                    for w in re.findall(r"[a-z0-9]+", t.lower()))
+    vocab = {w: (list(w[:-1]) + [w[-1] + EOW], c)
+             for w, c in words.items()}
+    ref = []
+    for _ in range(25):
+        pairs: Counter = Counter()
+        for syms, c in vocab.values():
+            for i in range(len(syms) - 1):
+                pairs[(syms[i], syms[i + 1])] += c
+        if not pairs or max(pairs.values()) < 2:
+            break
+        mx = max(pairs.values())
+        a, b = min(p for p, c in pairs.items() if c == mx)
+        ref.append((a, b, mx))
+        vocab = {w: (_bpe_merge_pair(syms, a, b), c)
+                 for w, (syms, c) in vocab.items()}
+    mine = list(zip(got["left"].to_pylist(), got["right"].to_pylist(),
+                    got["count"].to_pylist()))
+    if mine != ref:
+        raise AssertionError(
+            f"BPE merge list diverges from the Sennrich reference: "
+            f"{mine[:3]}... vs {ref[:3]}...")
+    return got
+
+
+def _bpe_token_counts(sf_dir: str) -> pa.Table:
+    # per-doc BPE token counts under the trained merges (map-only
+    # encode; batch-distinct words through the vectorized merge
+    # kernel). Rows-only but SELF-VALIDATING: every count must
+    # equal the pure-Python encode of the same text.
+    merges = ops.bpe_train(_docs_ds(sf_dir), n_merges=25, min_count=2)
+    out = _sorted_table(
+        ops.bpe_encode_counts(_docs_ds(sf_dir), merges), ["doc_id"])
+    pairs = list(zip(merges["left"].to_pylist(),
+                     merges["right"].to_pylist()))
+    docs = pq.read_table(f"{sf_dir}/documents.parquet",
+                         columns=["doc_id", "text"])
+    ref = {}
+    for did, t in zip(docs["doc_id"].to_pylist(),
+                      docs["text"].to_pylist()):
+        n = 0
+        for w in re.findall(r"[a-z0-9]+", (t or "").lower()):
+            syms = list(w[:-1]) + [w[-1] + EOW]
+            for a, b in pairs:
+                syms = _bpe_merge_pair(syms, a, b)
+            n += len(syms)
+        ref[did] = n
+    for did, n in zip(out["doc_id"].to_pylist(),
+                      out["n_bpe_tokens"].to_pylist()):
+        if ref.get(did) != n:
+            raise AssertionError(
+                f"BPE encode count mismatch doc {did}: {n} != "
+                f"{ref.get(did)}")
+    return out
+
+
+def _bm25f_topk(sf_dir: str) -> pa.Table:
+    # BM25F (Robertson et al. CIKM'04): body field = text, title
+    # field = first-40-chars view, each a STANDARD index; per-field
+    # tf/length-normalization combined before saturation, df = docs
+    # containing the term in ANY field. weights body 1.0 / title
+    # 2.0, b 0.75 / 0.5, k1 1.5.
+    body, title = _basic_index(sf_dir), _title_index(sf_dir)
+    res = bm25f.bm25f_topk([(body, 1.0, 0.75), (title, 2.0, 0.5)],
+                           list(enumerate(_BM25_QUERIES)), k1=1.5, k=10)
+    return pa.table({
+        "qid": pa.array([q for q, _, _ in res], type=pa.int64()),
+        "doc_id": pa.array([int(p[4:12]) for _, p, _ in res],
+                           type=pa.int64()),
+        "score": pa.array([round(s, 6) for _, _, s in res],
+                          type=pa.float64())})
+
+
+def _knn_graph_approx(sf_dir: str) -> pa.Table:
+    # LSH-bucketed kNN graph (the 10^12-row path: only same-band
+    # pairs are scored). Approximate by construction -> rows-only at
+    # the driver, but SELF-VALIDATING in-entry: edge recall vs the
+    # exact graph is asserted, and every emitted cosine is exact
+    approx = _sorted_table(
+        ops.knn_graph_lsh(_emb_ds(sf_dir), k=5, bands=16).map_batches(
+            lambda b: _round6(b, "cosine"), batch_format="pyarrow"),
+        ["src", "dst"])
+    exact = _KNN_EXACT(sf_dir)
+    def edge_set(t):
+        return set(zip(t["src"].to_pylist(), t["dst"].to_pylist()))
+    want, have = edge_set(exact), edge_set(approx)
+    recall = len(want & have) / max(len(want), 1)
+    if recall < 0.35:
+        raise AssertionError(
+            f"LSH kNN edge recall {recall:.2f} < 0.35 vs exact "
+            "(iid-random embeddings are the LSH worst case; real "
+            "clustered corpora sit far higher)")
+    return approx
+
+
+def _ivf_topk(ds, qvecs: np.ndarray, **kw):
+    cents = ops.ivf_build_centroids(ds, n_clusters=8, iters=5)
+    return ops.ivf_cosine_topk(ds, qvecs, cents, **kw)
+
+
+def _ann_cosine_topk_pq(sf_dir: str) -> pa.Table:
+    # PQ ADC scan (8 bytes/vector) + exact re-rank of the
+    # oversampled candidates — approximate by construction, so
+    # rows-only at the driver; recall vs the exact scan is pinned
+    # in pytest on clustered data
+    emb = pq.read_table(f"{sf_dir}/embeddings.parquet",
+                        columns=["vec_id", "embedding"])
+    qvecs = _query_vectors(sf_dir, 3)
+    ds = _emb_ds(sf_dir)
+    books = ops.pq_train(ds, m=8, k=64, iters=5)
+    codes = ops.pq_encode(ds, books).materialize()
+    out = ops.pq_cosine_topk_rerank(ds, codes, books, qvecs, k=10)
+    out = out.map_batches(lambda b: _round6(b, "score"),
+                          batch_format="pyarrow")
+    got = _sorted_table(out, ["query_id", "vec_id"])
+    # SELF-VALIDATING in-entry (ADC scan is approximate, so
+    # rows-only at the driver): per-query recall@10 vs the exact
+    # brute-force cosine top-10 must be >= 0.9 — the
+    # tests/test_round3_ops.py bound on clustered data
+    base = np.array(emb["embedding"].to_pylist())
+    ids = emb["vec_id"].to_numpy()
+    unit = base / np.linalg.norm(base, axis=1, keepdims=True)
+    qunit = qvecs / np.linalg.norm(qvecs, axis=1, keepdims=True)
+    sims = qunit @ unit.T
+    pos = {int(v): i for i, v in enumerate(ids)}
+    for qi in range(len(qvecs)):
+        # exact top-10 by (cosine DESC, vec_id ASC)
+        order = np.lexsort((ids, -sims[qi]))[:10]
+        want = set(ids[order].tolist())
+        mask = np.asarray(got["query_id"]) == qi
+        have_ids = np.asarray(got["vec_id"])[mask]
+        recall = len(want & set(have_ids.tolist())) / len(want)
+        if recall < 0.9:
+            raise AssertionError(
+                f"PQ+rerank recall@10 {recall:.2f} < 0.9 for "
+                f"query {qi}")
+        # the rerank rescores candidates with FULL vectors, so every
+        # reported score must equal the recomputed exact cosine
+        ref = np.round(sims[qi][[pos[int(v)] for v in have_ids]], 6)
+        rep = np.asarray(got["score"])[mask]
+        if not np.allclose(rep, ref, atol=2e-6):
+            raise AssertionError(
+                f"PQ rerank scores diverge from exact cosines for "
+                f"query {qi}")
+    return got
+
+
+def _first_docs(sf_dir: str, n: int = 3) -> pa.Table:
+    """(doc_id, text) of the n lowest-id documents."""
+    return pq.read_table(f"{sf_dir}/documents.parquet",
+                         columns=["doc_id", "text"]).sort_by("doc_id") \
+        .slice(0, n)
+
+
+def _contamination_ngram(sf_dir: str) -> pa.Table:
+    # n-gram-overlap decontamination (GPT-3 appendix-C rule) with a
+    # Bloom prefilter; result is EXACT (the bloom only prefilters),
+    # so it is SQL-oracle-gated. Probes = the 40-char prefixes of
+    # the 3 lowest-id documents (guaranteed hits, derived
+    # identically in SQL) + one alien string (pins the zero case).
+    probes = [t[:40] for t in _first_docs(sf_dir)["text"].to_pylist()]
+    probes.append("quantumzebralatticequantumzebralattice")
+    return _sorted_table(ops.contamination_ngram(_docs_ds(sf_dir), probes,
+                                                 n=20), ["doc_id"])
+
+
+def _contamination_fuzzy(sf_dir: str) -> pa.Table:
+    # probes = three real document texts -> guaranteed jaccard-1.0
+    # hits; LSH-banded so intentionally no SQL oracle (rows check)
+    probe_rows = _first_docs(sf_dir)
+    got = _sorted_table(
+        ops.contamination_fuzzy(_docs_ds(sf_dir),
+                                probe_rows["text"].to_pylist(),
+                                threshold=0.8), ["doc_id", "probe_idx"])
+    # SELF-VALIDATING in-entry (LSH-banded fuzzy match is
+    # probabilistic, so rows-only at the driver): each probe IS a
+    # corpus document, a guaranteed jaccard-1.0 hit — probe i must
+    # flag its own source doc
+    have = set(zip(got["doc_id"].to_pylist(),
+                   got["probe_idx"].to_pylist()))
+    missing = [(int(d), i) for i, d in
+               enumerate(probe_rows["doc_id"].to_pylist())
+               if (int(d), i) not in have]
+    if missing:
+        raise AssertionError(
+            f"fuzzy decontamination missed its guaranteed "
+            f"jaccard-1.0 (doc, probe) hits: {missing}")
+    return got
+
+
+def _pii_preamble(batch: pa.Table) -> pa.Table:
+    # the synthetic corpus has no organic PII, so each doc gets a
+    # deterministic preamble (email from `source`, IP and phone from
+    # `doc_id`) built IDENTICALLY in SQL from the same view columns —
+    # the redaction kernels then have real work on both sides
+    did = batch["doc_id"].to_numpy()
+    o1 = pc.cast(pa.array(did % 256), pa.string())
+    o2 = pc.cast(pa.array((did * 7) % 256), pa.string())
+    ph = pc.utf8_lpad(pc.cast(pa.array(did % 10000), pa.string()), 4, "0")
+    t = pc.binary_join_element_wise(
+        "contact ", batch["source"], "@example.com from 10.0.",
+        o1, ".", o2, " call 555-123-", ph, " ", batch["text"], "")
+    return pa.table({"doc_id": batch["doc_id"], "text": t})
+
+
+def _substring_dup_winnow(sf_dir: str) -> pa.Table:
+    # winnowing fingerprints (Schleimer et al. SIGMOD'03; n=21,
+    # w=10): ~5x fewer rows shuffle, with a HARD guarantee — any
+    # shared substring of length >= n+w-1 = 30 selects the same
+    # window in both docs. Pairs depend on which windows winnowing
+    # samples (not SQL-expressible), so the entry is rows-only to
+    # the driver but SELF-VALIDATING in-entry: the guarantee is
+    # recall 1 vs the exact 30-gram twin, asserted here.
+    win = _sorted_table(
+        ops.shared_ngram_pairs(_docs_ds(sf_dir), n=21, winnow_w=10),
+        ["a", "b"])
+    exact = _SUBSTRING_EXACT(sf_dir)
+    want = set(zip(exact["a"].to_pylist(), exact["b"].to_pylist()))
+    got = set(zip(win["a"].to_pylist(), win["b"].to_pylist()))
+    if want - got:
+        raise AssertionError(
+            f"winnowing missed {len(want - got)} exact-30-gram "
+            "pair(s) — violates the n+w-1 recall guarantee")
+    return win
+
+
+def _semantic_dedup_clustered(sf_dir: str) -> pa.Table:
+    # production path (SemDeDup, arXiv:2303.09540): full-data Lloyd
+    # k-means bounds the candidate sets; only same-cluster pairs are
+    # compared. Which global near-dups stay visible depends on the
+    # learned partition (not SQL-expressible) -> rows-only, but
+    # SELF-VALIDATING in-entry: precision 1.0 vs the exact global
+    # rule is asserted (every clustered drop is a true near-dup)
+    clustered = _sorted_table(
+        ops.semantic_dedup(_emb_ds(sf_dir), n_clusters=8, threshold=0.3,
+                           iters=4, seed=42), ["vec_id"])
+    exact = _SEMDEDUP_EXACT(sf_dir)
+    exact_drop = {v for v, k in zip(exact["vec_id"].to_pylist(),
+                                    exact["keep"].to_pylist()) if not k}
+    clus_drop = {v for v, k in zip(clustered["vec_id"].to_pylist(),
+                                   clustered["keep"].to_pylist())
+                 if not k}
+    if not clus_drop <= exact_drop:
+        raise AssertionError(
+            f"semantic_dedup precision violated: "
+            f"{len(clus_drop - exact_drop)} clustered drop(s) are "
+            "not global near-dups")
+    return clustered
+
+
+def _corpus_diff(sf_dir: str) -> pa.Table:
+    # incremental-crawl anti-join: current crawl = documents,
+    # previous crawl = the doc_id % 3 != 0 view; new docs = rows
+    # whose exact text bytes the previous crawl did not have
+    # (a dropped doc whose text survives at another id is NOT new)
+    def prev_view(b: pa.Table) -> pa.Table:
+        keep = b["doc_id"].to_numpy(zero_copy_only=False) % 3 != 0
+        return b.filter(pa.array(keep))
+
+    prev = _docs_ds(sf_dir).map_batches(prev_view, batch_format="pyarrow")
+    # project inside a map (not select_columns: a Project op after a
+    # map_groups was observed to be dropped once under plan
+    # optimization; an explicit batch projection cannot be elided)
+    out = ops.corpus_diff(_docs_ds(sf_dir), prev).map_batches(
+        lambda b: b.select(["doc_id"]) if b.num_columns else b,
+        batch_format="pyarrow")
+    return _sorted_table(out, ["doc_id"])
+
+
+def _doc_graph(sf_dir: str):
+    """The synthetic doc graph shared by pagerank_docs, hits_docs and
+    seed_distance: docs not divisible by 10 emit two knuth-hash
+    out-edges. Returns (the doc_id Dataset, the edge Dataset)."""
+    ds = _read(sf_dir, ("documents", "doc_id"))
+    n = ds.count()
+
+    def mk_edges(b: pa.Table) -> pa.Table:
+        did = b["doc_id"].to_numpy().astype(np.int64)
+        src = did[did % 10 != 0]
+        d1 = (src * 2654435761 + 7) % n
+        d2 = (src * 40503 + 13) % n
+        return pa.table({
+            "src": pa.array(np.concatenate([src, src]), type=pa.int64()),
+            "dst": pa.array(np.concatenate([d1, d2]), type=pa.int64())})
+
+    return ds, ds.map_batches(mk_edges, batch_format="pyarrow")
+
+
+def _graph_scores(sf_dir: str, algo, cols: tuple[str, ...], **kw):
+    """``algo(edges, nodes, **kw)`` over the doc graph, per-node ``cols``
+    rounded to 8 decimals (trunc(x * 1e8 + 0.5) / 1e8 on both sides)."""
+    ds, edges = _doc_graph(sf_dir)
+    nodes = ds.map_batches(lambda b: pa.table({"node": b["doc_id"]}),
+                           batch_format="pyarrow")
+
+    def r8(b: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": b["node"], **{
+            c: pa.array(np.trunc(b[c].to_numpy() * 1e8 + 0.5) / 1e8,
+                        type=pa.float64()) for c in cols}})
+
+    out = algo(edges, nodes, **kw)
+    return _sorted_table(out.map_batches(r8, batch_format="pyarrow"),
+                         ["doc_id"])
+
+
+def _seed_distance(sf_dir: str) -> pa.Table:
+    # multi-source BFS hop distance over the pagerank_docs edge
+    # graph from the doc_id % 97 == 0 seeds, capped at 6 hops; only
+    # the seed ids reach the driver
+    ds, edges = _doc_graph(sf_dir)
+    seeds = _sorted_table(ds.map_batches(
+        lambda b: b.filter(pa.array(b["doc_id"].to_numpy() % 97 == 0)),
+        batch_format="pyarrow"), ["doc_id"])["doc_id"].to_pylist()
+    t = _sorted_table(ops.bfs_depths(edges, seeds, max_depth=6), ["node"])
+    return pa.table({"doc_id": t["node"], "depth": t["depth"]})
+
+
+def _keywords_tfidf(sf_dir: str) -> pa.Table:
+    # per-doc top-5 TF-IDF keywords, ties by term asc; scores
+    # round 6 for the hash (ordering uses the unrounded doubles on
+    # both sides)
+    def r6(b: pa.Table) -> pa.Table:
+        s = b["tfidf"].to_numpy()
+        return b.set_column(
+            b.schema.get_field_index("tfidf"), "tfidf",
+            pa.array(np.trunc(s * 1e6 + 0.5) / 1e6, type=pa.float64()))
+
+    out = ops.tfidf_keywords(_docs_ds(sf_dir), k=5)
+    return _sorted_table(out.map_batches(r6, batch_format="pyarrow"),
+                         ["doc_id", "rank"])
+
+
+def _dedup_clusters(sf_dir: str) -> pa.Table:
+    # exact near-dup pairs -> transitive closure: every doc labeled
+    # with its cluster's min doc_id (keep label == id, drop the rest)
+    pairs = ops.jaccard_simjoin_exact(_docs_ds(sf_dir), threshold=0.5)
+    labels = ops.connected_components(pairs, _docs_ds(sf_dir))
+    out = labels.map_batches(
+        lambda b: pa.table({"doc_id": b["node"], "cluster_id": b["label"]}),
+        batch_format="pyarrow")
+    return _sorted_table(out, ["doc_id"])
+
+
+def _minhash_pairs(sf_dir: str) -> pa.Table:
+    # LSH candidates are probabilistic -> rows-only driver check,
+    # but SELF-VALIDATING in-entry: candidate recall vs the exact
+    # prefix-filtered sim-join twin must be >= 0.9 (the pytest
+    # bound); a miss raises and fails the entry
+    cands = _sorted_table(
+        ops.minhash_candidate_pairs(_docs_ds(sf_dir), threshold=0.5),
+        ["a", "b"])
+    exact = _JACCARD_EXACT(sf_dir)
+    want = set(zip(exact["a"].to_pylist(), exact["b"].to_pylist()))
+    got = set(zip(cands["a"].to_pylist(), cands["b"].to_pylist()))
+    recall = len(want & got) / len(want) if want else 1.0
+    if recall < 0.9:
+        raise AssertionError(
+            f"minhash candidate recall {recall:.3f} < 0.9 vs exact "
+            f"({len(want)} true pairs, {len(want & got)} found)")
+    return cands
+
+
+def _simhash_pairs(sf_dir: str) -> pa.Table:
+    # LSH-banded, but pigeonhole + exact popcount verify make the
+    # result EXACT (every pair with hamming <= 3, nothing else) —
+    # intentionally no SQL oracle (simhash is not SQL-expressible),
+    # so SELF-VALIDATING in-entry: brute-force all-pairs popcount
+    # over the same signatures must yield the identical pair set
+    got = _sorted_table(
+        ops.near_dup_pairs(_docs_ds(sf_dir), max_hamming=3), ["a", "b"])
+    sig = _sorted_table(
+        _docs_ds(sf_dir).map_batches(ops.simhash64, batch_format="pyarrow"),
+        ["doc_id"])
+    ids = sig["doc_id"].to_numpy()
+    h = sig["simhash"].to_numpy().astype(np.uint64)
+    xor = h[:, None] ^ h[None, :]
+    ham = np.bitwise_count(xor) if hasattr(np, "bitwise_count") else \
+        np.unpackbits(xor.view(np.uint8).reshape(len(h), len(h), 8),
+                      axis=2).sum(axis=2)
+    ai, bi = np.nonzero(np.triu(ham <= 3, k=1))
+    want = set(zip(np.minimum(ids[ai], ids[bi]).tolist(),
+                   np.maximum(ids[ai], ids[bi]).tolist()))
+    have = set(zip(got["a"].to_pylist(), got["b"].to_pylist()))
+    if have != want:
+        raise AssertionError(
+            f"simhash pair set != brute force: missing "
+            f"{sorted(want - have)[:5]}, extra {sorted(have - want)[:5]}")
+    return got
+
+
+def _ngram_jaccard(sf_dir: str) -> pa.Table:
+    # LSH-bucketed candidates with exact jaccard verify -> rows-only
+    # driver check, but SELF-VALIDATING in-entry: recall vs the
+    # exact sim-join twin >= 0.9, and every reported jaccard value
+    # must EQUAL the exact twin's for the same pair
+    out = ops.ngram_jaccard_pairs(_docs_ds(sf_dir), threshold=0.5)
+    out = out.map_batches(lambda b: _round6(b, "jaccard"),
+                          batch_format="pyarrow")
+    got_t = _sorted_table(out, ["a", "b"])
+    exact_t = _JACCARD_EXACT(sf_dir)
+    want = {(a, b): j for a, b, j in zip(
+        exact_t["a"].to_pylist(), exact_t["b"].to_pylist(),
+        exact_t["jaccard"].to_pylist())}
+    got = {(a, b): j for a, b, j in zip(
+        got_t["a"].to_pylist(), got_t["b"].to_pylist(),
+        got_t["jaccard"].to_pylist())}
+    hit = set(want) & set(got)
+    recall = len(hit) / len(want) if want else 1.0
+    if recall < 0.9:
+        raise AssertionError(
+            f"ngram-LSH candidate recall {recall:.3f} < 0.9 vs exact")
+    bad = [p for p in hit if want[p] != got[p]]
+    if bad:
+        raise AssertionError(
+            f"jaccard values disagree with exact twin for {bad[:5]}")
+    return got_t
+
+
+def _embedding_near_dups(sf_dir: str) -> pa.Table:
+    # the synthetic embeddings are iid random (max pairwise cosine
+    # ~0.48), so near-dups are PLANTED deterministically: vec_id+10^6
+    # is a lightly perturbed copy of each of the first 20 vectors
+    emb = pq.read_table(f"{sf_dir}/embeddings.parquet",
+                        columns=["vec_id", "embedding"])
+    base = np.array(emb["embedding"].to_pylist())
+    rng = np.random.default_rng(7)
+    planted = base[:20] + 0.02 * rng.standard_normal((20, base.shape[1]))
+    dim = base.shape[1]
+    aug = pa.table({
+        "vec_id": pa.array(
+            list(emb["vec_id"].to_numpy()) +
+            [int(v) + 1_000_000 for v in emb["vec_id"].to_numpy()[:20]],
+            type=pa.int64()),
+        "embedding": pa.FixedSizeListArray.from_arrays(
+            pa.array(np.concatenate([base, planted]).reshape(-1)), dim),
+    })
+    # bands=8 (8-bit bands): a ~0.985-cosine planted pair misses a
+    # single 8-bit band with p~0.37, all eight with p~3e-4 — the
+    # default 4x16 layout leaves ~13% per-pair miss odds, enough to
+    # trip the all-20-planted assert on an unlucky data draw
+    out = ops.embedding_near_dup_pairs(rd.from_arrow(aug), threshold=0.9,
+                                       bands=8)
+    out = out.map_batches(lambda b: _round6(b, "cosine"),
+                          batch_format="pyarrow")
+    got = _sorted_table(out, ["a", "b"])
+    # SELF-VALIDATING in-entry (LSH is probabilistic, so rows-only
+    # at the driver): every planted (i, i+10^6) pair must be found,
+    # and every reported cosine must equal the value recomputed
+    # from the vectors
+    have = set(zip(got["a"].to_pylist(), got["b"].to_pylist()))
+    missing = [(i, i + 1_000_000) for i in range(20)
+               if (i, i + 1_000_000) not in have]
+    if missing:
+        raise AssertionError(
+            f"LSH missed planted near-dup pairs: {missing}")
+    allv = np.concatenate([base, planted])
+    idx = {int(v): i for i, v in
+           enumerate(aug["vec_id"].to_numpy())}
+    unit = allv / np.linalg.norm(allv, axis=1, keepdims=True)
+    a_i = np.array([idx[v] for v in got["a"].to_pylist()])
+    b_i = np.array([idx[v] for v in got["b"].to_pylist()])
+    ref = np.round((unit[a_i] * unit[b_i]).sum(axis=1), 6)
+    rep = got["cosine"].to_numpy()
+    if not np.allclose(rep, ref, atol=1e-6):
+        bad = np.flatnonzero(~np.isclose(rep, ref, atol=1e-6))
+        raise AssertionError(
+            f"reported cosines diverge from recomputed values at "
+            f"pairs {bad.tolist()[:5]}")
+    return got
+
+
+def _event_left(batch: pa.Table) -> pa.Table:
+    return pa.table({"user_id": batch["user_id"],
+                     "event_id": batch["event_id"],
+                     "t": batch["ts"].cast(pa.int64())})
+
+
+def _purchase_cents(batch: pa.Table) -> pa.Table:
+    b = batch.filter(pc.equal(batch["event_type"], "purchase"))
+    cents = pc.round(pc.multiply(b["value"], 100.0),
+                     round_mode="half_towards_infinity") \
+        .cast(pa.int64())
+    return pa.table({"user_id": b["user_id"],
+                     "t": b["ts"].cast(pa.int64()),
+                     "pid": b["event_id"],
+                     "pcents": cents})
+
+
+def _value_quantiles_tdigest(sf_dir: str) -> pa.Table:
+    # mergeable t-digest sketch: approximate by design -> rows-only
+    # driver check, but SELF-VALIDATING in-entry: every estimate
+    # must land inside the exact distribution's ±0.06 RANK band
+    # (the delta=100 bound tests/test_quantiles.py pins), checked
+    # against grouped_quantiles at the shifted ranks — a violation
+    # raises, which the driver records as the entry failing
+    qs = _QUARTILES
+    got = _sorted_table(
+        ops.grouped_quantiles_tdigest(_read(sf_dir, _EV_TYPE_VALUE),
+                                      "event_type", "value", qs),
+        ["event_type"])
+    rank_err = 0.06
+    spec = {}
+    for name, q in qs.items():
+        spec[f"{name}_lo"] = max(q - rank_err, 0.0)
+        spec[f"{name}_hi"] = min(q + rank_err, 1.0)
+    bounds = _sorted_table(ops.grouped_quantiles(
+        _read(sf_dir, _EV_TYPE_VALUE),
+        "event_type", "value", spec), ["event_type"])
+    assert bounds["event_type"].to_pylist() == \
+        got["event_type"].to_pylist()
+    for name in qs:
+        est = got[name].to_numpy()
+        lo = bounds[f"{name}_lo"].to_numpy()
+        hi = bounds[f"{name}_hi"].to_numpy()
+        bad = ~((est >= lo - 1e-9) & (est <= hi + 1e-9))
+        if bad.any():
+            raise AssertionError(
+                f"t-digest {name} outside ±{rank_err} rank band for "
+                f"groups {np.flatnonzero(bad).tolist()}")
+    return got
+
+
+def _distinct_users_hll(sf_dir: str) -> pa.Table:
+    # HyperLogLog estimate: only 4 KiB register blobs shuffle;
+    # approximate by design -> rows-only driver check, but SELF-
+    # VALIDATING in-entry: the estimate must sit within 5% of the
+    # exact per-group distinct count (the tests/test_sketches.py
+    # bound) — a violation raises and fails the entry
+    est = _sorted_table(
+        ops.hll_distinct_per_group(_read(sf_dir, _EV_TYPE_USER),
+                                   "event_type", "user_id",
+                                   alias="n_users_hll"), ["event_type"])
+    exact = _DISTINCT_USERS(sf_dir)
+    assert exact["event_type"].to_pylist() == \
+        est["event_type"].to_pylist()
+    e = est["n_users_hll"].to_numpy().astype(np.float64)
+    t = exact["n_users"].to_numpy().astype(np.float64)
+    bad = np.abs(e - t) > 0.05 * np.maximum(t, 1.0)
+    if bad.any():
+        raise AssertionError(
+            f"HLL estimate >5% off exact for groups "
+            f"{np.flatnonzero(bad).tolist()}: est={e[bad]}, "
+            f"exact={t[bad]}")
+    return est
+
+
+def _heavy_users_mg(sf_dir: str) -> pa.Table:
+    # Misra-Gries frequent users per event_type: only <= k+1
+    # summary rows per (group, batch) shuffle, never the distinct
+    # pairs. Estimates are batch-boundary-dependent (any MG merge
+    # tree is) -> rows-only driver check, but SELF-VALIDATING
+    # in-entry against the exact counts: est <= true <= est + err
+    # for every reported item, and every item with true > err must
+    # be reported (the PODS'12 guarantees) — violations raise
+    k = 8
+    est = _sorted_table(
+        ops.mg_heavy_hitters(_read(sf_dir, _EV_TYPE_USER), "event_type",
+                             "user_id", k=k),
+        ["event_type", "user_id"])
+    exact = _sorted_table(
+        _read(sf_dir, _EV_TYPE_USER)
+        .groupby(["event_type", "user_id"])
+        .aggregate(Count(alias_name="c")),
+        ["event_type", "user_id"])
+    true = {(g, u): c for g, u, c in zip(
+        exact["event_type"].to_pylist(),
+        exact["user_id"].to_pylist(), exact["c"].to_pylist())}
+    totals: dict = {}
+    for (g, _), c in true.items():
+        totals[g] = totals.get(g, 0) + c
+    err_by_group: dict = {}
+    for g, u, e, err, n in zip(est["event_type"].to_pylist(),
+                               est["user_id"].to_pylist(),
+                               est["est_count"].to_pylist(),
+                               est["err_bound"].to_pylist(),
+                               est["n_group"].to_pylist()):
+        assert n == totals[g], (g, n, totals[g])
+        assert e <= true[(g, u)] <= e + err, (g, u, e, err)
+        err_by_group[g] = err
+    reported = set(zip(est["event_type"].to_pylist(),
+                       est["user_id"].to_pylist()))
+    for (g, u), c in true.items():
+        err = err_by_group.get(g, totals[g] // (k + 1))
+        if c > err:
+            assert (g, u) in reported, (g, u, c, err)
+    return est
+
+
+def _event_counts_cm(sf_dir: str) -> pa.Table:
+    # Count-Min point estimates per event_type. Estimates are
+    # hash-dependent -> rows-only driver check, but SELF-VALIDATING
+    # in-entry against the exact counts: est >= true for EVERY key
+    # (the CM one-sided guarantee) and est <= true + e*N/width with
+    # the standard per-query failure budget — violations raise
+    width, depth = 1 << 12, 4
+    m = ops.cm_build(_read(sf_dir, ("events", "event_type")), "event_type",
+                     width=width, depth=depth)
+    exact = _sorted_table(
+        _read(sf_dir, ("events", "event_type"))
+        .groupby("event_type").aggregate(Count(alias_name="c")),
+        ["event_type"])
+    types = exact["event_type"]
+    est = ops.cm_query(m, types)
+    tv = exact["c"].to_numpy()
+    n_total = int(tv.sum())
+    assert (est >= tv).all(), "CM under-counted"
+    bound = math.e * n_total / width
+    over = est - tv
+    assert (over <= 2 * bound).mean() >= 0.95, (
+        f"CM over-count beyond 2x Markov bound: {over}")
+    return pa.table({
+        "event_type": types,
+        "est_count": pa.array(est, type=pa.int64()),
+        "n_total": pa.array(
+            np.full(len(est), n_total, dtype=np.int64)),
+    })
+
+
+def _media_features(sf_dir: str):
+    ds = rd.from_arrow(ops.make_media_table(120))
+    # fake=False: every synthetic payload (PPM/BMP/PNG/JPEG/WAV/
+    # RAWV/MP4-raw)
+    # decodes through the REAL pure-NumPy/zlib codecs
+    out = ds.map_batches(ops.DecodeImage,
+                         fn_constructor_kwargs={"fake": False},
+                         batch_size=32, concurrency=2,
+                         batch_format="pyarrow", num_cpus=1)
+    return out.select_columns(["media_id", "kind"])
+
+
+# ---------------------------------------------------------------------------
+# the entry table
+# ---------------------------------------------------------------------------
+
+
+
+
+
 def queries() -> dict[str, Callable[[str], Any]]:
-    import ray.data as rd
-
-    def doc_stats(sf_dir: str):
-        from mircv_ray.ops import basic_token_stats
-        ds = (_docs_ds(sf_dir)
-              .map_batches(_non_blank, batch_format="pyarrow")
-              .map_batches(basic_token_stats, batch_format="pyarrow"))
-        n = ds.count()
-        total = ds.sum("doc_len")
-        return pa.table({"n_docs": pa.array([n], type=pa.int64()),
-                         "total_tokens": pa.array([total], type=pa.int64())})
-
-    def doc_lengths(sf_dir: str):
-        from mircv_ray.ops import basic_token_stats
-        return (_docs_ds(sf_dir)
-                .map_batches(_non_blank, batch_format="pyarrow")
-                .map_batches(basic_token_stats, batch_format="pyarrow"))
-
-    def term_df(sf_dir: str):
-        idx = _basic_index(sf_dir)
-        return pq.read_table(f"{idx}/lexicon", columns=["term", "df"])
-
-    def lexicon(sf_dir: str):
-        idx = _basic_index(sf_dir)
-        t = pq.read_table(f"{idx}/lexicon", columns=["term", "df", "idf"])
-        return _round6(t, "idf").rename_columns(["term", "df", "idf"])
-
-    def top_terms(sf_dir: str):
-        idx = _basic_index(sf_dir)
-        t = pq.read_table(f"{idx}/lexicon", columns=["term", "df"])
-        order = pc.sort_indices(t, sort_keys=[("df", "descending"),
-                                              ("term", "ascending")])
-        return t.take(order[:50])
-
-    def postings(sf_dir: str):
-        from mircv_ray.query.dump import dump_postings
-        idx = _basic_index(sf_dir)
-        return dump_postings(idx, docno_offset=-1)
-
-    def resharded_postings(sf_dir: str):
+    """Entry name -> callable(sf_dir): a shared runner bound to its
+    parameters, or a named one-off or self-validating entry."""
+    return {
+        "doc_stats": _doc_stats,
+        "doc_lengths": _DOC_LENGTHS,
+        "term_df": lambda sf_dir: _lexicon(sf_dir, "term", "df"),
+        "lexicon": lambda sf_dir: _round6(
+            _lexicon(sf_dir, "term", "df", "idf"), "idf"),
+        "top_terms": _top_terms,
+        "postings": _dump(_basic_index),
         # re-LAYOUT (reshard 4->5, resalt 2->3) without re-tokenizing:
         # the resharded index's posting store must be LOGICALLY
         # identical to the source's — layout is invisible to the data
-        from mircv_ray.build import reshard_index
-        from mircv_ray.query.dump import dump_postings
-        key = hashlib.sha1(f"{sf_dir}|reshard|v{_CACHE_VERSION}"
-                           .encode()).hexdigest()[:12]
-        out = _CACHE_ROOT / f"resharded_{key}"
-        if not (out / "stats.json").exists():
-            reshard_index(_basic_index(sf_dir), str(out),
-                          num_shards=5, salt_buckets=3)
-        return dump_postings(str(out), docno_offset=-1)
-
-    def pruned_postings(sf_dir: str):
-        # static index pruning (Carmel et al. SIGIR'01, uniform top-k):
-        # the pruned index's ENTIRE posting store must equal per-term
-        # top-5 of the full postings — and it is a fully functional
-        # standard index (engine-queryable, recomputed df/UBs,
-        # unchanged doc lengths), pytest-pinned
-        import tempfile
-        from mircv_ray.build import prune_index
-        from mircv_ray.query.dump import dump_postings
-        idx = _basic_index(sf_dir)
-        out = tempfile.mkdtemp(prefix="pruned_idx_")
-        prune_index(idx, out, keep_per_term=5)
-        return _sorted_table(dump_postings(out, docno_offset=-1),
-                             ["term", "doc_id"])
-
-    def champion_lists(sf_dir: str):
+        "resharded_postings": _dump(_resharded_index),
         # per-term top-3 postings by (tf desc, doc_id) — the inexact
         # top-k "fancy list" structure (IIR Sec 7.1.3); lossless
         # per-batch pre-top-m, slim final groupby
-        from mircv_ray.query.champions import champion_lists as champs
-        idx = _basic_index(sf_dir)
-        return _sorted_table(champs(idx, m=3, docno_offset=-1),
-                             ["term", "doc_id"])
-
-    def merge_postings(sf_dir: str):
+        "champion_lists": lambda sf_dir: _sorted_table(
+            champions.champion_lists(_basic_index(sf_dir), m=3,
+                                     docno_offset=-1), ["term", "doc_id"]),
+        "pruned_postings": _pruned_postings,
         # incremental index: base half + delta half, merged — must equal
         # the full-corpus postings (same oracle SQL as `postings`)
-        from mircv_ray.query.dump import dump_postings
-        idx = _merged_index(sf_dir)
-        return dump_postings(idx, docno_offset=-1)
-
-    def upsert_postings(sf_dir: str):
+        "merge_postings": _dump(_merged_index),
         # document replacement by key: delta build + tombstone-carrying
         # merge + superseded-row delete; the tombstone-applied dump is
         # the query-visible view
-        from mircv_ray.query.dump import dump_postings
-        idx = _upserted_index(sf_dir)
-        return dump_postings(idx, docno_offset=-1, apply_tombstones=True)
-
-    def delete_postings(sf_dir: str):
+        "upsert_postings": _dump(_upserted_index, tombstones=True),
         # tombstone deletion: the filtered dump view (docs with original
         # doc_id % 7 == 0 deleted; index bytes untouched)
-        from mircv_ray.query.dump import dump_postings
-        idx = _deleted_index(sf_dir)
-        return dump_postings(idx, docno_offset=-1, apply_tombstones=True)
-
-    def vacuum_postings(sf_dir: str):
+        "delete_postings": _dump(_deleted_index, tombstones=True),
         # physical removal + dense renumber: docno becomes the doc's
         # rank among the SURVIVORS (equals a fresh build over them)
-        from mircv_ray.query.dump import dump_postings
-        idx = _vacuumed_index(sf_dir)
-        return dump_postings(idx, docno_offset=-1)
-
-    def bm25_topk(sf_dir: str):
-        return _topk_run(sf_dir, "BM25")
-
-    def federated_bm25(sf_dir: str):
+        "vacuum_postings": _dump(_vacuumed_index),
+        "bm25_topk": _engine_topk,
         # scatter-gather over a PARTITIONED corpus (two sub-indexes
         # split at the median doc_id) with global statistics — must
         # equal the MONOLITHIC index's ranking exactly, so the oracle
         # is bm25_topk's own SQL over the whole corpus
-        from mircv_ray.query.federated import federated_topk
-        dirs = _federated_indexes(sf_dir)
-        t = federated_topk(dirs, [list(q) for q in _BM25_QUERIES], k=10)
-        return _round6(t, "score")
-
-    def score_explain(sf_dir: str):
-        # per-term contribution breakdown of each query's TOP-1 BM25
-        # doc — the "why did this doc rank here" debugging surface;
-        # contributions use the engine's exact expressions, so they
-        # sum to the engine score (pytest-pinned)
-        from mircv_ray.config import QueryConfig
-        from mircv_ray.query import QueryEngine
-        from mircv_ray.query.explain import explain_scores
-        idx = _basic_index(sf_dir)
-        eng = QueryEngine(idx, QueryConfig(standard="BM25", k=1,
-                                           parse=False, squeeze=False))
-        qs, docs = [], []
-        for terms in _BM25_QUERIES:
-            top = eng.score_terms(list(terms), conjunctive=False)
-            if top:
-                qs.append(list(terms))
-                docs.append(top[0][0])
-            else:
-                qs.append(list(terms))
-                docs.append(1 << 60)        # matches nothing: no rows
-        t = explain_scores(idx, qs, docs, reader=eng.reader)
-        for c in ("idf", "contribution"):
-            t = _round6(t, c)
-        return t.take(pc.sort_indices(
-            t, sort_keys=[("qid", "ascending"), ("term", "ascending")]))
-
-    def bm25_conjunctive(sf_dir: str):
+        "federated_bm25": lambda sf_dir: _round6(federated.federated_topk(
+            _federated_indexes(sf_dir), [list(q) for q in _BM25_QUERIES],
+            k=10), "score"),
+        "score_explain": _score_explain,
         # M14/J3: conjunctive AND via the faithful MaxScore loop; no SQL
         # oracle (the reference's conjunctive semantics are not a clean
         # AND, SURVEY.md §7.4) — exact parity is pytest-checked against
         # the pure-Python oracle (tests/test_index_e2e.py)
-        from mircv_ray.config import QueryConfig
-        from mircv_ray.query import QueryEngine
-        idx = _basic_index(sf_dir)
-        eng = QueryEngine(idx, QueryConfig(standard="BM25", k=10,
-                                           parse=False, squeeze=False))
-        qids, dids, scores = [], [], []
-        for qid, terms in enumerate(_BM25_QUERIES):
-            for doc_id, score in eng.score_terms(list(terms),
-                                                 conjunctive=True):
-                qids.append(qid)
-                dids.append(doc_id - 1)
-                scores.append(round(score, 6))
-        return pa.table({"qid": pa.array(qids, type=pa.int64()),
-                         "doc_id": pa.array(dids, type=pa.int64()),
-                         "score": pa.array(scores, type=pa.float64())})
-
-    def tfidf_topk(sf_dir: str):
-        return _topk_run(sf_dir, "TFIDF")
-
-    def hybrid_rrf(sf_dir: str):
+        "bm25_conjunctive": partial(_engine_topk, mode="and"),
+        "tfidf_topk": partial(_engine_topk, standard="TFIDF"),
+        # exact-phrase retrieval (engine EXTENSION — the reference index
+        # stores no positions): inverted-index conjunctive prune +
+        # candidate-only adjacency verify; oracle = positional
+        # self-join SQL. doc_id reported as docno (engine id - 1).
+        "phrase_search": _ranked(phrase.phrase_match, _PHRASE_QUERIES,
+                                 corpus=True),
+        # same phrases, same oracle — but answered from the positional
+        # sidecar ALONE (no content re-scan): term -> (docIds, per-doc
+        # positions) lists, adjacency = vectorized composite-key chain.
+        # Must agree with phrase_search exactly (both are oracle-gated).
+        "phrase_search_positional": _ranked(
+            positions.phrase_match_positional, _PHRASE_QUERIES,
+            index=_positions_index),
+        # unordered proximity (minimal cover window) from the positional
+        # sidecar: every doc holding ALL query terms, with the smallest
+        # token window covering one occurrence of each (min_span)
+        "proximity_search": _ranked(positions.proximity_min_span,
+                                    _PROXIMITY_QUERIES,
+                                    index=_positions_index),
+        "snippet_search": _snippet_search,
+        # pseudo-relevance-feedback expansion: BM25 top-5 feedback docs
+        # per query, top-3 expansion terms by summed tf (integer — bit-
+        # deterministic vs SQL) excluding originals and df*10 > N terms,
+        # then a second BM25 pass over original + expansion terms
+        "bm25_prf": _ranked(feedback.bm25_prf, _BM25_QUERIES, "score",
+                            corpus=True, k_fb=_PRF_K_FB, m_exp=_PRF_M_EXP,
+                            df_cap=_PRF_DF_CAP, k=10),
+        # "did you mean": each query word expands to its Levenshtein
+        # <=1 lexicon terms (vectorized byte-matrix check), scored as
+        # disjunctive BM25 top-10; oracle expands via levenshtein()
+        "fuzzy_bm25": _ranked(fuzzy.bm25_fuzzy, _FUZZY_QUERIES, "score",
+                              k=10),
+        # LLM-training sequence packing: greedy next-fit of docs (in id
+        # order within fixed id-range shards; bins never cross shards)
+        # into 96-token context windows — one searchsorted per bin, no
+        # per-row Python; oracle is a recursive CTE carrying (bin, fill)
+        "seq_packing": _src(_DOC_LENGTHS, ops.pack_sequences, ["doc_id"],
+                            budget=_PACK_BUDGET, shard_size=_PACK_SHARD),
+        # collocation mining: every adjacent alnum-token bigram with
+        # corpus count >= 5, scored by PMI (Church & Hanks 1990) —
+        # one content scan, counts attach by broadcast or term-hash
+        # partitioned join (pytest pins both paths identical)
+        "collocations": _src(_DOCS, ops.pmi_collocations,
+                             ["term_a", "term_b"], min_count=5),
+        # general wildcard (suffix/infix/multi-star) via the 3-gram
+        # lexicon index + vectorized greedy verify, scored as
+        # disjunctive BM25 top-10; oracle expands via LIKE
+        "wildcard_infix_bm25": _ranked(kgram.bm25_wildcard, _INFIX_QUERIES,
+                                       "score", k=10),
+        # faceted search: per (query, lang) count of the FULL
+        # disjunctive match set — match ids from the index alone, one
+        # column-pruned scan of the docs table for the facet column
+        "facet_search": lambda sf_dir: _sorted_table(facets.facet_counts(
+            _basic_index(sf_dir), _BM25_QUERIES, facet_col="lang"),
+            ["qid", "facet"]),
+        # +pos -neg boolean retrieval: every distinct known positive
+        # term present, no known negative term, positives score with
+        # duplicates counted twice (the clean-AND quirk), top-10
+        "boolean_not": _ranked(boolean.bm25_boolean, _BOOL_QUERIES, "score",
+                               k=10),
+        # RANKED phrase search: occurrence count as tf in the BM25
+        # formula, df = docs containing the phrase; matches from the
+        # positional sidecar, scoring one vectorized pass
+        "phrase_bm25": _ranked(positions.phrase_bm25, _PHRASE_QUERIES,
+                               "score", index=_positions_index, k=10),
+        # document-similarity queries: each source doc's top-5 terms
+        # (integer tf weights, df*10<=N cap) as a disjunctive BM25
+        # top-10, source doc excluded
+        "more_like_this": _ranked(feedback.more_like_this,
+                                  [d + 1 for d in _MLT_DOCNOS], "score",
+                                  corpus=True, m_terms=_MLT_M,
+                                  df_cap=_MLT_DF_CAP, k=10),
+        # wildcard/prefix retrieval: each query is a PREFIX, expanded to
+        # every matching lexicon term (two binary searches over the
+        # sorted key array), then scored as a disjunctive BM25 top-10
+        # over the distinct expansion — oracle expands via LIKE over the
+        # same token stream
+        "wildcard_bm25": partial(_engine_topk, prefix=True),
         # hybrid retrieval via Reciprocal Rank Fusion (Cormack et al.,
         # SIGIR 2009): the inverted-index BM25 top-10 fused with the
         # dense cosine top-10 over the embeddings table (query vector
         # for qid q = embedding of vec_id q — deterministic and
         # SQL-expressible). Ranks are recomputed from (score DESC, id
         # ASC) on both sides, so engine and oracle fuse identical lists.
-        from mircv_ray.ops import cosine_topk, rrf_fuse
-        sparse = _topk_run(sf_dir, "BM25")
-        nq = len(_BM25_QUERIES)
-        qtbl = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"],
-                             filters=[("vec_id", "<", nq)])
-        qtbl = qtbl.take(pc.sort_indices(qtbl["vec_id"]))
-        qv = np.stack([np.asarray(v)
-                       for v in qtbl["embedding"].to_pylist()])
-        emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                              columns=["vec_id", "embedding"])
-        dense = _sorted_table(cosine_topk(emb, qv, k=10),
-                              ["query_id", "vec_id"])
-        dense = dense.rename_columns(["qid", "doc_id", "score"])
-        fused = _round6(rrf_fuse([sparse, dense], k=10, k_rrf=60), "rrf")
-        return fused.take(pc.sort_indices(
-            fused, sort_keys=[("qid", "ascending"),
-                              ("doc_id", "ascending")]))
-
-    def passage_maxp(sf_dir: str):
-        # MaxP passage retrieval (Dai & Callan SIGIR'19): BM25 over the
-        # chunk-level index, document score = max over its chunks
-        from mircv_ray.ops import build_passage_index, passage_topk_maxp
-        key = hashlib.sha1(
-            f"{sf_dir}|passage|v{_CACHE_VERSION}".encode()).hexdigest()[:12]
-        out = str(_CACHE_ROOT / f"passage_{key}")
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id", "text"])
-        build_passage_index(ds, out, size=40, stride=25)
-        t = _round6(passage_topk_maxp(out, [list(q) for q in _BM25_QUERIES],
-                                      k=10), "score")
-        return t.take(pc.sort_indices(
-            t, sort_keys=[("qid", "ascending"), ("doc_id", "ascending")]))
-
-    def doc_chunks(sf_dir: str):
-        # sliding token-window chunking for RAG (size 40, stride 25 so
-        # overlap + short tails are both exercised)
-        from mircv_ray.ops import chunk_documents
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id", "text"])
-        out = chunk_documents(ds, size=40, stride=25)
-        return _sorted_table(out, ["doc_id", "chunk_id"])
-
-    def ltr_features_export(sf_dir: str):
-        # learning-to-rank feature table (LETOR-style export): one row
-        # per (query, candidate) with bm25/tfidf/qld/cosine/dl/n_match;
-        # candidates = sparse BM25 top-10 UNION dense cosine top-10
-        from mircv_ray.ops import ltr_features
-        idx = _basic_index(sf_dir)
-        nq = len(_BM25_QUERIES)
-        qtbl = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"],
-                             filters=[("vec_id", "<", nq)])
-        qtbl = qtbl.take(pc.sort_indices(qtbl["vec_id"]))
-        qv = np.stack([np.asarray(v)
-                       for v in qtbl["embedding"].to_pylist()])
-        emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                              columns=["vec_id", "embedding"])
-        t = ltr_features(idx, emb, [list(q) for q in _BM25_QUERIES], qv,
-                         k=10)
-        for c in ("bm25", "tfidf", "qld", "cosine"):
-            t = _round6(t, c)
-        return t.take(pc.sort_indices(
-            t, sort_keys=[("qid", "ascending"), ("doc_id", "ascending")]))
-
-    def hybrid_combmnz(sf_dir: str):
+        "hybrid_rrf": _hybrid(ops.rrf_fuse, "rrf", k_rrf=60),
         # CombMNZ score fusion (Fox & Shaw TREC-2, Lee SIGIR'97 min-max
         # normalization): same two sides as hybrid_rrf, but fusing the
         # SCORES — each side's top-10 min-max normalized per query, the
@@ -1437,2006 +2274,365 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # scores are rounded to 6 BEFORE normalization (and the oracle
         # rounds identically) so engine and SQL normalize the same
         # doubles.
-        from mircv_ray.ops import comb_fuse, cosine_topk
-        sparse = _topk_run(sf_dir, "BM25")           # scores round-6
-        nq = len(_BM25_QUERIES)
-        qtbl = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"],
-                             filters=[("vec_id", "<", nq)])
-        qtbl = qtbl.take(pc.sort_indices(qtbl["vec_id"]))
-        qv = np.stack([np.asarray(v)
-                       for v in qtbl["embedding"].to_pylist()])
-        emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                              columns=["vec_id", "embedding"])
-        dense = _sorted_table(cosine_topk(emb, qv, k=10),
-                              ["query_id", "vec_id"])
-        dense = _round6(dense.rename_columns(["qid", "doc_id", "score"]),
-                        "score")
-        fused = _round6(comb_fuse([sparse, dense], k=10, method="mnz"),
-                        "fused")
-        return fused.take(pc.sort_indices(
-            fused, sort_keys=[("qid", "ascending"),
-                              ("doc_id", "ascending")]))
-
-    def phrase_search(sf_dir: str):
-        # exact-phrase retrieval (engine EXTENSION — the reference index
-        # stores no positions): inverted-index conjunctive prune +
-        # candidate-only adjacency verify; oracle = positional
-        # self-join SQL. doc_id reported as docno (engine id - 1).
-        from mircv_ray.query.phrase import phrase_match
-        from mircv_ray.sources import documents_as_corpus
-        idx = _basic_index(sf_dir)
-        out = phrase_match(idx, documents_as_corpus(sf_dir),
-                           _PHRASE_QUERIES, parse=False, squeeze=False)
-        t = _sorted_table(out, ["qid", "doc_id"])
-        return t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                            pc.subtract(t["doc_id"], 1))
-
-    def phrase_search_positional(sf_dir: str):
-        # same phrases, same oracle — but answered from the positional
-        # sidecar ALONE (no content re-scan): term -> (docIds, per-doc
-        # positions) lists, adjacency = vectorized composite-key chain.
-        # Must agree with phrase_search exactly (both are oracle-gated).
-        from mircv_ray.build.positions import (build_positions_index,
-                                               phrase_match_positional)
-        from mircv_ray.config import IndexConfig
-        from mircv_ray.sources import documents_as_corpus
-        idx = _basic_index(sf_dir)
-        build_positions_index(
-            idx, documents_as_corpus(sf_dir),
-            IndexConfig(parse=False, squeeze=False, num_shards=4,
-                        salt_buckets=2))
-        t = phrase_match_positional(idx, _PHRASE_QUERIES, parse=False,
-                                    squeeze=False)
-        t = t.take(pc.sort_indices(
-            t, sort_keys=[("qid", "ascending"), ("doc_id", "ascending")]))
-        return t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                            pc.subtract(t["doc_id"], 1))
-
-    def phrase_bm25(sf_dir: str):
-        # RANKED phrase search: occurrence count as tf in the BM25
-        # formula, df = docs containing the phrase; matches from the
-        # positional sidecar, scoring one vectorized pass
-        from mircv_ray.build.positions import (build_positions_index,
-                                               phrase_bm25 as pb)
-        from mircv_ray.config import IndexConfig
-        from mircv_ray.sources import documents_as_corpus
-        idx = _basic_index(sf_dir)
-        build_positions_index(
-            idx, documents_as_corpus(sf_dir),
-            IndexConfig(parse=False, squeeze=False, num_shards=4,
-                        salt_buckets=2))
-        t = pb(idx, _PHRASE_QUERIES, k=10, parse=False, squeeze=False)
-        t = t.take(pc.sort_indices(
-            t, sort_keys=[("qid", "ascending"), ("doc_id", "ascending")]))
-        t = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                         pc.subtract(t["doc_id"], 1))
-        return _round6(t, "score")
-
-    def wildcard_bm25(sf_dir: str):
-        # wildcard/prefix retrieval: each query is a PREFIX, expanded to
-        # every matching lexicon term (two binary searches over the
-        # sorted key array), then scored as a disjunctive BM25 top-10
-        # over the distinct expansion — oracle expands via LIKE over the
-        # same token stream
-        from mircv_ray.config import QueryConfig
-        from mircv_ray.query import QueryEngine
-        idx = _basic_index(sf_dir)
-        eng = QueryEngine(idx, QueryConfig(standard="BM25", k=10,
-                                           parse=False, squeeze=False))
-        qids, dids, scores = [], [], []
-        for qid, prefix in enumerate(_WILDCARD_QUERIES):
-            terms = eng.reader.prefix_terms(prefix)
-            for doc_id, score in eng.score_terms(terms,
-                                                 conjunctive=False):
-                qids.append(qid)
-                dids.append(doc_id - 1)
-                scores.append(round(score, 6))
-        return pa.table({"qid": pa.array(qids, type=pa.int64()),
-                         "doc_id": pa.array(dids, type=pa.int64()),
-                         "score": pa.array(scores, type=pa.float64())})
-
-    def proximity_search(sf_dir: str):
-        # unordered proximity (minimal cover window) from the positional
-        # sidecar: every doc holding ALL query terms, with the smallest
-        # token window covering one occurrence of each (min_span)
-        from mircv_ray.build.positions import (build_positions_index,
-                                               proximity_min_span)
-        from mircv_ray.config import IndexConfig
-        from mircv_ray.sources import documents_as_corpus
-        idx = _basic_index(sf_dir)
-        build_positions_index(
-            idx, documents_as_corpus(sf_dir),
-            IndexConfig(parse=False, squeeze=False, num_shards=4,
-                        salt_buckets=2))
-        t = proximity_min_span(idx, _PROXIMITY_QUERIES, parse=False,
-                               squeeze=False)
-        t = t.take(pc.sort_indices(
-            t, sort_keys=[("qid", "ascending"), ("doc_id", "ascending")]))
-        return t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                            pc.subtract(t["doc_id"], 1))
-
-    def boolean_not(sf_dir: str):
-        # +pos -neg boolean retrieval: every distinct known positive
-        # term present, no known negative term, positives score with
-        # duplicates counted twice (the clean-AND quirk), top-10
-        from mircv_ray.query.boolean import bm25_boolean
-        idx = _basic_index(sf_dir)
-        t = bm25_boolean(idx, _BOOL_QUERIES, k=10, parse=False,
-                         squeeze=False)
-        t = t.take(pc.sort_indices(
-            t, sort_keys=[("qid", "ascending"), ("doc_id", "ascending")]))
-        t = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                         pc.subtract(t["doc_id"], 1))
-        return _round6(t, "score")
-
-    def facet_search(sf_dir: str):
-        # faceted search: per (query, lang) count of the FULL
-        # disjunctive match set — match ids from the index alone, one
-        # column-pruned scan of the docs table for the facet column
-        from mircv_ray.query.facets import facet_counts
-        idx = _basic_index(sf_dir)
-        t = facet_counts(idx, _BM25_QUERIES, facet_col="lang")
-        return t.take(pc.sort_indices(
-            t, sort_keys=[("qid", "ascending"), ("facet", "ascending")]))
-
-    def wildcard_infix_bm25(sf_dir: str):
-        # general wildcard (suffix/infix/multi-star) via the 3-gram
-        # lexicon index + vectorized greedy verify, scored as
-        # disjunctive BM25 top-10; oracle expands via LIKE
-        from mircv_ray.query.kgram import bm25_wildcard
-        idx = _basic_index(sf_dir)
-        t, _exp = bm25_wildcard(idx, _INFIX_QUERIES, k=10, parse=False,
-                                squeeze=False)
-        t = t.take(pc.sort_indices(
-            t, sort_keys=[("qid", "ascending"), ("doc_id", "ascending")]))
-        t = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                         pc.subtract(t["doc_id"], 1))
-        return _round6(t, "score")
-
-    def collocations(sf_dir: str):
-        # collocation mining: every adjacent alnum-token bigram with
-        # corpus count >= 5, scored by PMI (Church & Hanks 1990) —
-        # one content scan, counts attach by broadcast or term-hash
-        # partitioned join (pytest pins both paths identical)
-        from mircv_ray.ops import pmi_collocations
-        return _sorted_table(pmi_collocations(_docs_ds(sf_dir),
-                                              min_count=5),
-                             ["term_a", "term_b"])
-
-    def seq_packing(sf_dir: str):
-        # LLM-training sequence packing: greedy next-fit of docs (in id
-        # order within fixed id-range shards; bins never cross shards)
-        # into 96-token context windows — one searchsorted per bin, no
-        # per-row Python; oracle is a recursive CTE carrying (bin, fill)
-        from mircv_ray.ops import basic_token_stats, pack_sequences
-        dl = (_docs_ds(sf_dir)
-              .map_batches(_non_blank, batch_format="pyarrow")
-              .map_batches(basic_token_stats, batch_format="pyarrow"))
-        out = pack_sequences(dl, budget=_PACK_BUDGET,
-                             shard_size=_PACK_SHARD)
-        return _sorted_table(out, ["doc_id"])
-
-    def fuzzy_bm25(sf_dir: str):
-        # "did you mean": each query word expands to its Levenshtein
-        # <=1 lexicon terms (vectorized byte-matrix check), scored as
-        # disjunctive BM25 top-10; oracle expands via levenshtein()
-        from mircv_ray.query.fuzzy import bm25_fuzzy
-        idx = _basic_index(sf_dir)
-        t, _exp = bm25_fuzzy(idx, _FUZZY_QUERIES, k=10, parse=False,
-                             squeeze=False)
-        t = t.take(pc.sort_indices(
-            t, sort_keys=[("qid", "ascending"), ("doc_id", "ascending")]))
-        t = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                         pc.subtract(t["doc_id"], 1))
-        return _round6(t, "score")
-
-    def bm25_prf(sf_dir: str):
-        # pseudo-relevance-feedback expansion: BM25 top-5 feedback docs
-        # per query, top-3 expansion terms by summed tf (integer — bit-
-        # deterministic vs SQL) excluding originals and df*10 > N terms,
-        # then a second BM25 pass over original + expansion terms
-        from mircv_ray.query.feedback import bm25_prf as prf
-        from mircv_ray.sources import documents_as_corpus
-        idx = _basic_index(sf_dir)
-        t, _exp = prf(idx, documents_as_corpus(sf_dir), _BM25_QUERIES,
-                      k_fb=_PRF_K_FB, m_exp=_PRF_M_EXP,
-                      df_cap=_PRF_DF_CAP, k=10, parse=False,
-                      squeeze=False)
-        t = t.take(pc.sort_indices(
-            t, sort_keys=[("qid", "ascending"), ("doc_id", "ascending")]))
-        t = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                         pc.subtract(t["doc_id"], 1))
-        return _round6(t, "score")
-
-    def more_like_this(sf_dir: str):
-        # document-similarity queries: each source doc's top-5 terms
-        # (integer tf weights, df*10<=N cap) as a disjunctive BM25
-        # top-10, source doc excluded
-        from mircv_ray.query.feedback import more_like_this as mlt
-        from mircv_ray.sources import documents_as_corpus
-        idx = _basic_index(sf_dir)
-        t, _terms = mlt(idx, documents_as_corpus(sf_dir),
-                        [d + 1 for d in _MLT_DOCNOS], m_terms=_MLT_M,
-                        df_cap=_MLT_DF_CAP, k=10, parse=False,
-                        squeeze=False)
-        t = t.take(pc.sort_indices(
-            t, sort_keys=[("qid", "ascending"), ("doc_id", "ascending")]))
-        t = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                         pc.subtract(t["doc_id"], 1))
-        return _round6(t, "score")
-
-    def snippet_search(sf_dir: str):
-        # keyword-in-context snippets: the proximity queries' BEST
-        # minimal-cover window per doc (argmin span, then start) ± 3
-        # context tokens, sliced from content in one candidate-only
-        # scan. start_pos reported 1-based to match the SQL slicing.
-        from mircv_ray.build.positions import build_positions_index
-        from mircv_ray.config import IndexConfig
-        from mircv_ray.query.snippets import snippet_extract
-        from mircv_ray.sources import documents_as_corpus
-        idx = _basic_index(sf_dir)
-        build_positions_index(
-            idx, documents_as_corpus(sf_dir),
-            IndexConfig(parse=False, squeeze=False, num_shards=4,
-                        salt_buckets=2))
-        out = snippet_extract(idx, documents_as_corpus(sf_dir),
-                              _PROXIMITY_QUERIES, ctx=_SNIPPET_CTX,
-                              parse=False, squeeze=False)
-        t = _sorted_table(out, ["qid", "doc_id"])
-        t = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                         pc.subtract(t["doc_id"], 1))
-        t = t.set_column(t.schema.get_field_index("start"), "start",
-                         pc.add(t["start"], 1))
-        return t.rename_columns(
-            ["qid", "doc_id", "start_pos", "min_span", "snippet"])
-
-    def bm25_conjunctive_strict(sf_dir: str):
+        "hybrid_combmnz": _hybrid(ops.comb_fuse, "fused", round_dense=True,
+                                  method="mnz"),
+        "ltr_features": _ltr_features,
+        # sliding token-window chunking for RAG (size 40, stride 25 so
+        # overlap + short tails are both exercised)
+        "doc_chunks": _src(_DOCS, ops.chunk_documents, ["doc_id", "chunk_id"],
+                           size=40, stride=25),
+        "passage_maxp": _passage_maxp,
         # CLEAN-AND conjunctive (engine extension; SQL-expressible,
         # unlike the reference's quirky MaxScore conjunctive which stays
         # pytest-verified against the pure-Python oracle)
-        from mircv_ray.config import QueryConfig
-        from mircv_ray.query import QueryEngine
-        idx = _basic_index(sf_dir)
-        eng = QueryEngine(idx, QueryConfig(standard="BM25", k=10,
-                                           parse=False, squeeze=False))
-        qids, dids, scores = [], [], []
-        for qid, terms in enumerate(_BM25_QUERIES):
-            for doc_id, score in eng.score_terms_strict_and(list(terms)):
-                qids.append(qid)
-                dids.append(doc_id - 1)
-                scores.append(round(score, 6))
-        return pa.table({"qid": pa.array(qids, type=pa.int64()),
-                         "doc_id": pa.array(dids, type=pa.int64()),
-                         "score": pa.array(scores, type=pa.float64())})
-
-    def dedup_exact(sf_dir: str):
-        from mircv_ray.ops import exact_dedup_keep
-        ds = _docs_ds(sf_dir)
-        return _sorted_table(
-            exact_dedup_keep(ds).select_columns(["keep_id", "n_dups"]),
-            ["keep_id"])
-
-    def token_count(sf_dir: str):
-        from mircv_ray.ops import token_count as tc
-        return _docs_ds(sf_dir).map_batches(tc, batch_format="pyarrow")
-
-    def quality_stats(sf_dir: str):
-        from mircv_ray.ops import quality_stats as qs
-        return _docs_ds(sf_dir).map_batches(qs, batch_format="pyarrow")
-
-    def char_entropy(sf_dir: str):
+        "bm25_conjunctive_strict": partial(_engine_topk, mode="strict"),
+        "dedup_exact": _src(_DOCS, ops.exact_dedup_keep, ["keep_id"],
+                            select=["keep_id", "n_dups"]),
+        "token_count": _src(_DOCS, maps=(ops.token_count,)),
+        "quality_stats": _src(_DOCS, maps=(ops.quality_stats,)),
         # per-doc character Shannon entropy (gibberish/boilerplate
         # signal); DuckDB's entropy() aggregate is the same base-2
         # definition, so this is value-exact at round-4
-        from mircv_ray.ops import char_entropy as ce
-        return _docs_ds(sf_dir).map_batches(ce, batch_format="pyarrow")
-
-    def dsir_weights_exact(sf_dir: str):
-        # DSIR importance weights (arXiv:2302.03169) toward lang='en',
-        # UNHASHED feature space — the exact twin, SQL-mirrorable
-        from mircv_ray.ops import dsir_weights
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id", "lang", "text"])
-        return _sorted_table(
-            dsir_weights(ds, "lang", "en"), ["doc_id"])
-
-    def dsir_weights_hashed(sf_dir: str):
-        # the paper's production shape: crc32-hashed feature buckets
-        # bound the model at `buckets` floats regardless of corpus
-        # size. Bucketing is not SQL-expressible (no crc32 in DuckDB)
-        # -> rows-only, but SELF-VALIDATING in-entry: the hashed
-        # weights must rank-correlate with the exact twin (hash
-        # collisions only blur, never invert, a clear en/non-en split)
-        from mircv_ray.ops import dsir_weights
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id", "lang", "text"])
-        hashed = _sorted_table(
-            dsir_weights(ds, "lang", "en", buckets=4096), ["doc_id"])
-        exact = _sorted_table(
-            dsir_weights(ds, "lang", "en"), ["doc_id"])
-        import numpy as np
-        a = np.asarray(hashed["log_weight"].to_pylist())
-        b = np.asarray(exact["log_weight"].to_pylist())
-        if len(a) > 2 and float(np.std(a)) > 0 and float(np.std(b)) > 0:
-            ra = np.argsort(np.argsort(a)).astype(np.float64)
-            rb = np.argsort(np.argsort(b)).astype(np.float64)
-            rho = float(np.corrcoef(ra, rb)[0, 1])
-            if rho < 0.9:
-                raise AssertionError(
-                    f"hashed-DSIR rank correlation {rho:.3f} < 0.9 "
-                    "vs the exact feature space")
-        return hashed
-
-    def dsir_resample(sf_dir: str):
+        "char_entropy": _src(_DOCS, maps=(ops.char_entropy,)),
+        # entropy-ranked decile bucketing (the CCNet perplexity-bucket
+        # shape with the n=0 score): exact global ntile via range-
+        # partitioned sort + metadata-sized block offsets
+        "quality_deciles": _src(_ENTROPY, ops.global_ntile, ["doc_id"],
+                                sort_cols=["char_entropy", "doc_id"],
+                                n_tiles=10, out_col="decile"),
+        "dsir_weights_exact": _DSIR_EXACT,
+        "dsir_weights_hashed": _dsir_weights_hashed,
         # the RESAMPLE step of DSIR (arXiv:2302.03169 §2): draw 100 docs
         # without replacement with probability ∝ 10**log_weight via the
         # Efraimidis-Spirakis exponential race with knuth-hash uniforms
         # — deterministic end to end, so the weight CTE + the exact key
         # expression replay in SQL (keys round 6 before ranking on both
         # sides)
-        from mircv_ray.ops import dsir_weights, importance_resample
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id", "lang", "text"])
-        w = dsir_weights(ds, "lang", "en").select_columns(
-            ["doc_id", "log_weight"])
-        return _sorted_table(importance_resample(w, 100), ["sample_rank"])
-
-    def quality_deciles(sf_dir: str):
-        # entropy-ranked decile bucketing (the CCNet perplexity-bucket
-        # shape with the n=0 score): exact global ntile via range-
-        # partitioned sort + metadata-sized block offsets
-        from mircv_ray.ops import char_entropy as ce
-        from mircv_ray.ops import global_ntile
-        scored = _docs_ds(sf_dir).map_batches(ce, batch_format="pyarrow") \
-            .select_columns(["doc_id", "char_entropy"])
-        out = global_ntile(scored, ["char_entropy", "doc_id"], 10,
-                           out_col="decile")
-        return _sorted_table(out, ["doc_id"])
-
-    def knn_graph_exact(sf_dir: str):
-        # exact cosine kNN graph (tiled block-nested-loop, per-tile
-        # partial top-k both directions, per-src merge) — the ground
-        # truth the LSH graph is recall-validated against
-        from mircv_ray.ops import knn_graph
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-        out = knn_graph(ds, k=5)
-        out = out.map_batches(lambda b: _round6(b, "cosine"),
-                              batch_format="pyarrow")
-        return _sorted_table(out, ["src", "dst"])
-
-    def knn_graph_approx(sf_dir: str):
-        # LSH-bucketed kNN graph (the 10^12-row path: only same-band
-        # pairs are scored). Approximate by construction -> rows-only at
-        # the driver, but SELF-VALIDATING in-entry: edge recall vs the
-        # exact graph is asserted, and every emitted cosine is exact
-        from mircv_ray.ops import knn_graph, knn_graph_lsh
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-        approx = _sorted_table(
-            knn_graph_lsh(ds, k=5, bands=16).map_batches(
-                lambda b: _round6(b, "cosine"), batch_format="pyarrow"),
-            ["src", "dst"])
-        exact = _sorted_table(
-            knn_graph(ds, k=5).map_batches(
-                lambda b: _round6(b, "cosine"), batch_format="pyarrow"),
-            ["src", "dst"])
-        def edge_set(t):
-            return set(zip(t["src"].to_pylist(), t["dst"].to_pylist()))
-        want, have = edge_set(exact), edge_set(approx)
-        recall = len(want & have) / max(len(want), 1)
-        if recall < 0.35:
-            raise AssertionError(
-                f"LSH kNN edge recall {recall:.2f} < 0.35 vs exact "
-                "(iid-random embeddings are the LSH worst case; real "
-                "clustered corpora sit far higher)")
-        return approx
-
-    def mmr_diversified(sf_dir: str):
+        "dsir_resample": _src(
+            _src(_DOCS_LANG, ops.dsir_weights, target_col="lang",
+                 target_value="en", select=["doc_id", "log_weight"]),
+            ops.importance_resample, ["sample_rank"], n=100),
+        "bpe_merges": _bpe_merges,
+        "bpe_token_counts": _bpe_token_counts,
+        "bm25f_topk": _bm25f_topk,
+        "knn_graph_exact": _KNN_EXACT,
+        "knn_graph_approx": _knn_graph_approx,
+        "ann_cosine_topk": _vec(ops.cosine_topk, k=10),
+        # IVF path probing ALL buckets == exact -> shares the ANN oracle SQL
+        "ann_cosine_topk_ivf": _vec(_ivf_topk, k=10, nprobe=8),
+        "ann_cosine_topk_pq": _ann_cosine_topk_pq,
         # MMR diversified rerank (Carbonell & Goldstein SIGIR'98):
         # greedy lam*sim(q,d) - (1-lam)*max sim(d, selected) over the
         # cosine top-20 candidates; oracle = the same greedy unrolled
         # to 5 selection CTE stages
-        from mircv_ray.ops import mmr_rerank
-        emb = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id", "embedding"])
-        qvecs = np.stack([np.asarray(emb["embedding"][i].as_py())
-                          for i in range(3)])
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-        out = mmr_rerank(ds, qvecs, k=5, lam=0.7, n_cand=20)
-        return _round6(out, "score")
-
-    def dense_prf(sf_dir: str):
+        "mmr_diversified": _vec(ops.mmr_rerank, k=5, lam=0.7, n_cand=20),
         # Rocchio pseudo-relevance feedback in embedding space: q' =
         # q + 0.75 * centroid(cosine top-5), rerank by cosine(q', d) —
         # the dense sibling of the sparse bm25_prf entry
-        from mircv_ray.ops import rocchio_dense
-        emb = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id", "embedding"])
-        qvecs = np.stack([np.asarray(emb["embedding"][i].as_py())
-                          for i in range(3)])
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-        out = rocchio_dense(ds, qvecs, k=10, alpha=1.0, beta=0.75,
-                            n_fb=5)
-        t = _round6(_sorted_table(out, ["query_id", "vec_id"]), "score")
-        return t
-
-    def ann_cosine_topk(sf_dir: str):
-        from mircv_ray.ops import cosine_topk
-        emb = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id", "embedding"])
-        qvecs = np.stack([np.asarray(emb["embedding"][i].as_py())
-                          for i in range(3)])
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-        out = cosine_topk(ds, qvecs, k=10)
-        return out.map_batches(lambda b: _round6(b, "score"),
-                               batch_format="pyarrow")
-
-    def ann_cosine_topk_ivf(sf_dir: str):
-        # IVF path probing ALL buckets == exact -> shares the ANN oracle SQL
-        from mircv_ray.ops import ivf_build_centroids, ivf_cosine_topk
-        emb = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id", "embedding"])
-        qvecs = np.stack([np.asarray(emb["embedding"][i].as_py())
-                          for i in range(3)])
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-        cents = ivf_build_centroids(ds, n_clusters=8, iters=5)
-        out = ivf_cosine_topk(ds, qvecs, cents, k=10, nprobe=8)
-        return out.map_batches(lambda b: _round6(b, "score"),
-                               batch_format="pyarrow")
-
-    def ann_cosine_topk_pq(sf_dir: str):
-        # PQ ADC scan (8 bytes/vector) + exact re-rank of the
-        # oversampled candidates — approximate by construction, so
-        # rows-only at the driver; recall vs the exact scan is pinned
-        # in pytest on clustered data
-        from mircv_ray.ops import pq_cosine_topk_rerank, pq_encode, pq_train
-        emb = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id", "embedding"])
-        qvecs = np.stack([np.asarray(emb["embedding"][i].as_py())
-                          for i in range(3)])
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-        books = pq_train(ds, m=8, k=64, iters=5)
-        codes = pq_encode(ds, books).materialize()
-        out = pq_cosine_topk_rerank(ds, codes, books, qvecs, k=10)
-        out = out.map_batches(lambda b: _round6(b, "score"),
-                              batch_format="pyarrow")
-        got = _sorted_table(out, ["query_id", "vec_id"])
-        # SELF-VALIDATING in-entry (ADC scan is approximate, so
-        # rows-only at the driver): per-query recall@10 vs the exact
-        # brute-force cosine top-10 must be >= 0.9 — the
-        # tests/test_round3_ops.py bound on clustered data
-        base = np.array(emb["embedding"].to_pylist())
-        ids = emb["vec_id"].to_numpy()
-        unit = base / np.linalg.norm(base, axis=1, keepdims=True)
-        qunit = qvecs / np.linalg.norm(qvecs, axis=1, keepdims=True)
-        sims = qunit @ unit.T
-        pos = {int(v): i for i, v in enumerate(ids)}
-        for qi in range(len(qvecs)):
-            # exact top-10 by (cosine DESC, vec_id ASC)
-            order = np.lexsort((ids, -sims[qi]))[:10]
-            want = set(ids[order].tolist())
-            mask = np.asarray(got["query_id"]) == qi
-            have_ids = np.asarray(got["vec_id"])[mask]
-            recall = len(want & set(have_ids.tolist())) / len(want)
-            if recall < 0.9:
-                raise AssertionError(
-                    f"PQ+rerank recall@10 {recall:.2f} < 0.9 for "
-                    f"query {qi}")
-            # the rerank rescores candidates with FULL vectors, so every
-            # reported score must equal the recomputed exact cosine
-            ref = np.round(sims[qi][[pos[int(v)] for v in have_ids]], 6)
-            rep = np.asarray(got["score"])[mask]
-            if not np.allclose(rep, ref, atol=2e-6):
-                raise AssertionError(
-                    f"PQ rerank scores diverge from exact cosines for "
-                    f"query {qi}")
-        return got
-
-    def lang_id(sf_dir: str):
-        from mircv_ray.ops import lang_id as li
-        return _sorted_table(
-            _docs_ds(sf_dir).map_batches(li, batch_format="pyarrow"),
-            ["doc_id"])
-
-    def fingerprint(sf_dir: str):
-        from mircv_ray.ops import fingerprint as fp
-        return _sorted_table(
-            _docs_ds(sf_dir).map_batches(fp, batch_format="pyarrow"),
-            ["doc_id"])
-
-    def contamination(sf_dir: str):
-        from mircv_ray.ops import contamination_check
-        return _sorted_table(
-            contamination_check(_docs_ds(sf_dir), _PROBES), ["doc_id"])
-
-    def contamination_ngram(sf_dir: str):
-        # n-gram-overlap decontamination (GPT-3 appendix-C rule) with a
-        # Bloom prefilter; result is EXACT (the bloom only prefilters),
-        # so it is SQL-oracle-gated. Probes = the 40-char prefixes of
-        # the 3 lowest-id documents (guaranteed hits, derived
-        # identically in SQL) + one alien string (pins the zero case).
-        from mircv_ray.ops import contamination_ngram as cn
-        probe_rows = pq.read_table(f"{sf_dir}/documents.parquet",
-                                   columns=["doc_id", "text"]) \
-            .sort_by("doc_id").slice(0, 3)
-        probes = [t[:40] for t in probe_rows["text"].to_pylist()]
-        probes.append("quantumzebralatticequantumzebralattice")
-        return _sorted_table(cn(_docs_ds(sf_dir), probes, n=20),
-                             ["doc_id"])
-
-    def contamination_fuzzy(sf_dir: str):
-        # probes = three real document texts -> guaranteed jaccard-1.0
-        # hits; LSH-banded so intentionally no SQL oracle (rows check)
-        from mircv_ray.ops import contamination_fuzzy as cf
-        probe_rows = pq.read_table(f"{sf_dir}/documents.parquet",
-                                   columns=["doc_id", "text"]) \
-            .sort_by("doc_id").slice(0, 3)
-        got = _sorted_table(
-            cf(_docs_ds(sf_dir), probe_rows["text"].to_pylist(),
-               threshold=0.8), ["doc_id", "probe_idx"])
-        # SELF-VALIDATING in-entry (LSH-banded fuzzy match is
-        # probabilistic, so rows-only at the driver): each probe IS a
-        # corpus document, a guaranteed jaccard-1.0 hit — probe i must
-        # flag its own source doc
-        have = set(zip(got["doc_id"].to_pylist(),
-                       got["probe_idx"].to_pylist()))
-        missing = [(int(d), i) for i, d in
-                   enumerate(probe_rows["doc_id"].to_pylist())
-                   if (int(d), i) not in have]
-        if missing:
-            raise AssertionError(
-                f"fuzzy decontamination missed its guaranteed "
-                f"jaccard-1.0 (doc, probe) hits: {missing}")
-        return got
-
-    def pii_redact(sf_dir: str):
-        # the synthetic corpus has no organic PII, so each doc gets a
-        # deterministic preamble (email from `source`, IP and phone from
-        # `doc_id`) built IDENTICALLY in SQL from the same view columns —
-        # the redaction kernels then have real work on both sides
-        from mircv_ray.ops import pii_redact as pr
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id", "text", "source"])
-
-        def synth(batch: pa.Table) -> pa.Table:
-            did = batch["doc_id"].to_numpy()
-            o1 = pc.cast(pa.array(did % 256), pa.string())
-            o2 = pc.cast(pa.array((did * 7) % 256), pa.string())
-            ph = pc.utf8_lpad(pc.cast(pa.array(did % 10000), pa.string()),
-                              4, "0")
-            t = pc.binary_join_element_wise(
-                "contact ", batch["source"], "@example.com from 10.0.",
-                o1, ".", o2, " call 555-123-", ph, " ", batch["text"], "")
-            return pa.table({"doc_id": batch["doc_id"], "text": t})
-
-        return _sorted_table(
-            ds.map_batches(synth, batch_format="pyarrow")
-              .map_batches(pr, batch_format="pyarrow"), ["doc_id"])
-
-    def repetition_stats(sf_dir: str):
-        from mircv_ray.ops import repetition_stats as rs
-        out = _docs_ds(sf_dir).map_batches(rs, batch_format="pyarrow") \
-            .map_batches(lambda b: _round6(_round6(b, "ttr"),
-                                           "top_bigram_frac"),
-                         batch_format="pyarrow")
-        return _sorted_table(out, ["doc_id"])
-
-    def ngram_jaccard_exact(sf_dir: str):
-        # prefix-filtered EXACT set-similarity join (recall 1, no LSH) —
-        # unlike minhash_pairs/ngram_jaccard this one is fully
-        # SQL-expressible, closing the near-dup axis's oracle gap
-        from mircv_ray.ops import jaccard_simjoin_exact
-        out = jaccard_simjoin_exact(_docs_ds(sf_dir), threshold=0.5)
-        out = out.map_batches(lambda b: _round6(b, "jaccard"),
-                              batch_format="pyarrow")
-        return _sorted_table(out, ["a", "b"])
-
-    def substring_dup_exact(sf_dir: str):
-        # document pairs sharing any 30-char window — substring-level
-        # dedup (Lee et al., ACL 2022) on the all-windows exact path:
-        # windows pair by BYTES, so the result is SQL-mirrorable
-        # gram-for-gram (substr + generate_series on the oracle side)
-        from mircv_ray.ops import shared_ngram_pairs
-        return _sorted_table(shared_ngram_pairs(_docs_ds(sf_dir), n=30),
-                             ["a", "b"])
-
-    def substring_dup_winnow(sf_dir: str):
-        # winnowing fingerprints (Schleimer et al. SIGMOD'03; n=21,
-        # w=10): ~5x fewer rows shuffle, with a HARD guarantee — any
-        # shared substring of length >= n+w-1 = 30 selects the same
-        # window in both docs. Pairs depend on which windows winnowing
-        # samples (not SQL-expressible), so the entry is rows-only to
-        # the driver but SELF-VALIDATING in-entry: the guarantee is
-        # recall 1 vs the exact 30-gram twin, asserted here.
-        from mircv_ray.ops import shared_ngram_pairs
-        win = _sorted_table(
-            shared_ngram_pairs(_docs_ds(sf_dir), n=21, winnow_w=10),
-            ["a", "b"])
-        exact = _sorted_table(shared_ngram_pairs(_docs_ds(sf_dir), n=30),
-                              ["a", "b"])
-        want = set(zip(exact["a"].to_pylist(), exact["b"].to_pylist()))
-        got = set(zip(win["a"].to_pylist(), win["b"].to_pylist()))
-        if want - got:
-            raise AssertionError(
-                f"winnowing missed {len(want - got)} exact-30-gram "
-                "pair(s) — violates the n+w-1 recall guarantee")
-        return win
-
-    def embedding_near_dups_exact(sf_dir: str):
+        "dense_prf": _vec(ops.rocchio_dense, ["query_id", "vec_id"], k=10,
+                          alpha=1.0, beta=0.75, n_fb=5),
+        "lang_id": _src(_DOCS, keys=["doc_id"], maps=(ops.lang_id,)),
+        "fingerprint": _src(_DOCS, keys=["doc_id"], maps=(ops.fingerprint,)),
+        "pii_redact": _src(_DOCS_SOURCE, keys=["doc_id"],
+                           maps=(_pii_preamble, ops.pii_redact)),
+        "repetition_stats": _src(_DOCS, keys=["doc_id"],
+                                 maps=(ops.repetition_stats,),
+                                 round6=("ttr", "top_bigram_frac")),
+        "ngram_jaccard_exact": _JACCARD_EXACT,
+        "substring_dup_exact": _SUBSTRING_EXACT,
+        "substring_dup_winnow": _substring_dup_winnow,
         # tiled brute-force cosine threshold join over the RAW embeddings
         # view (no planting — threshold 0.3 sits in a 7e-5-wide value gap
         # at sf0.01, far beyond float noise), exactly SQL-checkable
-        from mircv_ray.ops import cosine_all_pairs
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-        out = cosine_all_pairs(ds, threshold=0.3)
-        out = out.map_batches(lambda b: _round6(b, "cosine"),
-                              batch_format="pyarrow")
-        return _sorted_table(out, ["a", "b"])
-
-    def semantic_dedup_exact(sf_dir: str):
-        # SemDeDup with n_clusters=1 IS the exact global rule: drop every
-        # vector that has an EARLIER (smaller-id) vector at cosine >= 0.3
-        # (same value-gap threshold as embedding_near_dups_exact) —
-        # min-id dominance, exactly SQL-expressible
-        from mircv_ray.ops import semantic_dedup
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-        out = semantic_dedup(ds, n_clusters=1, threshold=0.3)
-        return _sorted_table(out.select_columns(["vec_id", "keep"]),
-                             ["vec_id"])
-
-    def semantic_dedup_clustered(sf_dir: str):
-        # production path (SemDeDup, arXiv:2303.09540): full-data Lloyd
-        # k-means bounds the candidate sets; only same-cluster pairs are
-        # compared. Which global near-dups stay visible depends on the
-        # learned partition (not SQL-expressible) -> rows-only, but
-        # SELF-VALIDATING in-entry: precision 1.0 vs the exact global
-        # rule is asserted (every clustered drop is a true near-dup)
-        from mircv_ray.ops import semantic_dedup
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-        clustered = _sorted_table(
-            semantic_dedup(ds, n_clusters=8, threshold=0.3, iters=4,
-                           seed=42), ["vec_id"])
-        exact = _sorted_table(
-            semantic_dedup(ds, n_clusters=1, threshold=0.3)
-            .select_columns(["vec_id", "keep"]), ["vec_id"])
-        exact_drop = {v for v, k in zip(exact["vec_id"].to_pylist(),
-                                        exact["keep"].to_pylist()) if not k}
-        clus_drop = {v for v, k in zip(clustered["vec_id"].to_pylist(),
-                                       clustered["keep"].to_pylist())
-                     if not k}
-        if not clus_drop <= exact_drop:
-            raise AssertionError(
-                f"semantic_dedup precision violated: "
-                f"{len(clus_drop - exact_drop)} clustered drop(s) are "
-                "not global near-dups")
-        return clustered
-
-    def source_quota(sf_dir: str):
-        # per-source 800-token mixture cap (each sf source holds
-        # ~1.1-1.7k tokens, so the cut lands mid-source and roughly
-        # half the docs survive — the budget is genuinely binding)
-        from mircv_ray.ops import source_quota_sample
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id", "text", "source"])
-        return _sorted_table(source_quota_sample(ds, budget_tokens=800),
-                             ["doc_id"])
-
-    def lm_logprob(sf_dir: str):
-        # unigram-LM perplexity-style scoring, LM trained on the corpus
-        # itself — both passes exactly SQL-mirrorable
-        from mircv_ray.ops import unigram_logprob
-        return _sorted_table(unigram_logprob(_docs_ds(sf_dir)),
-                             ["doc_id"])
-
-    def bigram_lm(sf_dir: str):
-        # interpolated bigram-LM scoring (Jelinek-Mercer, lam=0.7),
-        # trained on the corpus itself; exactly SQL-mirrorable (the
-        # oracle writes (1.0 - 0.7) so both engines use the identical
-        # double for 1-lam)
-        from mircv_ray.ops import bigram_logprob
-        return _sorted_table(bigram_logprob(_docs_ds(sf_dir), lam=0.7),
-                             ["doc_id"])
-
-    def gopher_quality(sf_dir: str):
-        # Gopher quality rules (Rae et al. 2021 §A1.1) — thresholds
-        # chosen so the synthetic corpus exercises both keep branches
-        # (word counts run 10-99, stopword presence 0-1)
-        from mircv_ray.ops import gopher_filter
-        return _sorted_table(
-            gopher_filter(_docs_ds(sf_dir), min_words=30,
-                          max_words=100_000, min_mean_word_len=3.0,
-                          max_mean_word_len=10.0, max_symbol_ratio=0.1,
-                          min_alpha_word_ratio=0.8, min_stopwords=1),
-            ["doc_id"])
-
-    def line_dedup_corpus(sf_dir: str):
+        "embedding_near_dups_exact": _src(_EMB, ops.cosine_all_pairs,
+                                          ["a", "b"], round6=("cosine",),
+                                          threshold=0.3),
+        "semantic_dedup_exact": _SEMDEDUP_EXACT,
+        "semantic_dedup_clustered": _semantic_dedup_clustered,
         # corpus-level duplicate-line removal (RefinedWeb/C4 boilerplate
         # step) over a deterministic multi-line view of the single-line
         # synthetic docs (' merge ' -> newline); exact-bytes matching on
         # both engine paths makes it SQL-mirrorable
-        from mircv_ray.ops import line_dedup
-
-        def to_lines(b: pa.Table) -> pa.Table:
-            t = pc.replace_substring(pc.fill_null(b["text"], ""),
-                                     " merge ", "\n")
-            return pa.table({"doc_id": b["doc_id"], "text": t})
-
-        ds = _docs_ds(sf_dir).map_batches(to_lines,
-                                          batch_format="pyarrow")
-        return _sorted_table(line_dedup(ds, min_count=2), ["doc_id"])
-
-    def dup_line_stats(sf_dir: str):
+        "line_dedup": _src(_DOCS, ops.line_dedup, ["doc_id"],
+                           maps=(_text_view((" merge ", "\n")),),
+                           min_count=2),
         # Gopher repetition rules 1-4 (dup line/para fractions) over a
         # two-level view: ' the ' -> blank line (paragraph break),
         # remaining spaces -> newline; map-only, exactly SQL-mirrorable
-        from mircv_ray.ops import duplicate_line_stats
-
-        def to_lines(b: pa.Table) -> pa.Table:
-            t = pc.fill_null(b["text"], "")
-            t = pc.replace_substring(t, " the ", "\n\n")
-            t = pc.replace_substring(t, " ", "\n")
-            return pa.table({"doc_id": b["doc_id"], "text": t})
-
-        out = (_docs_ds(sf_dir)
-               .map_batches(to_lines, batch_format="pyarrow")
-               .map_batches(duplicate_line_stats,
-                            batch_format="pyarrow"))
-        return _sorted_table(out, ["doc_id"])
-
-    def ngram_repetition(sf_dir: str):
+        "dup_line_stats": _src(
+            _DOCS, keys=["doc_id"],
+            maps=(_text_view((" the ", "\n\n"), (" ", "\n")),
+                  ops.duplicate_line_stats)),
         # Gopher n-gram repetition rules 5-8: top-{2,3,4}-gram char
         # fraction + duplicate-{5..10}-gram coverage fraction; map-only
-        from mircv_ray.ops import ngram_repetition_stats
-        out = _docs_ds(sf_dir).map_batches(ngram_repetition_stats,
-                                           batch_format="pyarrow")
-        return _sorted_table(out, ["doc_id"])
-
-    def running_totals(sf_dir: str):
-        # per-user running window functions over events: row_number,
-        # inclusive running sum and lag in exact int64 cents under the
-        # (ts, event_id) order — bit-identical at any partitioning; the
-        # salted mega-key variant is pytest-pinned identical
-        from mircv_ray.ops import running_agg
-        ev = rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["event_id", "ts", "user_id", "value"])
-        return _sorted_table(running_agg(ev), ["event_id"])
-
-    def orders_customers(sf_dir: str):
-        # the generic distributed equi-join over the TPC-H pair:
-        # orders (fact) x customer (dim) — the adaptive rule picks the
-        # broadcast path for the small dim side; the partitioned MR
-        # path is pytest-pinned value-identical
-        from mircv_ray.ops import equi_join
-        orders = rd.read_parquet(
-            f"{sf_dir}/orders.parquet",
-            columns=["o_orderkey", "o_custkey", "o_totalprice"])
-        cust = rd.read_parquet(
-            f"{sf_dir}/customer.parquet",
-            columns=["c_custkey", "c_name", "c_mktsegment"])
-        out = equi_join(orders, cust, "o_custkey", right_on="c_custkey")
-        return _sorted_table(out, ["o_orderkey"])
-
-    def hourly_spend(sf_dir: str):
-        # trailing-1h RANGE window per user (equal-ts peers included,
-        # SQL RANGE semantics); exact int64 cents
-        from mircv_ray.ops import time_window_agg
-        ev = rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["event_id", "ts", "user_id", "value"])
-        return _sorted_table(time_window_agg(ev, 3_600_000_000),
-                             ["event_id"])
-
-    def events_rollup(sf_dir: str):
-        # GROUP BY ROLLUP(event_type, hour window): leaf + per-type
-        # subtotals + grand total, every level an exact integer-cents
-        # sum (values round to cents at the leaf)
-        from mircv_ray.ops import rollup_agg
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["ts", "event_type", "value"])
-        t = _sorted_table(rollup_agg(ev), ["event_type",
-                                           "window_start_us"])
-        return t
-
-    def user_pivot(sf_dir: str):
-        # SQL PIVOT: per-user count + exact-cents sum per event type
-        from mircv_ray.ops import pivot_counts
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "event_type", "value"])
-        vals = ["click", "error", "purchase", "signup", "view"]
-        return _sorted_table(pivot_counts(ev, vals), ["user_id"])
-
-    def moving_spend(sf_dir: str):
-        # trailing-5-events window sum/count per user in exact int64
-        # cents; the salted mega-key variant is pytest-pinned identical
-        from mircv_ray.ops import moving_agg
-        ev = rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["event_id", "ts", "user_id", "value"])
-        return _sorted_table(moving_agg(ev, 5), ["event_id"])
-
-    def funnel_signup(sf_dir: str):
-        # ordered signup -> click -> purchase funnel per user; stage i
-        # counts only strictly after stage i-1's first qualifying event
-        from mircv_ray.ops import funnel
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts", "event_type"])
-        return _sorted_table(
-            funnel(ev, ["signup", "click", "purchase"]), ["user_id"])
-
-    def user_gaps(sf_dir: str):
-        # per-user inter-event gap stats in whole microseconds
-        from mircv_ray.ops import interarrival_stats
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "ts", "user_id"])
-        return _sorted_table(interarrival_stats(ev), ["user_id"])
-
-    def funnel_conversion(sf_dir: str):
-        # per-stage cumulative reach + step conversion rates (round 6)
-        from mircv_ray.ops import funnel_rates
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts", "event_type"])
-        return _sorted_table(
-            funnel_rates(ev, ["signup", "click", "purchase"]),
-            ["stage"])
-
-    def building_orders(sf_dir: str):
-        # SEMI join: orders of BUILDING-segment customers — only the
-        # right side's distinct keys travel, output never multiplies
-        from mircv_ray.ops import semi_join
-        orders = rd.read_parquet(
-            f"{sf_dir}/orders.parquet",
-            columns=["o_orderkey", "o_custkey", "o_totalprice"])
-        cust = rd.read_parquet(
-            f"{sf_dir}/customer.parquet",
-            columns=["c_custkey", "c_mktsegment"])
-
-        def bld(b: pa.Table) -> pa.Table:
-            return b.filter(pc.equal(b["c_mktsegment"], "BUILDING"))
-
-        out = semi_join(orders,
-                        cust.map_batches(bld, batch_format="pyarrow"),
-                        "o_custkey", right_on="c_custkey")
-        return _sorted_table(out, ["o_orderkey"])
-
-    def never_purchased(sf_dir: str):
-        # ANTI join: events by users with NO purchase over 90 (the
-        # churn/funnel cut — ~15-21% of events at these SFs, so the
-        # gate is non-trivial); corpus_diff is this op's content-hash
-        # special case
-        from mircv_ray.ops import semi_join
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id",
-                                      "event_type", "value"])
-
-        def purch(b: pa.Table) -> pa.Table:
-            keep = pc.and_(pc.equal(b["event_type"], "purchase"),
-                           pc.greater(b["value"], 90.0))
-            return b.filter(keep)
-
-        out = semi_join(
-            ev.select_columns(["event_id", "user_id", "event_type"]),
-            ev.map_batches(purch, batch_format="pyarrow"),
-            "user_id", anti=True)
-        return _sorted_table(out, ["event_id"])
-
-    def corpus_diff_new(sf_dir: str):
-        # incremental-crawl anti-join: current crawl = documents,
-        # previous crawl = the doc_id % 3 != 0 view; new docs = rows
-        # whose exact text bytes the previous crawl did not have
-        # (a dropped doc whose text survives at another id is NOT new)
-        from mircv_ray.ops import corpus_diff
-        cur = _docs_ds(sf_dir)
-
-        def prev_view(b: pa.Table) -> pa.Table:
-            keep = b["doc_id"].to_numpy(zero_copy_only=False) % 3 != 0
-            return b.filter(pa.array(keep))
-
-        prev = _docs_ds(sf_dir).map_batches(prev_view,
-                                            batch_format="pyarrow")
-        # project inside a map (not select_columns: a Project op after a
-        # map_groups was observed to be dropped once under plan
-        # optimization; an explicit batch projection cannot be elided)
-        out = corpus_diff(cur, prev).map_batches(
-            lambda b: b.select(["doc_id"]) if b.num_columns else b,
-            batch_format="pyarrow")
-        return _sorted_table(out, ["doc_id"])
-
-    def nfc_normalized(sf_dir: str):
+        "ngram_repetition": _src(_DOCS, keys=["doc_id"],
+                                 maps=(ops.ngram_repetition_stats,)),
+        # corpus-wide top-50 trigrams — the decontamination/boilerplate
+        # blocklist building step; one content scan, one gram-distinct
+        # exchange, lossless per-block pre-top-k
+        "top_ngrams": _src(_DOCS, ops.top_ngrams, ["ngram_rank"], n=3, k=50),
+        # deterministic global corpus shuffle into 8 round-robin
+        # training shards: one range-partitioning sort by (knuth hash,
+        # id), ranks from block metadata offsets
+        "shard_shuffle": _src(("documents", "doc_id", "source"),
+                              ops.shuffle_shards, ["doc_id"], n_shards=8),
+        # Zipf-law fit over the corpus term-frequency distribution:
+        # slope/intercept of log10(count) vs log10(rank); regression
+        # sums as per-block partials, one 5-number row per block
+        "zipf_corpus": _src(_DOCS, ops.zipf_fit),
         # Unicode NFC over a view that injects DECOMPOSED sequences
         # (' the ' -> ' the'+U+0301+' ', i.e. e + combining acute):
         # normalization must compose them; ~all docs change at sf0.01.
         # DuckDB's nfc_normalize is the same Unicode standard.
-        from mircv_ray.ops import nfc_normalize
-
-        def inject(b: pa.Table) -> pa.Table:
-            t = pc.fill_null(b["text"], "")
-            t = pc.replace_substring(t, " the ", " the\u0301 ")
-            return pa.table({"doc_id": b["doc_id"], "text": t})
-
-        ds = _docs_ds(sf_dir).map_batches(inject, batch_format="pyarrow")
-        return _sorted_table(nfc_normalize(ds), ["doc_id"])
-
-    def zipf_corpus(sf_dir: str):
-        # Zipf-law fit over the corpus term-frequency distribution:
-        # slope/intercept of log10(count) vs log10(rank); regression
-        # sums as per-block partials, one 5-number row per block
-        from mircv_ray.ops import zipf_fit
-        return zipf_fit(_docs_ds(sf_dir))
-
-    def doc_sentences(sf_dir: str):
-        # rule-based sentence split on [.!?]+ runs, trimmed, empties
-        # dropped, 0-based kept-rank per doc
-        from mircv_ray.ops import split_sentences
-        return _sorted_table(split_sentences(_docs_ds(sf_dir)),
-                             ["doc_id", "sent_id"])
-
-    def events_profile(sf_dir: str):
-        # per-column row/null/exact-distinct profile of the events
-        # table — the ingestion data-validation pass
-        from mircv_ray.ops import profile_table
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet")
-        return _sorted_table(profile_table(ev), ["column"])
-
-    def transition_matrix(sf_dir: str):
-        # per-user first-order Markov transitions between event types,
-        # row-normalized (round 6)
-        from mircv_ray.ops import event_transitions
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "ts", "user_id",
-                                      "event_type"])
-        return _sorted_table(event_transitions(ev),
-                             ["from_type", "to_type"])
-
-    def normalized_values(sf_dir: str):
-        # per-event-type z-score + min-max feature scaling (round 4)
-        from mircv_ray.ops import zscore_normalize
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "event_type",
-                                      "value"])
-        return _sorted_table(
-            zscore_normalize(ev, "event_type", "value"), ["event_id"])
-
-    def winsorized_values(sf_dir: str):
-        # clip event values at the exact global [p05, p95] quantiles
-        # (quantile_cont interpolation on both sides; clipped round 4)
-        from mircv_ray.ops import winsorize
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "value"])
-        return _sorted_table(winsorize(ev, "value", 0.05, 0.95),
-                             ["event_id"])
-
-    def entropy_ranks(sf_dir: str):
-        # global rank / percent_rank / cume_dist over the entropy score
-        # (the "keep the best X%" cut reads percent_rank directly)
-        from mircv_ray.ops import char_entropy as ce
-        from mircv_ray.ops import global_rank
-        scored = _docs_ds(sf_dir).map_batches(ce, batch_format="pyarrow") \
-            .select_columns(["doc_id", "char_entropy"])
-        return _sorted_table(
-            global_rank(scored, ["char_entropy", "doc_id"]), ["doc_id"])
-
-    def heaps_corpus(sf_dir: str):
+        "nfc_normalized": _src(_DOCS, ops.nfc_normalize, ["doc_id"],
+                               maps=(_text_view((" the ", " the\u0301 ")),)),
         # Heaps'-law vocabulary-growth fit (log V vs log n over the
         # corpus in doc-id order) — the zipf_fit companion
-        from mircv_ray.ops import heaps_fit
-        return heaps_fit(_docs_ds(sf_dir))
-
-    def shard_shuffle(sf_dir: str):
-        # deterministic global corpus shuffle into 8 round-robin
-        # training shards: one range-partitioning sort by (knuth hash,
-        # id), ranks from block metadata offsets
-        from mircv_ray.ops import shuffle_shards
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id", "source"])
-        return _sorted_table(shuffle_shards(ds, 8), ["doc_id"])
-
-    def top_ngrams_corpus(sf_dir: str):
-        # corpus-wide top-50 trigrams — the decontamination/boilerplate
-        # blocklist building step; one content scan, one gram-distinct
-        # exchange, lossless per-block pre-top-k
-        from mircv_ray.ops import top_ngrams
-        return _sorted_table(top_ngrams(_docs_ds(sf_dir), n=3, k=50),
-                             ["ngram_rank"])
-
-    def c4_clean(sf_dir: str):
+        "heaps_corpus": _src(_DOCS, ops.heaps_fit),
+        # global rank / percent_rank / cume_dist over the entropy score
+        # (the "keep the best X%" cut reads percent_rank directly)
+        "entropy_ranks": _src(_ENTROPY, ops.global_rank, ["doc_id"],
+                              sort_cols=["char_entropy", "doc_id"]),
+        # clip event values at the exact global [p05, p95] quantiles
+        # (quantile_cont interpolation on both sides; clipped round 4)
+        "winsorized_values": _src(("events", "event_id", "value"),
+                                  ops.winsorize, ["event_id"],
+                                  value_col="value", lo=0.05, hi=0.95),
+        # per-event-type z-score + min-max feature scaling (round 4)
+        "normalized_values": _src(("events", "event_id", "event_type",
+                                   "value"), ops.zscore_normalize,
+                                  ["event_id"], group_col="event_type",
+                                  value_col="value"),
+        # per-user first-order Markov transitions between event types,
+        # row-normalized (round 6)
+        "transition_matrix": _src(("events", "event_id", "ts", "user_id",
+                                   "event_type"), ops.event_transitions,
+                                  ["from_type", "to_type"]),
+        # per-column row/null/exact-distinct profile of the events
+        # table — the ingestion data-validation pass
+        "events_profile": _src(("events",), ops.profile_table, ["column"]),
+        # rule-based sentence split on [.!?]+ runs, trimmed, empties
+        # dropped, 0-based kept-rank per doc
+        "doc_sentences": _src(_DOCS, ops.split_sentences,
+                              ["doc_id", "sent_id"]),
+        "corpus_diff": _corpus_diff,
+        # the generic distributed equi-join over the TPC-H pair:
+        # orders (fact) x customer (dim) — the adaptive rule picks the
+        # broadcast path for the small dim side; the partitioned MR
+        # path is pytest-pinned value-identical
+        "orders_customers": _src(
+            _ORDERS, ops.equi_join, ["o_orderkey"],
+            right=("customer", "c_custkey", "c_name", "c_mktsegment"),
+            on="o_custkey", right_on="c_custkey"),
+        # SEMI join: orders of BUILDING-segment customers — only the
+        # right side's distinct keys travel, output never multiplies
+        "building_orders": _src(
+            _ORDERS, ops.semi_join, ["o_orderkey"],
+            right=_src(("customer", "c_custkey", "c_mktsegment"), maps=(
+                lambda b: b.filter(pc.equal(b["c_mktsegment"], "BUILDING")),)),
+            on="o_custkey", right_on="c_custkey"),
+        # ordered signup -> click -> purchase funnel per user; stage i
+        # counts only strictly after stage i-1's first qualifying event
+        "funnel_signup": _src(_EV_FUNNEL, ops.funnel, ["user_id"],
+                              stages=_FUNNEL),
+        # per-stage cumulative reach + step conversion rates (round 6)
+        "funnel_conversion": _src(_EV_FUNNEL, ops.funnel_rates, ["stage"],
+                                  stages=_FUNNEL),
+        # per-user inter-event gap stats in whole microseconds
+        "user_gaps": _src(("events", "event_id", "ts", "user_id"),
+                          ops.interarrival_stats, ["user_id"]),
+        # trailing-5-events window sum/count per user in exact int64
+        # cents; the salted mega-key variant is pytest-pinned identical
+        "moving_spend": _src(_EV_RUN, ops.moving_agg, ["event_id"],
+                             window_rows=5),
+        # GROUP BY ROLLUP(event_type, hour window): leaf + per-type
+        # subtotals + grand total, every level an exact integer-cents
+        # sum (values round to cents at the leaf)
+        "events_rollup": _src(_EV_WIN, ops.rollup_agg,
+                              ["event_type", "window_start_us"]),
+        # trailing-1h RANGE window per user (equal-ts peers included,
+        # SQL RANGE semantics); exact int64 cents
+        "hourly_spend": _src(_EV_RUN, ops.time_window_agg, ["event_id"],
+                             width_us=3_600_000_000),
+        # SQL PIVOT: per-user count + exact-cents sum per event type
+        "user_pivot": _src(("events", "user_id", "event_type", "value"),
+                           ops.pivot_counts, ["user_id"],
+                           pivot_values=["click", "error", "purchase",
+                                         "signup", "view"]),
+        # ANTI join: events by users with NO purchase over 90 (the
+        # churn/funnel cut — ~15-21% of events at these SFs, so the
+        # gate is non-trivial); corpus_diff is this op's content-hash
+        # special case
+        "never_purchased": _src(
+            ("events", "event_id", "user_id", "event_type"), ops.semi_join,
+            ["event_id"], on="user_id", anti=True,
+            right=_src(_EV_PURCH, maps=(lambda b: b.filter(pc.and_(
+                pc.equal(b["event_type"], "purchase"),
+                pc.greater(b["value"], 90.0))),))),
+        # per-user running window functions over events: row_number,
+        # inclusive running sum and lag in exact int64 cents under the
+        # (ts, event_id) order — bit-identical at any partitioning; the
+        # salted mega-key variant is pytest-pinned identical
+        "running_totals": _src(_EV_RUN, ops.running_agg, ["event_id"]),
         # C4 cleaning rules (Raffel et al. 2020 §2.2) over a view that
         # exercises every rule: ' merge ' -> '.\n' (terminal-punct
         # lines), ' dup ' -> ' lorem ipsum ' (doc-level drop, ~25 docs
         # at sf0.01); keeps 84/500, drops the rest
-        from mircv_ray.ops import c4_line_filter
-
-        def to_lines(b: pa.Table) -> pa.Table:
-            t = pc.fill_null(b["text"], "")
-            t = pc.replace_substring(t, " dup ", " lorem ipsum ")
-            t = pc.replace_substring(t, " merge ", ".\n")
-            return pa.table({"doc_id": b["doc_id"], "text": t})
-
-        out = (_docs_ds(sf_dir)
-               .map_batches(to_lines, batch_format="pyarrow")
-               .map_batches(c4_line_filter, batch_format="pyarrow"))
-        return _sorted_table(out, ["doc_id"])
-
-    def cooccurrence(sf_dir: str):
+        "c4_clean": _src(
+            _DOCS, keys=["doc_id"],
+            maps=(_text_view((" dup ", " lorem ipsum "), (" merge ", ".\n")),
+                  ops.c4_line_filter)),
         # GloVe-style windowed co-occurrence counts (ordered pairs,
         # distance <= 3, corpus-wide count >= 2) with the 1/d
         # distance-decayed weight
-        from mircv_ray.ops import cooccurrence_counts
-        out = cooccurrence_counts(_docs_ds(sf_dir), window=3,
-                                  min_count=2)
-        return _sorted_table(out, ["term_a", "term_b"])
-
-    def pagerank_docs(sf_dir: str):
+        "cooccurrence": _src(_DOCS, ops.cooccurrence_counts,
+                             ["term_a", "term_b"], window=3, min_count=2),
         # PageRank over a deterministic synthetic doc graph: docs not
         # divisible by 10 emit two knuth-hash out-edges (so 10% of
         # nodes are dangling and exercise the redistribution term);
         # 10 damped rounds, ranks round 8
-        import ray.data as rd
-        from mircv_ray.ops import pagerank
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id"])
-        n = ds.count()
-
-        def mk_edges(b: pa.Table) -> pa.Table:
-            did = b["doc_id"].to_numpy().astype(np.int64)
-            src = did[did % 10 != 0]
-            d1 = (src * 2654435761 + 7) % n
-            d2 = (src * 40503 + 13) % n
-            return pa.table({
-                "src": pa.array(np.concatenate([src, src]),
-                                type=pa.int64()),
-                "dst": pa.array(np.concatenate([d1, d2]),
-                                type=pa.int64())})
-
-        edges = ds.map_batches(mk_edges, batch_format="pyarrow")
-        nodes = ds.map_batches(
-            lambda b: pa.table({"node": b["doc_id"]}),
-            batch_format="pyarrow")
-        out = pagerank(edges, nodes, n_iter=10, damping=0.85)
-
-        def r8(b: pa.Table) -> pa.Table:
-            r = b["rank"].to_numpy()
-            return pa.table({
-                "doc_id": b["node"],
-                "rank": pa.array(np.trunc(r * 1e8 + 0.5) / 1e8,
-                                 type=pa.float64())})
-
-        return _sorted_table(out.map_batches(r8, batch_format="pyarrow"),
-                             ["doc_id"])
-
-    def hits_docs(sf_dir: str):
+        "pagerank_docs": partial(_graph_scores, algo=ops.pagerank,
+                                 cols=("rank",), n_iter=10, damping=0.85),
+        "keywords_tfidf": _keywords_tfidf,
         # HITS hubs & authorities over the SAME synthetic doc graph as
         # pagerank_docs; 5 rounds, each half-step max-normalized (max is
         # order-independent, so the normalizer replays exactly in SQL);
         # scores round 8
-        import ray.data as rd
-        from mircv_ray.ops import hits
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id"])
-        n = ds.count()
-
-        def mk_edges(b: pa.Table) -> pa.Table:
-            did = b["doc_id"].to_numpy().astype(np.int64)
-            src = did[did % 10 != 0]
-            d1 = (src * 2654435761 + 7) % n
-            d2 = (src * 40503 + 13) % n
-            return pa.table({
-                "src": pa.array(np.concatenate([src, src]),
-                                type=pa.int64()),
-                "dst": pa.array(np.concatenate([d1, d2]),
-                                type=pa.int64())})
-
-        edges = ds.map_batches(mk_edges, batch_format="pyarrow")
-        nodes = ds.map_batches(
-            lambda b: pa.table({"node": b["doc_id"]}),
-            batch_format="pyarrow")
-        out = hits(edges, nodes, n_iter=5)
-
-        def r8(b: pa.Table) -> pa.Table:
-            h = b["hub"].to_numpy()
-            a = b["authority"].to_numpy()
-            return pa.table({
-                "doc_id": b["node"],
-                "hub": pa.array(np.trunc(h * 1e8 + 0.5) / 1e8,
-                                type=pa.float64()),
-                "authority": pa.array(np.trunc(a * 1e8 + 0.5) / 1e8,
-                                      type=pa.float64())})
-
-        return _sorted_table(out.map_batches(r8, batch_format="pyarrow"),
-                             ["doc_id"])
-
-    def seed_distance(sf_dir: str):
-        # multi-source BFS hop distance over the pagerank_docs edge
-        # graph from the doc_id % 97 == 0 seeds, capped at 6 hops
-        import ray.data as rd
-        from mircv_ray.ops import bfs_depths
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id"])
-        n = ds.count()
-
-        def mk_edges(b: pa.Table) -> pa.Table:
-            did = b["doc_id"].to_numpy().astype(np.int64)
-            src = did[did % 10 != 0]
-            d1 = (src * 2654435761 + 7) % n
-            d2 = (src * 40503 + 13) % n
-            return pa.table({
-                "src": pa.array(np.concatenate([src, src]),
-                                type=pa.int64()),
-                "dst": pa.array(np.concatenate([d1, d2]),
-                                type=pa.int64())})
-
-        edges = ds.map_batches(mk_edges, batch_format="pyarrow")
-        ids = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id"]).to_pandas()
-        seeds = [int(i) for i in ids.doc_id if i % 97 == 0]
-        out = bfs_depths(edges, seeds, max_depth=6)
-        t = _sorted_table(out, ["node"])
-        return pa.table({"doc_id": t["node"], "depth": t["depth"]})
-
-    def keywords_tfidf(sf_dir: str):
-        # per-doc top-5 TF-IDF keywords, ties by term asc; scores
-        # round 6 for the hash (ordering uses the unrounded doubles on
-        # both sides)
-        from mircv_ray.ops import tfidf_keywords
-        out = tfidf_keywords(_docs_ds(sf_dir), k=5)
-
-        def r6(b: pa.Table) -> pa.Table:
-            s = b["tfidf"].to_numpy()
-            return b.set_column(
-                b.schema.get_field_index("tfidf"), "tfidf",
-                pa.array(np.trunc(s * 1e6 + 0.5) / 1e6,
-                         type=pa.float64()))
-
-        return _sorted_table(out.map_batches(r6, batch_format="pyarrow"),
-                             ["doc_id", "rank"])
-
-    def dataset_split(sf_dir: str):
+        "hits_docs": partial(_graph_scores, algo=ops.hits,
+                             cols=("hub", "authority"), n_iter=5),
+        "seed_distance": _seed_distance,
         # deterministic map-only train/val/test split (knuth32 mode is
         # exactly SQL-mirrorable; crc32 mode is the general-id default)
-        from mircv_ray.ops import hash_split
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id"])
-        out = hash_split(ds, "doc_id",
-                         {"train": 0.8, "val": 0.1, "test": 0.1},
-                         hash_mode="knuth32")
-        return _sorted_table(out, ["doc_id"])
-
-    def alpha_mix_weights(sf_dir: str):
+        "dataset_split": _src(("documents", "doc_id"), ops.hash_split,
+                              ["doc_id"], id_col="doc_id",
+                              fractions={"train": 0.8, "val": 0.1,
+                                         "test": 0.1},
+                              hash_mode="knuth32"),
+        # deterministic per-lang bottom-20-by-hash sample (knuth32 mode
+        # is exactly SQL-mirrorable, like dataset_split)
+        "stratified_sample": _src(("documents", "doc_id", "lang"),
+                                  ops.stratified_sample,
+                                  ["lang", "sample_rank"], group_col="lang",
+                                  n_per_group=20, hash_mode="knuth32"),
         # temperature-scaled per-source sampling weights (alpha=0.3)
-        from mircv_ray.ops import alpha_mix_weights as amw
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["source", "text"])
-        return _sorted_table(amw(ds, alpha=0.3), ["source"])
-
-    def retention_cohorts(sf_dir: str):
-        # weekly cohort retention triangle: users bucketed by first-
-        # activity week, distinct-active counts per (cohort, offset)
-        from mircv_ray.ops import retention_cohorts as rc
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts"])
-        return _sorted_table(rc(ev), ["cohort_us", "period_offset"])
-
-    def temperature_mix(sf_dir: str):
+        "alpha_mix_weights": _src(("documents", "source", "text"),
+                                  ops.alpha_mix_weights, ["source"],
+                                  alpha=0.3),
         # MATERIALIZED temperature mix (T=2): per-source doc targets
         # from count^(1/T) largest-remainder quotas, selection = the
         # deterministic knuth32 bottom-target per source
-        from mircv_ray.ops import temperature_mix_sample
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id", "source"])
-        return _sorted_table(
-            temperature_mix_sample(ds, 300, temperature=2.0),
-            ["source", "sample_rank"])
-
-    def stratified_sample(sf_dir: str):
-        # deterministic per-lang bottom-20-by-hash sample (knuth32 mode
-        # is exactly SQL-mirrorable, like dataset_split)
-        from mircv_ray.ops import stratified_sample as strat
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id", "lang"])
-        return _sorted_table(strat(ds, "lang", 20, hash_mode="knuth32"),
-                             ["lang", "sample_rank"])
-
-    def source_quota_salted(sf_dir: str):
+        "temperature_mix": _src(("documents", "doc_id", "source"),
+                                ops.temperature_mix_sample,
+                                ["source", "sample_rank"], total_docs=300,
+                                temperature=2.0),
+        # weekly cohort retention triangle: users bucketed by first-
+        # activity week, distinct-active counts per (cohort, offset)
+        "retention_cohorts": _src(("events", "user_id", "ts"),
+                                  ops.retention_cohorts,
+                                  ["cohort_us", "period_offset"]),
+        # unigram-LM perplexity-style scoring, LM trained on the corpus
+        # itself — both passes exactly SQL-mirrorable
+        "lm_logprob": _src(_DOCS, ops.unigram_logprob, ["doc_id"]),
+        # interpolated bigram-LM scoring (Jelinek-Mercer, lam=0.7),
+        # trained on the corpus itself; exactly SQL-mirrorable (the
+        # oracle writes (1.0 - 0.7) so both engines use the identical
+        # double for 1-lam)
+        "bigram_lm": _src(_DOCS, ops.bigram_logprob, ["doc_id"], lam=0.7),
+        # Gopher quality rules (Rae et al. 2021 §A1.1) — thresholds
+        # chosen so the synthetic corpus exercises both keep branches
+        # (word counts run 10-99, stopword presence 0-1)
+        "gopher_quality": _src(_DOCS, ops.gopher_filter, ["doc_id"],
+                               min_words=30, max_words=100_000,
+                               min_mean_word_len=3.0, max_mean_word_len=10.0,
+                               max_symbol_ratio=0.1,
+                               min_alpha_word_ratio=0.8, min_stopwords=1),
         # the mega-source two-phase path must produce EXACTLY the
         # source_quota output — same oracle SQL
-        from mircv_ray.ops import source_quota_sample
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id", "text", "source"])
-        return _sorted_table(
-            source_quota_sample(ds, budget_tokens=800, salt_ids=50),
-            ["doc_id"])
-
-    def dedup_clusters(sf_dir: str):
-        # exact near-dup pairs -> transitive closure: every doc labeled
-        # with its cluster's min doc_id (keep label == id, drop the rest)
-        from mircv_ray.ops import connected_components, jaccard_simjoin_exact
-        pairs = jaccard_simjoin_exact(_docs_ds(sf_dir), threshold=0.5)
-        labels = connected_components(pairs, _docs_ds(sf_dir))
-        out = labels.map_batches(
-            lambda b: pa.table({"doc_id": b["node"],
-                                "cluster_id": b["label"]}),
-            batch_format="pyarrow")
-        return _sorted_table(out, ["doc_id"])
-
-    def minhash_pairs(sf_dir: str):
-        # LSH candidates are probabilistic -> rows-only driver check,
-        # but SELF-VALIDATING in-entry: candidate recall vs the exact
-        # prefix-filtered sim-join twin must be >= 0.9 (the pytest
-        # bound); a miss raises and fails the entry
-        from mircv_ray.ops import (jaccard_simjoin_exact,
-                                   minhash_candidate_pairs)
-        cands = _sorted_table(
-            minhash_candidate_pairs(_docs_ds(sf_dir), threshold=0.5),
-            ["a", "b"])
-        exact = _sorted_table(
-            jaccard_simjoin_exact(_docs_ds(sf_dir), threshold=0.5),
-            ["a", "b"])
-        want = set(zip(exact["a"].to_pylist(), exact["b"].to_pylist()))
-        got = set(zip(cands["a"].to_pylist(), cands["b"].to_pylist()))
-        recall = len(want & got) / len(want) if want else 1.0
-        if recall < 0.9:
-            raise AssertionError(
-                f"minhash candidate recall {recall:.3f} < 0.9 vs exact "
-                f"({len(want)} true pairs, {len(want & got)} found)")
-        return cands
-
-    def simhash_pairs(sf_dir: str):
-        # LSH-banded, but pigeonhole + exact popcount verify make the
-        # result EXACT (every pair with hamming <= 3, nothing else) —
-        # intentionally no SQL oracle (simhash is not SQL-expressible),
-        # so SELF-VALIDATING in-entry: brute-force all-pairs popcount
-        # over the same signatures must yield the identical pair set
-        from mircv_ray.ops import near_dup_pairs, simhash64
-        got = _sorted_table(
-            near_dup_pairs(_docs_ds(sf_dir), max_hamming=3), ["a", "b"])
-        sig = _sorted_table(
-            _docs_ds(sf_dir).map_batches(simhash64,
-                                         batch_format="pyarrow"),
-            ["doc_id"])
-        ids = sig["doc_id"].to_numpy()
-        h = sig["simhash"].to_numpy().astype(np.uint64)
-        xor = h[:, None] ^ h[None, :]
-        ham = np.bitwise_count(xor) if hasattr(np, "bitwise_count") else \
-            np.unpackbits(xor.view(np.uint8).reshape(len(h), len(h), 8),
-                          axis=2).sum(axis=2)
-        ai, bi = np.nonzero(np.triu(ham <= 3, k=1))
-        want = set(zip(np.minimum(ids[ai], ids[bi]).tolist(),
-                       np.maximum(ids[ai], ids[bi]).tolist()))
-        have = set(zip(got["a"].to_pylist(), got["b"].to_pylist()))
-        if have != want:
-            raise AssertionError(
-                f"simhash pair set != brute force: missing "
-                f"{sorted(want - have)[:5]}, extra {sorted(have - want)[:5]}")
-        return got
-
-    def ngram_jaccard(sf_dir: str):
-        # LSH-bucketed candidates with exact jaccard verify -> rows-only
-        # driver check, but SELF-VALIDATING in-entry: recall vs the
-        # exact sim-join twin >= 0.9, and every reported jaccard value
-        # must EQUAL the exact twin's for the same pair
-        from mircv_ray.ops import jaccard_simjoin_exact, ngram_jaccard_pairs
-        out = ngram_jaccard_pairs(_docs_ds(sf_dir), threshold=0.5)
-        out = out.map_batches(lambda b: _round6(b, "jaccard"),
-                              batch_format="pyarrow")
-        got_t = _sorted_table(out, ["a", "b"])
-        exact = jaccard_simjoin_exact(_docs_ds(sf_dir), threshold=0.5)
-        exact = exact.map_batches(lambda b: _round6(b, "jaccard"),
-                                  batch_format="pyarrow")
-        exact_t = _sorted_table(exact, ["a", "b"])
-        want = {(a, b): j for a, b, j in zip(
-            exact_t["a"].to_pylist(), exact_t["b"].to_pylist(),
-            exact_t["jaccard"].to_pylist())}
-        got = {(a, b): j for a, b, j in zip(
-            got_t["a"].to_pylist(), got_t["b"].to_pylist(),
-            got_t["jaccard"].to_pylist())}
-        hit = set(want) & set(got)
-        recall = len(hit) / len(want) if want else 1.0
-        if recall < 0.9:
-            raise AssertionError(
-                f"ngram-LSH candidate recall {recall:.3f} < 0.9 vs exact")
-        bad = [p for p in hit if want[p] != got[p]]
-        if bad:
-            raise AssertionError(
-                f"jaccard values disagree with exact twin for {bad[:5]}")
-        return got_t
-
-    def embedding_near_dups(sf_dir: str):
-        # the synthetic embeddings are iid random (max pairwise cosine
-        # ~0.48), so near-dups are PLANTED deterministically: vec_id+10^6
-        # is a lightly perturbed copy of each of the first 20 vectors
-        from mircv_ray.ops import embedding_near_dup_pairs
-        emb = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id", "embedding"])
-        base = np.array(emb["embedding"].to_pylist())
-        rng = np.random.default_rng(7)
-        planted = base[:20] + 0.02 * rng.standard_normal((20, base.shape[1]))
-        dim = base.shape[1]
-        aug = pa.table({
-            "vec_id": pa.array(
-                list(emb["vec_id"].to_numpy()) +
-                [int(v) + 1_000_000 for v in emb["vec_id"].to_numpy()[:20]],
-                type=pa.int64()),
-            "embedding": pa.FixedSizeListArray.from_arrays(
-                pa.array(np.concatenate([base, planted]).reshape(-1)), dim),
-        })
-        # bands=8 (8-bit bands): a ~0.985-cosine planted pair misses a
-        # single 8-bit band with p~0.37, all eight with p~3e-4 — the
-        # default 4x16 layout leaves ~13% per-pair miss odds, enough to
-        # trip the all-20-planted assert on an unlucky data draw
-        out = embedding_near_dup_pairs(rd.from_arrow(aug), threshold=0.9,
-                                       bands=8)
-        out = out.map_batches(lambda b: _round6(b, "cosine"),
-                              batch_format="pyarrow")
-        got = _sorted_table(out, ["a", "b"])
-        # SELF-VALIDATING in-entry (LSH is probabilistic, so rows-only
-        # at the driver): every planted (i, i+10^6) pair must be found,
-        # and every reported cosine must equal the value recomputed
-        # from the vectors
-        have = set(zip(got["a"].to_pylist(), got["b"].to_pylist()))
-        missing = [(i, i + 1_000_000) for i in range(20)
-                   if (i, i + 1_000_000) not in have]
-        if missing:
-            raise AssertionError(
-                f"LSH missed planted near-dup pairs: {missing}")
-        allv = np.concatenate([base, planted])
-        idx = {int(v): i for i, v in
-               enumerate(aug["vec_id"].to_numpy())}
-        unit = allv / np.linalg.norm(allv, axis=1, keepdims=True)
-        a_i = np.array([idx[v] for v in got["a"].to_pylist()])
-        b_i = np.array([idx[v] for v in got["b"].to_pylist()])
-        ref = np.round((unit[a_i] * unit[b_i]).sum(axis=1), 6)
-        rep = got["cosine"].to_numpy()
-        if not np.allclose(rep, ref, atol=1e-6):
-            bad = np.flatnonzero(~np.isclose(rep, ref, atol=1e-6))
-            raise AssertionError(
-                f"reported cosines diverge from recomputed values at "
-                f"pairs {bad.tolist()[:5]}")
-        return got
-
-    def window_agg(sf_dir: str):
-        from mircv_ray.ops import tumbling_window_agg
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["ts", "event_type", "value"])
-        return _sorted_table(tumbling_window_agg(ev),
-                             ["window_start_us", "event_type"])
-
-    def window_agg_streaming(sf_dir: str):
+        "source_quota_salted": _src(_DOCS_SOURCE, ops.source_quota_sample,
+                                    ["doc_id"], budget_tokens=800,
+                                    salt_ids=50),
+        "dedup_clusters": _dedup_clusters,
+        # per-source 800-token mixture cap (each sf source holds
+        # ~1.1-1.7k tokens, so the cut lands mid-source and roughly
+        # half the docs survive — the budget is genuinely binding)
+        "source_quota": _src(_DOCS_SOURCE, ops.source_quota_sample,
+                             ["doc_id"], budget_tokens=800),
+        "contamination": _src(_DOCS, ops.contamination_check, ["doc_id"],
+                              probes=_PROBES),
+        "contamination_ngram": _contamination_ngram,
+        "contamination_fuzzy": _contamination_fuzzy,
+        "minhash_pairs": _minhash_pairs,
+        "simhash_pairs": _simhash_pairs,
+        "ngram_jaccard": _ngram_jaccard,
+        "embedding_near_dups": _embedding_near_dups,
+        "window_agg": _src(_EV_WIN, ops.tumbling_window_agg,
+                           ["window_start_us", "event_type"]),
         # the STREAMING stateful operator (event-time watermarks) over a
         # time-ordered feed must reproduce the batch tumbling aggregate
         # — same oracle SQL as window_agg
-        from mircv_ray.ops import stream_tumbling_window_agg
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["ts", "event_type", "value"])
-        t = stream_tumbling_window_agg(ev)
-        return t.take(pc.sort_indices(t, sort_keys=[
-            ("window_start_us", "ascending"),
-            ("event_type", "ascending")]))
-
-    def sessions(sf_dir: str):
-        from mircv_ray.ops import sessionize
-        ev = rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["user_id", "ts", "event_id", "value"])
+        "window_agg_streaming": _src(_EV_WIN, ops.stream_tumbling_window_agg,
+                                     ["window_start_us", "event_type"]),
+        "window_hopping": _src(_EV_WIN, ops.hopping_window_agg,
+                               ["window_start_us", "event_type"],
+                               width_us=3_600_000_000, hop_us=1_800_000_000),
         # deterministic row order on the full key: groupby emits groups in
         # arbitrary block order at high parallelism
-        return _sorted_table(sessionize(ev), ["user_id", "session_id"])
-
-    def sessions_streaming(sf_dir: str):
+        "sessions": _src(_EV_SESS, ops.sessionize, ["user_id", "session_id"]),
+        # the mega-user path (day-salted fragments + per-user merge) must
+        # produce EXACTLY the sessions output — same oracle SQL
+        "sessions_salted": _src(_EV_SESS, ops.sessionize,
+                                ["user_id", "session_id"],
+                                salt_width_us=24 * 3600 * 1_000_000),
         # the STREAMING sessionizer driven over the same events in time
         # order: watermark-finalized sessions must equal the batch
         # operator's answer exactly, so it shares _SESSIONS_SQL
-        from mircv_ray.ops import stream_sessionize
-        ev = rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["user_id", "ts", "event_id", "value"])
-        out = stream_sessionize(ev)
-        return out.take(pc.sort_indices(
-            out, sort_keys=[("user_id", "ascending"),
-                            ("session_id", "ascending")]))
-
-    def window_hopping(sf_dir: str):
-        from mircv_ray.ops import hopping_window_agg
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["ts", "event_type", "value"])
-        return _sorted_table(
-            hopping_window_agg(ev, width_us=3_600_000_000,
-                               hop_us=1_800_000_000),
-            ["window_start_us", "event_type"])
-
-    def sessions_salted(sf_dir: str):
-        # the mega-user path (day-salted fragments + per-user merge) must
-        # produce EXACTLY the sessions output — same oracle SQL
-        from mircv_ray.ops import sessionize
-        ev = rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["user_id", "ts", "event_id", "value"])
-        day = 24 * 3600 * 1_000_000
-        return _sorted_table(sessionize(ev, salt_width_us=day),
-                             ["user_id", "session_id"])
-
-    def bm25_topk_maxscore(sf_dir: str):
+        "sessions_streaming": _src(_EV_SESS, ops.stream_sessionize,
+                                   ["user_id", "session_id"]),
         # the sequential MaxScore loop WITH block-max pruning, against
         # the same DuckDB top-k oracle as the TAAT path
-        from mircv_ray.config import QueryConfig
-        from mircv_ray.query import QueryEngine
-        idx = _basic_index(sf_dir)
-        eng = QueryEngine(idx, QueryConfig(standard="BM25", k=10,
-                                           parse=False, squeeze=False,
-                                           algo="maxscore"))
-        qids, dids, scores = [], [], []
-        for qid, terms in enumerate(_BM25_QUERIES):
-            for doc_id, score in eng.score_terms(list(terms),
-                                                 conjunctive=False):
-                qids.append(qid)
-                dids.append(doc_id - 1)
-                scores.append(round(score, 6))
-        return pa.table({"qid": pa.array(qids, type=pa.int64()),
-                         "doc_id": pa.array(dids, type=pa.int64()),
-                         "score": pa.array(scores, type=pa.float64())})
-
-    def bm25_topk_wand(sf_dir: str):
+        "bm25_topk_maxscore": partial(_engine_topk, algo="maxscore"),
         # WAND dynamic pruning (Broder CIKM'03; the engine's extension
         # beyond the reference's MaxScore), same DuckDB top-k oracle
-        from mircv_ray.config import QueryConfig
-        from mircv_ray.query import QueryEngine
-        idx = _basic_index(sf_dir)
-        eng = QueryEngine(idx, QueryConfig(standard="BM25", k=10,
-                                           parse=False, squeeze=False,
-                                           algo="wand"))
-        qids, dids, scores = [], [], []
-        for qid, terms in enumerate(_BM25_QUERIES):
-            for doc_id, score in eng.score_terms(list(terms),
-                                                 conjunctive=False):
-                qids.append(qid)
-                dids.append(doc_id - 1)
-                scores.append(round(score, 6))
-        return pa.table({"qid": pa.array(qids, type=pa.int64()),
-                         "doc_id": pa.array(dids, type=pa.int64()),
-                         "score": pa.array(scores, type=pa.float64())})
-
-    def bm25_topk_bmw(sf_dir: str):
+        "bm25_topk_wand": partial(_engine_topk, algo="wand"),
         # Block-Max WAND (Ding & Suel SIGIR'11): WAND + the index's
         # per-block score bounds; lossless, same top-k SQL oracle
-        from mircv_ray.config import QueryConfig
-        from mircv_ray.query import QueryEngine
-        idx = _basic_index(sf_dir)
-        eng = QueryEngine(idx, QueryConfig(standard="BM25", k=10,
-                                           parse=False, squeeze=False,
-                                           algo="bmw"))
-        qids, dids, scores = [], [], []
-        for qid, terms in enumerate(_BM25_QUERIES):
-            for doc_id, score in eng.score_terms(list(terms),
-                                                 conjunctive=False):
-                qids.append(qid)
-                dids.append(doc_id - 1)
-                scores.append(round(score, 6))
-        return pa.table({"qid": pa.array(qids, type=pa.int64()),
-                         "doc_id": pa.array(dids, type=pa.int64()),
-                         "score": pa.array(scores, type=pa.float64())})
-
-    def qld_topk(sf_dir: str):
+        "bm25_topk_bmw": partial(_engine_topk, algo="bmw"),
         # query-likelihood Dirichlet ranking (Zhai & Lafferty SIGIR'01;
         # the engine's third standard beyond the reference's BM25/TFIDF)
-        from mircv_ray.config import QueryConfig
-        from mircv_ray.query import QueryEngine
-        idx = _basic_index(sf_dir)
-        eng = QueryEngine(idx, QueryConfig(standard="QLD", k=10,
-                                           parse=False, squeeze=False))
-        qids, dids, scores = [], [], []
-        for qid, terms in enumerate(_BM25_QUERIES):
-            for doc_id, score in eng.score_terms(list(terms)):
-                qids.append(qid)
-                dids.append(doc_id - 1)
-                scores.append(round(score, 6))
-        return pa.table({"qid": pa.array(qids, type=pa.int64()),
-                         "doc_id": pa.array(dids, type=pa.int64()),
-                         "score": pa.array(scores, type=pa.float64())})
-
-    def props_json(sf_dir: str):
-        from mircv_ray.ops import props_extract
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "props"])
-        return ev.map_batches(props_extract, batch_format="pyarrow")
-
-    def event_sessions(sf_dir: str):
-        # range-containment join: every event labeled with the session
-        # that contains it (sessionize output = disjoint intervals)
-        from mircv_ray.ops import interval_join, sessionize
-        ev = rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["user_id", "ts", "event_id", "value"])
-        sess = sessionize(ev).select_columns(
-            ["user_id", "session_id", "start_us", "end_us"])
-
-        def to_left(batch: pa.Table) -> pa.Table:
-            return pa.table({"user_id": batch["user_id"],
-                             "event_id": batch["event_id"],
-                             "t": batch["ts"].cast(pa.int64())})
-
-        out = interval_join(
-            ev.map_batches(to_left, batch_format="pyarrow"), sess,
-            by="user_id", on="t", start_col="start_us", end_col="end_us",
-            attach={"session_id": "session_id"})
-        return _sorted_table(out, ["user_id", "event_id"])
-
-    def asof_purchases(sf_dir: str):
+        "qld_topk": partial(_engine_topk, standard="QLD"),
+        "props_json": _src(("events", "event_id", "props"),
+                           maps=(ops.props_extract,)),
         # backward as-of join: every event gets its user's most recent
         # purchase at-or-before its timestamp (tie on ts -> max event_id)
-        from mircv_ray.ops import asof_join_backward
-        ev = rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["event_id", "user_id", "ts", "event_type", "value"])
-
-        def to_left(batch: pa.Table) -> pa.Table:
-            return pa.table({"user_id": batch["user_id"],
-                             "event_id": batch["event_id"],
-                             "t": batch["ts"].cast(pa.int64())})
-
-        def to_right(batch: pa.Table) -> pa.Table:
-            b = batch.filter(pc.equal(batch["event_type"], "purchase"))
-            cents = pc.round(pc.multiply(b["value"], 100.0),
-                             round_mode="half_towards_infinity") \
-                .cast(pa.int64())
-            return pa.table({"user_id": b["user_id"],
-                             "t": b["ts"].cast(pa.int64()),
-                             "pid": b["event_id"],
-                             "pcents": cents})
-
-        out = asof_join_backward(
-            ev.map_batches(to_left, batch_format="pyarrow"),
-            ev.map_batches(to_right, batch_format="pyarrow"),
+        "asof_purchases": _src(
+            _EV_ASOF, ops.asof_join_backward, ["event_id"],
+            maps=(_event_left,), right=_src(_EV_ASOF, maps=(_purchase_cents,)),
             by="user_id", on="t", right_order="pid",
-            attach={"pid": "last_purchase_id",
-                    "t": "last_purchase_t",
-                    "pcents": "last_purchase_cents"})
-        return _sorted_table(out, ["event_id"])
-
-    def value_quantiles(sf_dir: str):
+            attach={"pid": "last_purchase_id", "t": "last_purchase_t",
+                    "pcents": "last_purchase_cents"}),
+        # range-containment join: every event labeled with the session
+        # that contains it (sessionize output = disjoint intervals)
+        "event_sessions": _src(
+            _EV_SESS, ops.interval_join, ["user_id", "event_id"],
+            maps=(_event_left,),
+            right=_src(_EV_SESS, ops.sessionize,
+                       select=["user_id", "session_id", "start_us",
+                               "end_us"]),
+            by="user_id", on="t", start_col="start_us", end_col="end_us",
+            attach={"session_id": "session_id"}),
         # exact per-type continuous quantiles (quantile_cont semantics)
-        from mircv_ray.ops import grouped_quantiles
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-        out = grouped_quantiles(ev, "event_type", "value",
-                                {"p25": 0.25, "p50": 0.5,
-                                 "p75": 0.75, "p95": 0.95})
-        t = _sorted_table(out, ["event_type"])
-        for c in ("p25", "p50", "p75", "p95"):
-            t = _round6(t, c)
-        return t
-
-    def value_quantiles_tdigest(sf_dir: str):
-        # mergeable t-digest sketch: approximate by design -> rows-only
-        # driver check, but SELF-VALIDATING in-entry: every estimate
-        # must land inside the exact distribution's ±0.06 RANK band
-        # (the delta=100 bound tests/test_quantiles.py pins), checked
-        # against grouped_quantiles at the shifted ranks — a violation
-        # raises, which the driver records as the entry failing
-        from mircv_ray.ops import (grouped_quantiles,
-                                   grouped_quantiles_tdigest)
-        qs = {"p25": 0.25, "p50": 0.5, "p75": 0.75, "p95": 0.95}
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-        got = _sorted_table(
-            grouped_quantiles_tdigest(ev, "event_type", "value", qs),
-            ["event_type"])
-        rank_err = 0.06
-        spec = {}
-        for name, q in qs.items():
-            spec[f"{name}_lo"] = max(q - rank_err, 0.0)
-            spec[f"{name}_hi"] = min(q + rank_err, 1.0)
-        bounds = _sorted_table(grouped_quantiles(
-            rd.read_parquet(f"{sf_dir}/events.parquet",
-                            columns=["event_type", "value"]),
-            "event_type", "value", spec), ["event_type"])
-        assert bounds["event_type"].to_pylist() == \
-            got["event_type"].to_pylist()
-        for name in qs:
-            est = got[name].to_numpy()
-            lo = bounds[f"{name}_lo"].to_numpy()
-            hi = bounds[f"{name}_hi"].to_numpy()
-            bad = ~((est >= lo - 1e-9) & (est <= hi + 1e-9))
-            if bad.any():
-                raise AssertionError(
-                    f"t-digest {name} outside ±{rank_err} rank band for "
-                    f"groups {np.flatnonzero(bad).tolist()}")
-        return got
-
-    def distinct_users(sf_dir: str):
-        # exact per-type COUNT(DISTINCT user): only unique pairs shuffle
-        from mircv_ray.ops import exact_distinct_per_group
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "user_id"])
-        return _sorted_table(
-            exact_distinct_per_group(ev, "event_type", "user_id",
-                                     alias="n_users"), ["event_type"])
-
-    def distinct_users_hll(sf_dir: str):
-        # HyperLogLog estimate: only 4 KiB register blobs shuffle;
-        # approximate by design -> rows-only driver check, but SELF-
-        # VALIDATING in-entry: the estimate must sit within 5% of the
-        # exact per-group distinct count (the tests/test_sketches.py
-        # bound) — a violation raises and fails the entry
-        from mircv_ray.ops import (exact_distinct_per_group,
-                                   hll_distinct_per_group)
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "user_id"])
-        est = _sorted_table(
-            hll_distinct_per_group(ev, "event_type", "user_id",
-                                   alias="n_users_hll"), ["event_type"])
-        exact = _sorted_table(exact_distinct_per_group(
-            rd.read_parquet(f"{sf_dir}/events.parquet",
-                            columns=["event_type", "user_id"]),
-            "event_type", "user_id", alias="n_users"), ["event_type"])
-        assert exact["event_type"].to_pylist() == \
-            est["event_type"].to_pylist()
-        e = est["n_users_hll"].to_numpy().astype(np.float64)
-        t = exact["n_users"].to_numpy().astype(np.float64)
-        bad = np.abs(e - t) > 0.05 * np.maximum(t, 1.0)
-        if bad.any():
-            raise AssertionError(
-                f"HLL estimate >5% off exact for groups "
-                f"{np.flatnonzero(bad).tolist()}: est={e[bad]}, "
-                f"exact={t[bad]}")
-        return est
-
-    def heavy_users_mg(sf_dir: str):
-        # Misra-Gries frequent users per event_type: only <= k+1
-        # summary rows per (group, batch) shuffle, never the distinct
-        # pairs. Estimates are batch-boundary-dependent (any MG merge
-        # tree is) -> rows-only driver check, but SELF-VALIDATING
-        # in-entry against the exact counts: est <= true <= est + err
-        # for every reported item, and every item with true > err must
-        # be reported (the PODS'12 guarantees) — violations raise
-        from ray.data.aggregate import Count
-
-        from mircv_ray.ops import mg_heavy_hitters
-        k = 8
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "user_id"])
-        est = _sorted_table(
-            mg_heavy_hitters(ev, "event_type", "user_id", k=k),
-            ["event_type", "user_id"])
-        exact = _sorted_table(
-            rd.read_parquet(f"{sf_dir}/events.parquet",
-                            columns=["event_type", "user_id"])
-            .groupby(["event_type", "user_id"])
-            .aggregate(Count(alias_name="c")),
-            ["event_type", "user_id"])
-        true = {(g, u): c for g, u, c in zip(
-            exact["event_type"].to_pylist(),
-            exact["user_id"].to_pylist(), exact["c"].to_pylist())}
-        totals: dict = {}
-        for (g, _), c in true.items():
-            totals[g] = totals.get(g, 0) + c
-        err_by_group: dict = {}
-        for g, u, e, err, n in zip(est["event_type"].to_pylist(),
-                                   est["user_id"].to_pylist(),
-                                   est["est_count"].to_pylist(),
-                                   est["err_bound"].to_pylist(),
-                                   est["n_group"].to_pylist()):
-            assert n == totals[g], (g, n, totals[g])
-            assert e <= true[(g, u)] <= e + err, (g, u, e, err)
-            err_by_group[g] = err
-        reported = set(zip(est["event_type"].to_pylist(),
-                           est["user_id"].to_pylist()))
-        for (g, u), c in true.items():
-            err = err_by_group.get(g, totals[g] // (k + 1))
-            if c > err:
-                assert (g, u) in reported, (g, u, c, err)
-        return est
-
-    def event_counts_cm(sf_dir: str):
-        # Count-Min point estimates per event_type. Estimates are
-        # hash-dependent -> rows-only driver check, but SELF-VALIDATING
-        # in-entry against the exact counts: est >= true for EVERY key
-        # (the CM one-sided guarantee) and est <= true + e*N/width with
-        # the standard per-query failure budget — violations raise
-        import math
-
-        from ray.data.aggregate import Count
-
-        from mircv_ray.ops import cm_build, cm_query
-        width, depth = 1 << 12, 4
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type"])
-        m = cm_build(ev, "event_type", width=width, depth=depth)
-        exact = _sorted_table(
-            rd.read_parquet(f"{sf_dir}/events.parquet",
-                            columns=["event_type"])
-            .groupby("event_type").aggregate(Count(alias_name="c")),
-            ["event_type"])
-        types = exact["event_type"]
-        est = cm_query(m, types)
-        tv = exact["c"].to_numpy()
-        n_total = int(tv.sum())
-        assert (est >= tv).all(), "CM under-counted"
-        bound = math.e * n_total / width
-        over = est - tv
-        assert (over <= 2 * bound).mean() >= 0.95, (
-            f"CM over-count beyond 2x Markov bound: {over}")
-        return pa.table({
-            "event_type": types,
-            "est_count": pa.array(est, type=pa.int64()),
-            "n_total": pa.array(
-                np.full(len(est), n_total, dtype=np.int64)),
-        })
-
-    def top_users(sf_dir: str):
-        from mircv_ray.ops import top_users_by_type
-        ev = rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["event_type", "user_id", "value"])
-        return _sorted_table(top_users_by_type(ev, k=5),
-                             ["event_type", "rank"])
-
-    def media_features(sf_dir: str):
-        from mircv_ray.ops import DecodeImage, make_media_table
-        ds = rd.from_arrow(make_media_table(120))
-        # fake=False: every synthetic payload (PPM/BMP/PNG/JPEG/WAV/
-        # RAWV/MP4-raw)
-        # decodes through the REAL pure-NumPy/zlib codecs
-        out = ds.map_batches(DecodeImage, fn_constructor_kwargs={"fake": False},
-                             batch_size=32, concurrency=2,
-                             batch_format="pyarrow", num_cpus=1)
-        feats = out.select_columns(["media_id", "kind"])
-        return feats
-
-    def bm25f_topk_entry(sf_dir: str):
-        # BM25F (Robertson et al. CIKM'04): body field = text, title
-        # field = first-40-chars view, each a STANDARD index; per-field
-        # tf/length-normalization combined before saturation, df = docs
-        # containing the term in ANY field. weights body 1.0 / title
-        # 2.0, b 0.75 / 0.5, k1 1.5.
-        from mircv_ray.query.bm25f import bm25f_topk
-        body, title = _basic_index(sf_dir), _title_index(sf_dir)
-        res = bm25f_topk([(body, 1.0, 0.75), (title, 2.0, 0.5)],
-                         list(enumerate(_BM25_QUERIES)), k1=1.5, k=10)
-        return pa.table({
-            "qid": pa.array([q for q, _, _ in res], type=pa.int64()),
-            "doc_id": pa.array([int(p[4:12]) for _, p, _ in res],
-                               type=pa.int64()),
-            "score": pa.array([round(s, 6) for _, _, s in res],
-                              type=pa.float64())})
-
-    def bpe_merges(sf_dir: str):
-        # distributed BPE vocabulary training (Sennrich ACL'16): the
-        # word vocab stays a sharded Dataset, each merge round is one
-        # streaming pass + one pair-count groupby, the driver sees one
-        # row per block per round. Iterative argmax is not
-        # SQL-expressible -> rows-only, but SELF-VALIDATING in-entry:
-        # the merge list must EXACTLY equal a pure-Python Sennrich
-        # reference run over the same texts (counts included).
-        from mircv_ray.ops.bpe import EOW, bpe_train
-        got = bpe_train(_docs_ds(sf_dir), n_merges=25, min_count=2)
-        import re as _re
-        from collections import Counter
-        texts = pq.read_table(f"{sf_dir}/documents.parquet",
-                              columns=["text"])["text"].to_pylist()
-        words = Counter(w for t in texts if t
-                        for w in _re.findall(r"[a-z0-9]+", t.lower()))
-        vocab = {w: (list(w[:-1]) + [w[-1] + EOW], c)
-                 for w, c in words.items()}
-        ref = []
-        for _ in range(25):
-            pairs: Counter = Counter()
-            for syms, c in vocab.values():
-                for i in range(len(syms) - 1):
-                    pairs[(syms[i], syms[i + 1])] += c
-            if not pairs or max(pairs.values()) < 2:
-                break
-            mx = max(pairs.values())
-            a, b = min(p for p, c in pairs.items() if c == mx)
-            ref.append((a, b, mx))
-            nv = {}
-            for w, (syms, c) in vocab.items():
-                out, i = [], 0
-                while i < len(syms):
-                    if (i < len(syms) - 1 and syms[i] == a
-                            and syms[i + 1] == b):
-                        out.append(a + b)
-                        i += 2
-                    else:
-                        out.append(syms[i])
-                        i += 1
-                nv[w] = (out, c)
-            vocab = nv
-        mine = list(zip(got["left"].to_pylist(), got["right"].to_pylist(),
-                        got["count"].to_pylist()))
-        if mine != ref:
-            raise AssertionError(
-                f"BPE merge list diverges from the Sennrich reference: "
-                f"{mine[:3]}... vs {ref[:3]}...")
-        return got
-
-    def bpe_token_counts(sf_dir: str):
-        # per-doc BPE token counts under the trained merges (map-only
-        # encode; batch-distinct words through the vectorized merge
-        # kernel). Rows-only but SELF-VALIDATING: every count must
-        # equal the pure-Python encode of the same text.
-        from mircv_ray.ops.bpe import EOW, bpe_encode_counts, bpe_train
-        merges = bpe_train(_docs_ds(sf_dir), n_merges=25, min_count=2)
-        out = _sorted_table(
-            bpe_encode_counts(_docs_ds(sf_dir), merges), ["doc_id"])
-        import re as _re
-        pairs = list(zip(merges["left"].to_pylist(),
-                         merges["right"].to_pylist()))
-        docs = pq.read_table(f"{sf_dir}/documents.parquet",
-                             columns=["doc_id", "text"])
-        ref = {}
-        for did, t in zip(docs["doc_id"].to_pylist(),
-                          docs["text"].to_pylist()):
-            n = 0
-            for w in _re.findall(r"[a-z0-9]+", (t or "").lower()):
-                syms = list(w[:-1]) + [w[-1] + EOW]
-                for a, b in pairs:
-                    o, i = [], 0
-                    while i < len(syms):
-                        if (i < len(syms) - 1 and syms[i] == a
-                                and syms[i + 1] == b):
-                            o.append(a + b)
-                            i += 2
-                        else:
-                            o.append(syms[i])
-                            i += 1
-                    syms = o
-                n += len(syms)
-            ref[did] = n
-        for did, n in zip(out["doc_id"].to_pylist(),
-                          out["n_bpe_tokens"].to_pylist()):
-            if ref.get(did) != n:
-                raise AssertionError(
-                    f"BPE encode count mismatch doc {did}: {n} != "
-                    f"{ref.get(did)}")
-        return out
-
-    return {
-        "doc_stats": doc_stats,
-        "doc_lengths": doc_lengths,
-        "term_df": term_df,
-        "lexicon": lexicon,
-        "top_terms": top_terms,
-        "postings": postings,
-        "resharded_postings": resharded_postings,
-        "champion_lists": champion_lists,
-        "pruned_postings": pruned_postings,
-        "merge_postings": merge_postings,
-        "upsert_postings": upsert_postings,
-        "delete_postings": delete_postings,
-        "vacuum_postings": vacuum_postings,
-        "bm25_topk": bm25_topk,
-        "federated_bm25": federated_bm25,
-        "score_explain": score_explain,
-        "bm25_conjunctive": bm25_conjunctive,
-        "tfidf_topk": tfidf_topk,
-        "phrase_search": phrase_search,
-        "phrase_search_positional": phrase_search_positional,
-        "proximity_search": proximity_search,
-        "snippet_search": snippet_search,
-        "bm25_prf": bm25_prf,
-        "fuzzy_bm25": fuzzy_bm25,
-        "seq_packing": seq_packing,
-        "collocations": collocations,
-        "wildcard_infix_bm25": wildcard_infix_bm25,
-        "facet_search": facet_search,
-        "boolean_not": boolean_not,
-        "phrase_bm25": phrase_bm25,
-        "more_like_this": more_like_this,
-        "wildcard_bm25": wildcard_bm25,
-        "hybrid_rrf": hybrid_rrf,
-        "hybrid_combmnz": hybrid_combmnz,
-        "ltr_features": ltr_features_export,
-        "doc_chunks": doc_chunks,
-        "passage_maxp": passage_maxp,
-        "bm25_conjunctive_strict": bm25_conjunctive_strict,
-        "dedup_exact": dedup_exact,
-        "token_count": token_count,
-        "quality_stats": quality_stats,
-        "char_entropy": char_entropy,
-        "quality_deciles": quality_deciles,
-        "dsir_weights_exact": dsir_weights_exact,
-        "dsir_weights_hashed": dsir_weights_hashed,
-        "dsir_resample": dsir_resample,
-        "bpe_merges": bpe_merges,
-        "bpe_token_counts": bpe_token_counts,
-        "bm25f_topk": bm25f_topk_entry,
-        "knn_graph_exact": knn_graph_exact,
-        "knn_graph_approx": knn_graph_approx,
-        "ann_cosine_topk": ann_cosine_topk,
-        "ann_cosine_topk_ivf": ann_cosine_topk_ivf,
-        "ann_cosine_topk_pq": ann_cosine_topk_pq,
-        "mmr_diversified": mmr_diversified,
-        "dense_prf": dense_prf,
-        "lang_id": lang_id,
-        "fingerprint": fingerprint,
-        "pii_redact": pii_redact,
-        "repetition_stats": repetition_stats,
-        "ngram_jaccard_exact": ngram_jaccard_exact,
-        "substring_dup_exact": substring_dup_exact,
-        "substring_dup_winnow": substring_dup_winnow,
-        "embedding_near_dups_exact": embedding_near_dups_exact,
-        "semantic_dedup_exact": semantic_dedup_exact,
-        "semantic_dedup_clustered": semantic_dedup_clustered,
-        "line_dedup": line_dedup_corpus,
-        "dup_line_stats": dup_line_stats,
-        "ngram_repetition": ngram_repetition,
-        "top_ngrams": top_ngrams_corpus,
-        "shard_shuffle": shard_shuffle,
-        "zipf_corpus": zipf_corpus,
-        "nfc_normalized": nfc_normalized,
-        "heaps_corpus": heaps_corpus,
-        "entropy_ranks": entropy_ranks,
-        "winsorized_values": winsorized_values,
-        "normalized_values": normalized_values,
-        "transition_matrix": transition_matrix,
-        "events_profile": events_profile,
-        "doc_sentences": doc_sentences,
-        "corpus_diff": corpus_diff_new,
-        "orders_customers": orders_customers,
-        "building_orders": building_orders,
-        "funnel_signup": funnel_signup,
-        "funnel_conversion": funnel_conversion,
-        "user_gaps": user_gaps,
-        "moving_spend": moving_spend,
-        "events_rollup": events_rollup,
-        "hourly_spend": hourly_spend,
-        "user_pivot": user_pivot,
-        "never_purchased": never_purchased,
-        "running_totals": running_totals,
-        "c4_clean": c4_clean,
-        "cooccurrence": cooccurrence,
-        "pagerank_docs": pagerank_docs,
-        "keywords_tfidf": keywords_tfidf,
-        "hits_docs": hits_docs,
-        "seed_distance": seed_distance,
-        "dataset_split": dataset_split,
-        "stratified_sample": stratified_sample,
-        "alpha_mix_weights": alpha_mix_weights,
-        "temperature_mix": temperature_mix,
-        "retention_cohorts": retention_cohorts,
-        "lm_logprob": lm_logprob,
-        "bigram_lm": bigram_lm,
-        "gopher_quality": gopher_quality,
-        "source_quota_salted": source_quota_salted,
-        "dedup_clusters": dedup_clusters,
-        "source_quota": source_quota,
-        "contamination": contamination,
-        "contamination_ngram": contamination_ngram,
-        "contamination_fuzzy": contamination_fuzzy,
-        "minhash_pairs": minhash_pairs,
-        "simhash_pairs": simhash_pairs,
-        "ngram_jaccard": ngram_jaccard,
-        "embedding_near_dups": embedding_near_dups,
-        "window_agg": window_agg,
-        "window_agg_streaming": window_agg_streaming,
-        "window_hopping": window_hopping,
-        "sessions": sessions,
-        "sessions_salted": sessions_salted,
-        "sessions_streaming": sessions_streaming,
-        "bm25_topk_maxscore": bm25_topk_maxscore,
-        "bm25_topk_wand": bm25_topk_wand,
-        "bm25_topk_bmw": bm25_topk_bmw,
-        "qld_topk": qld_topk,
-        "props_json": props_json,
-        "asof_purchases": asof_purchases,
-        "event_sessions": event_sessions,
-        "value_quantiles": value_quantiles,
-        "value_quantiles_tdigest": value_quantiles_tdigest,
-        "distinct_users": distinct_users,
-        "distinct_users_hll": distinct_users_hll,
-        "top_users": top_users,
-        "heavy_users_mg": heavy_users_mg,
-        "event_counts_cm": event_counts_cm,
-        "media_features": media_features,
+        "value_quantiles": _src(_EV_TYPE_VALUE, ops.grouped_quantiles,
+                                ["event_type"], round6=tuple(_QUARTILES),
+                                group_col="event_type", value_col="value",
+                                qs=_QUARTILES),
+        "value_quantiles_tdigest": _value_quantiles_tdigest,
+        "distinct_users": _DISTINCT_USERS,
+        "distinct_users_hll": _distinct_users_hll,
+        "top_users": _src(("events", "event_type", "user_id", "value"),
+                          ops.top_users_by_type, ["event_type", "rank"], k=5),
+        "heavy_users_mg": _heavy_users_mg,
+        "event_counts_cm": _event_counts_cm,
+        "media_features": _media_features,
     }
 
 

@@ -3,14 +3,16 @@
 A from-scratch rebuild of the data-processing capabilities of the
 DavideBruni/MIRCV_project reference (a single-JVM SPIMI search engine),
 re-expressed as Ray Data pipelines: streaming ``map_batches`` tokenization
-over zero-copy Arrow batches, a ``groupby("term")`` shuffle producing
-sorted, block-structured, compressed posting lists, and actor-pool query
-scoring with MaxScore dynamic pruning.
+over zero-copy Arrow batches, one direct map/reduce postings exchange
+(``build/index_build._exchange``) writing sorted, block-structured,
+compressed posting lists per (term shard, docId segment), and
+actor-pool query scoring with MaxScore dynamic pruning.
 
 Layout:
   codecs/   bit-level compression kernels (unary, vbyte-gap, Elias-Fano)
   text/     tokenizer (reference-parity), Porter stemmer, stopwords
-  build/    index build pipeline (docid assignment, shuffle, lexicon)
+  build/    index build pipeline (docid assignment, exchange, lexicon)
+            and the index lifecycle (merge, delete, vacuum, prune)
   query/    posting cursors, MaxScore scorer, query engine actor
   oracle/   pure-Python single-process reference-semantics oracle (tests)
   ops/      training-data ops: dedup, similarity search, text analysis,

@@ -242,6 +242,12 @@ def _fixed_width_keys(joined, width: int) -> np.ndarray:
                          count=len(fixed), offset=fixed.offset * width)
 
 
+# docs per tokenizer batch, and rows per postings-exchange map task (docs
+# per SPIMI-partial batch: bigger batches consolidate partial lists); the
+# build and the positions sidecar read both at call time
+TOKENIZE_BATCH_SIZE = 1024
+EXPLODE_BATCH_SIZE = 8192
+
 # above this many docs the id assignment runs as a Ray groupby + join
 # over the slim key table instead of one task that sorts every key
 DRIVER_IDMAP_MAX_ROWS = 5_000_000
@@ -1554,7 +1560,7 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
         # the whole build is the postings exchange.
         tok0 = corpus.map_batches(
             TokenizeHashDropBlank(cfg), batch_format="pyarrow",
-            batch_size=cfg.tokenize_batch_size).materialize()
+            batch_size=TOKENIZE_BATCH_SIZE).materialize()
         sub["tokenize_s"] = round(time.time() - t0, 3)
         n_keys = tok0.count()  # block metadata of the materialized stream
         tm = time.time()
@@ -1637,14 +1643,14 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
                 mapping_ref, _ = _assign_ids.remote(str(out / "docs"), None)
                 tok0 = corpus.map_batches(
                     TokenizeHashDropBlank(cfg), batch_format="pyarrow",
-                    batch_size=cfg.tokenize_batch_size)
+                    batch_size=TOKENIZE_BATCH_SIZE)
             else:
                 # scale resume: join the re-derived token stream against
                 # the checkpointed mapping parquet (streamed, no driver)
                 import ray.data as rd
                 tok0r = corpus.map_batches(
                     TokenizeHashDropBlank(cfg), batch_format="pyarrow",
-                    batch_size=cfg.tokenize_batch_size)
+                    batch_size=TOKENIZE_BATCH_SIZE)
                 mapping_ds = rd.read_parquet(
                     str(out / "docs"), columns=["repo", "path", "doc_id"])
                 tok_mat = attach_ids_via_join(tok0r, mapping_ds)
@@ -1657,7 +1663,7 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
         else:
             tokens, to_partials = tok_mat, _TokensToPartials(explode)
         xstats = _encode_partials(tokens, to_partials,
-                                  cfg.explode_batch_size, out, cfg, n_docs,
+                                  EXPLODE_BATCH_SIZE, out, cfg, n_docs,
                                   avg_doc_len)
         tp = time.time()
         pstats = _partition_stats(out / "postings")

@@ -47,6 +47,7 @@ from ..config import IndexConfig
 from ..text.tokenizer import Tokenizer, tokenize_text
 from ..util import (crc32_column, packed_tf_dtype, packed_tf_values,
                     sort_pairs)
+from . import index_build
 from .index_build import (_assign_ids, _drop_blank, _exchange, _ids_dtype,
                           _packed_runs, _term_shards_memo, _TokensToPartials,
                           _write_partition)
@@ -276,13 +277,13 @@ def build_positions_index(index_dir: str, corpus, cfg: IndexConfig,
         _drop_blank, batch_format="pyarrow").map_batches(
         Tokenizer(parse=cfg.parse, squeeze=cfg.squeeze,
                   term_dimension=cfg.term_dimension),
-        batch_format="pyarrow", batch_size=cfg.tokenize_batch_size
+        batch_format="pyarrow", batch_size=index_build.TOKENIZE_BATCH_SIZE
     ).select_columns(["repo", "path", "tokens"])
     xstats = _exchange(
         tokens,
         _TokensToPartials(_make_pos_explode(num_shards, salt, n_docs), mref),
         functools.partial(_encode_pos_group, out_dir, n_docs),
-        out_dir, num_shards, salt, cfg.explode_batch_size)
+        out_dir, num_shards, salt, index_build.EXPLODE_BATCH_SIZE)
     write_manifest(index_dir, "positions", {
         "docs_completed_at": stamp, "partitions": num_shards * salt,
         "seconds": time.time() - t0, "sub": xstats})

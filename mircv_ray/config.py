@@ -3,13 +3,13 @@
 Mirrors the reference's compile-time knobs
 (search_engine/src/main/java/unipi/aide/mircv/configuration/Configuration.java
 and Lexicon.TERM_DIMENSION at model/Lexicon.java:22), plus the Ray-specific
-scale knobs (shards, salt buckets, batch sizes) the reference has no
-equivalent for.
+scale knobs (shards, salt buckets) the reference has no equivalent for.
+Batch sizes are module constants of ``build/index_build.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,6 @@ class IndexConfig:
     # --- Ray-scale knobs -------------------------------------------------
     num_shards: int = 16            # term-hash partitions of the postings/lexicon output
     salt_buckets: int = 1           # docId-range segments per term (>1 splits hot terms)
-    tokenize_batch_size: int = 1024     # docs per tokenizer batch
-    explode_batch_size: int = 8192      # rows per postings-exchange map
-                                        # task and docs per SPIMI-partial
-                                        # batch (bigger batches consolidate
-                                        # partial lists)
     squeeze: bool = True            # run-of-3+ squeeze (Parser.java:63-90); the
                                     # "basic" SQL-checkable mode turns this off
 

@@ -49,7 +49,6 @@ def pagerank(edges, nodes, n_iter: int = 10, damping: float = 0.85):
     dangling vertices included — edge endpoints alone can't enumerate
     them without an extra distinct exchange)."""
     import ray
-    from ray.data.aggregate import Sum
     from .dedup import _add_pkey
 
     if not 0.0 < damping < 1.0:

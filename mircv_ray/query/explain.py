@@ -16,8 +16,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..config import QueryConfig
-
 
 def explain_scores(index_dir: str, term_queries: list[list[str]],
                    doc_ids: list[int], standard: str = "BM25",

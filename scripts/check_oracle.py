@@ -1,7 +1,9 @@
 """Local simulation of the driver's correctness gate:
 runs queries()[name](sf_dir) and oracle_sql()[name] side by side,
 compares row count, schema (sorted column names) and an
-order-insensitive value hash.
+order-insensitive value hash. Every entry that ran also records
+``value_sha``, a sha256 of its canonicalized output (oracle-gated or
+rows-only alike), so two sweep JSONs diff entry by entry.
 
 Usage:
     python scripts/check_oracle.py [sf_dir] [entry ...]
@@ -13,6 +15,7 @@ round-over-round regression evidence for the full surface, shaped like
 CORRECTNESS_r{N}.json with one section per scale factor).
 """
 
+import hashlib
 import json
 import sys
 import time
@@ -21,6 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import duckdb
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
@@ -38,6 +42,22 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(by=list(df.columns)).reset_index(drop=True)
 
 
+def value_sha(df: pd.DataFrame) -> str:
+    """sha256 over a canon()-ed frame: each column's name, dtype and
+    values in row order (numeric columns as raw bytes, the rest by
+    repr of their Python values)."""
+    h = hashlib.sha256()
+    for c in df.columns:
+        v = df[c].to_numpy()
+        h.update(f"{c}|{v.dtype}|".encode())
+        if v.dtype == object:
+            h.update(repr([x.tolist() if isinstance(x, np.ndarray) else x
+                           for x in v]).encode())
+        else:
+            h.update(np.ascontiguousarray(v).tobytes())
+    return h.hexdigest()
+
+
 def _ray_up():
     import ray
     if not ray.is_initialized():
@@ -50,7 +70,7 @@ def _ray_up():
 def run_gate(sf_dir: str, only: list[str] | None = None) -> dict:
     """One entry per queries() key: the driver-gate comparison record
     ({rows_match, schema_match, hash_match, spark_rows, oracle_rows,
-    err}) — err='no_oracle' for entries without SQL."""
+    value_sha, err}) — err='no_oracle' for entries without SQL."""
     _ray_up()
     import __ray_entry__ as entry_mod
 
@@ -71,18 +91,20 @@ def run_gate(sf_dir: str, only: list[str] | None = None) -> dict:
     for name, fn in qs.items():
         rec = {"rows_match": None, "schema_match": None,
                "hash_match": None, "spark_rows": None,
-               "oracle_rows": None, "err": None}
+               "oracle_rows": None, "value_sha": None, "err": None}
         out[name] = rec
         try:
             got = canon(to_pandas(fn(sf_dir)))
             rec["spark_rows"] = len(got)
+            rec["value_sha"] = value_sha(got)
         except Exception as e:
             rec["err"] = f"query raised {type(e).__name__}: {e}"
             print(f"FAIL  {name}: {rec['err']}")
             continue
         if name not in oracles:
             rec["err"] = "no_oracle"
-            print(f"rows  {name}: {len(got)} rows (no SQL oracle)")
+            print(f"rows  {name}: {len(got)} rows (no SQL oracle) "
+                  f"sha={rec['value_sha']}")
             continue
         try:
             exp = canon(con.execute(oracles[name]).fetchdf())
@@ -104,7 +126,7 @@ def run_gate(sf_dir: str, only: list[str] | None = None) -> dict:
             except AssertionError as e:
                 msg = str(e).splitlines()[0]
         if rec["rows_match"] and rec["schema_match"] and rec["hash_match"]:
-            print(f"OK    {name}: {len(got)} rows")
+            print(f"OK    {name}: {len(got)} rows sha={rec['value_sha']}")
         else:
             print(f"FAIL  {name}: rows {len(got)} vs {len(exp)}, "
                   f"cols {list(got.columns)} vs {list(exp.columns)}"

@@ -178,11 +178,11 @@ class TestDeterminism:
         from mircv_ray.build import index_build
         table = generate_corpus_table(70, seed=29)
         monkeypatch.setattr(index_build, "MR2_TREE_FANIN", 2)
+        monkeypatch.setattr(index_build, "EXPLODE_BATCH_SIZE", 8)
         out = str(tmp_path / "idx_tree")
         stats = build_index(rd.from_arrow(table.drop_columns(["sha256"])),
                             out, IndexConfig(parse=True, num_shards=4,
-                                             salt_buckets=2,
-                                             explode_batch_size=8))
+                                             salt_buckets=2))
         # the forced-low threshold really activated the combine level
         sub = stats["metrics"]["postings_sub"]
         assert sub["n_map_tasks"] > sub["tree_fanin"] == 2

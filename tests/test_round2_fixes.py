@@ -45,12 +45,12 @@ def test_exact_dedup_null_vs_empty(ray_session):
 
 # ------------------------------------------------- explode zero-token batches
 
-def test_build_with_all_stopword_docs(ray_session, tmp_path):
+def test_build_with_all_stopword_docs(ray_session, tmp_path, monkeypatch):
     """Docs that tokenize to zero tokens (all stopwords / punctuation) pass
     the blank filter but must not crash the explode stage."""
     import ray.data as rd
 
-    from mircv_ray.build import build_index
+    from mircv_ray.build import build_index, index_build
     from mircv_ray.config import IndexConfig
     n = 8
     t = pa.table({
@@ -64,9 +64,9 @@ def test_build_with_all_stopword_docs(ray_session, tmp_path):
     })
     # single tiny batch per block so at least one explode batch is empty
     ds = rd.from_arrow(t).repartition(4)
+    monkeypatch.setattr(index_build, "EXPLODE_BATCH_SIZE", 2)
     stats = build_index(ds, str(tmp_path / "idx"),
-                        IndexConfig(parse=True, num_shards=2, salt_buckets=1,
-                                    explode_batch_size=2))
+                        IndexConfig(parse=True, num_shards=2, salt_buckets=1))
     assert stats["n_docs"] == n
     assert stats["metrics"]["n_postings"] == 0 or "n_postings" not in stats["metrics"]
 

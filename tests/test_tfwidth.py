@@ -56,13 +56,13 @@ class TestPackedTfValues:
 
 class TestWideTfEndToEnd:
     def test_giant_tf_doc_identical_across_exchanges(self, ray_session,
-                                                     tmp_path):
+                                                     tmp_path, monkeypatch):
         # one doc repeats a term > 2^16 times -> its explode batch packs
         # int32 while others pack uint16; the postings and the positions
         # sidecar (both written through the one exchange) must agree on
         # the occurrence count, and the decoded tf must survive exactly
         import ray.data as rd
-        from mircv_ray.build import build_index
+        from mircv_ray.build import build_index, index_build
         from mircv_ray.config import IndexConfig
         from mircv_ray.query.engine import IndexReader
         from mircv_ray.sources import generate_corpus_table
@@ -75,8 +75,9 @@ class TestWideTfEndToEnd:
         })
         table = pa.concat_tables(
             [base, giant.cast(base.schema)], promote_options="default")
-        cfg = IndexConfig(parse=True, num_shards=4, salt_buckets=2,
-                          tokenize_batch_size=4, explode_batch_size=4)
+        monkeypatch.setattr(index_build, "TOKENIZE_BATCH_SIZE", 4)
+        monkeypatch.setattr(index_build, "EXPLODE_BATCH_SIZE", 4)
+        cfg = IndexConfig(parse=True, num_shards=4, salt_buckets=2)
         out = str(tmp_path / "idx")
         build_index(rd.from_arrow(table), out, cfg)
         r = IndexReader(out)
