@@ -1374,9 +1374,12 @@ def _pruned_postings(sf_dir: str) -> pa.Table:
     # standard index (engine-queryable, recomputed df/UBs,
     # unchanged doc lengths), pytest-pinned
     out = tempfile.mkdtemp(prefix="pruned_idx_")
-    prune_index(_basic_index(sf_dir), out, keep_per_term=5)
-    return _sorted_table(dump.dump_postings(out, docno_offset=-1),
-                         ["term", "doc_id"])
+    try:
+        prune_index(_basic_index(sf_dir), out, keep_per_term=5)
+        return _sorted_table(dump.dump_postings(out, docno_offset=-1),
+                             ["term", "doc_id"])
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
 
 
 def _score_explain(sf_dir: str) -> pa.Table:

@@ -3,12 +3,13 @@
 Pipeline (SURVEY.md §3 "Ray Data restatement"):
 
     corpus (repo, path, commit, lang, content)
-      -> drop blank docs                       (InvertedIndex.java:45-47 skip path)
+      -> tokenize_corpus, inside the read tasks: drop blank docs
+         (InvertedIndex.java:45-47 skip path), Tokenizer + sha256 over
+         slices of <= TOKENIZE_BATCH_SIZE docs (M2..M10, Arrow kernels)
       -> deterministic docId assignment        (replaces the arrival-order
          counter InvertedIndex.java:22,51: docId = 1 + rank in (repo, path)
          order, computed as per-repo base offsets + within-repo path rank —
          data-dependent only, so identical at any parallelism)
-      -> map_batches(Tokenizer) + sha256       (M2..M10, zero-copy Arrow)
       -> doc table parquet + collection stats  (D5/D6)
       -> explode + (shard, seg) map/reduce     (M11 partial posting lists;
          THE shuffle, _exchange; replaces SPIMI flush + k-way merge
@@ -261,8 +262,11 @@ _EMPTY_KEYS = pa.table({"repo": pa.array([], pa.string()),
 @ray.remote
 def _block_keys(block: pa.Table) -> pa.Table:
     """The id-assignment columns of one token block. Runs beside the
-    block, so only keys and lengths travel to the assign task."""
-    return block.select(["repo", "path", "doc_len"])
+    block, so only keys and lengths travel to the assign task. (A map
+    task whose input blocks were all empty emits an empty block with no
+    columns; ``_assign_ids`` drops empty parts.)"""
+    return block.select(["repo", "path", "doc_len"]) if block.num_rows \
+        else block
 
 
 @ray.remote(num_returns=2)
@@ -319,34 +323,44 @@ def _mapping_keys(mapping_ref) -> tuple[int, np.ndarray, np.ndarray]:
     return _cached_get(mapping_ref)
 
 
-class TokenizeHashDropBlank:
-    """Single-content-scan stage: blank filter + tokenize + sha256 (no
-    doc ids yet — they attach afterwards from the slim key mapping)."""
+def tokenize_corpus(corpus, cfg: IndexConfig, *, sha256: bool = True):
+    """The one way a corpus becomes a token stream: blank docs dropped,
+    ``content`` replaced by ``doc_len`` (+ ``sha256``) and ``tokens``.
 
-    def __init__(self, cfg: IndexConfig):
-        self.tok = TokenizeHash(cfg)
+    The map has no ``batch_size``, so Ray fuses it into the read tasks
+    (a read followed by a batch-sized map runs as two operators)."""
+    return corpus.map_batches(_TokenizeBlock(cfg, sha256),
+                              batch_format="pyarrow")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.tok(_drop_blank(batch))
 
+class _TokenizeBlock:
+    """Blank filter + tokenize (+ sha256) over one read block, one slice of
+    at most ``TOKENIZE_BATCH_SIZE`` docs at a time, so the tokenizer's
+    intermediates are bounded by that constant, not by the block size."""
 
-class TokenizeHash:
-    """Tokenize + sha256 + doc_len; drops content (it never enters the shuffle)."""
-
-    def __init__(self, cfg: IndexConfig):
+    def __init__(self, cfg: IndexConfig, sha256: bool):
         self.tok = Tokenizer(parse=cfg.parse, squeeze=cfg.squeeze,
                              term_dimension=cfg.term_dimension)
+        self.sha256 = sha256
+        # read when the pipeline is built, like EXPLODE_BATCH_SIZE: the
+        # tasks would see the import-time value
+        self.batch_size = TOKENIZE_BATCH_SIZE
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        content = batch["content"]
-        if isinstance(content, pa.ChunkedArray):
-            content = content.combine_chunks()
+    def __call__(self, block: pa.Table):
+        block = _drop_blank(block)
+        # an all-blank block still yields one (empty) slice, for its schema
+        for start in range(0, max(block.num_rows, 1), self.batch_size):
+            yield self._tokenize(block.slice(start, self.batch_size))
+
+    def _tokenize(self, batch: pa.Table) -> pa.Table:
+        content = batch["content"].combine_chunks()
         tokens, doc_len = self.tok.tokenize_column(content)
-        sha = sha256_hex_column(content)  # blank filter ran: no NULLs
-        out = batch.drop_columns(["content"])
-        return (out.append_column("doc_len", pa.array(doc_len, type=pa.int64()))
-                   .append_column("sha256", sha)
-                   .append_column("tokens", tokens))
+        out = batch.drop_columns(["content"]).append_column(
+            "doc_len", pa.array(doc_len, type=pa.int64()))
+        if self.sha256:
+            # the blank filter ran: no NULLs
+            out = out.append_column("sha256", sha256_hex_column(content))
+        return out.append_column("tokens", tokens)
 
 
 # ------------------------------------------------------------------ stage 2
@@ -1558,9 +1572,7 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
         # feeds id assignment, the doc table AND the postings shuffle. The
         # corpus itself is never shuffled — the only full-data exchange in
         # the whole build is the postings exchange.
-        tok0 = corpus.map_batches(
-            TokenizeHashDropBlank(cfg), batch_format="pyarrow",
-            batch_size=TOKENIZE_BATCH_SIZE).materialize()
+        tok0 = tokenize_corpus(corpus, cfg).materialize()
         sub["tokenize_s"] = round(time.time() - t0, 3)
         n_keys = tok0.count()  # block metadata of the materialized stream
         tm = time.time()
@@ -1641,19 +1653,15 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
                 # the doc table is read and sorted inside the assign task;
                 # ids attach inside the exchange maps, as in a fresh build
                 mapping_ref, _ = _assign_ids.remote(str(out / "docs"), None)
-                tok0 = corpus.map_batches(
-                    TokenizeHashDropBlank(cfg), batch_format="pyarrow",
-                    batch_size=TOKENIZE_BATCH_SIZE)
+                tok0 = tokenize_corpus(corpus, cfg)
             else:
                 # scale resume: join the re-derived token stream against
                 # the checkpointed mapping parquet (streamed, no driver)
                 import ray.data as rd
-                tok0r = corpus.map_batches(
-                    TokenizeHashDropBlank(cfg), batch_format="pyarrow",
-                    batch_size=TOKENIZE_BATCH_SIZE)
                 mapping_ds = rd.read_parquet(
                     str(out / "docs"), columns=["repo", "path", "doc_id"])
-                tok_mat = attach_ids_via_join(tok0r, mapping_ds)
+                tok_mat = attach_ids_via_join(tokenize_corpus(corpus, cfg),
+                                              mapping_ds)
         explode = _make_explode(cfg.num_shards, cfg.salt_buckets, n_docs)
         if mapping_ref is not None:
             # broadcast build or resume: AttachIds runs inside the

@@ -8,7 +8,7 @@ exactly the shards its terms hash to, and the sidecar can be built,
 rebuilt or dropped without touching the scored index.
 
 Dataflow (one extra content pass, the same shape as the main build):
-corpus -> blank filter -> Tokenizer -> the main build's exchange
+corpus -> ``tokenize_corpus`` (as the build) -> the main build's exchange
 (``index_build._exchange``), whose maps run AttachIds (broadcast id
 mapping rebuilt from the index's own ``docs/`` table) + the
 ``pos_explode`` map-side combine (one row per (term, seg) run carrying
@@ -44,13 +44,13 @@ import pyarrow.parquet as pq
 
 from ..codecs.vbyte import vbyte_decode, vbyte_encode, vbyte_lengths
 from ..config import IndexConfig
-from ..text.tokenizer import Tokenizer, tokenize_text
+from ..text.tokenizer import tokenize_text
 from ..util import (crc32_column, packed_tf_dtype, packed_tf_values,
                     sort_pairs)
 from . import index_build
-from .index_build import (_assign_ids, _drop_blank, _exchange, _ids_dtype,
-                          _packed_runs, _term_shards_memo, _TokensToPartials,
-                          _write_partition)
+from .index_build import (_assign_ids, _exchange, _ids_dtype, _packed_runs,
+                          _term_shards_memo, _TokensToPartials,
+                          _write_partition, tokenize_corpus)
 
 __all__ = ["build_positions_index", "phrase_match_positional",
            "read_term_positions"]
@@ -271,14 +271,10 @@ def build_positions_index(index_dir: str, corpus, cfg: IndexConfig,
     # only the mapping's ref
     mref, _ = _assign_ids.remote(str(Path(index_dir) / "docs"), None)
     t0 = time.time()
-    # blank docs got no docId in the build (InvertedIndex.java:45-47), so
-    # they must not reach AttachIds
-    tokens = corpus.map_batches(
-        _drop_blank, batch_format="pyarrow").map_batches(
-        Tokenizer(parse=cfg.parse, squeeze=cfg.squeeze,
-                  term_dimension=cfg.term_dimension),
-        batch_format="pyarrow", batch_size=index_build.TOKENIZE_BATCH_SIZE
-    ).select_columns(["repo", "path", "tokens"])
+    # the build's own token stream: blank docs got no docId
+    # (InvertedIndex.java:45-47), so they must not reach AttachIds
+    tokens = tokenize_corpus(corpus, cfg, sha256=False).select_columns(
+        ["repo", "path", "tokens"])
     xstats = _exchange(
         tokens,
         _TokensToPartials(_make_pos_explode(num_shards, salt, n_docs), mref),

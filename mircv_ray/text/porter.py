@@ -9,8 +9,8 @@ port of that same C reference (used at
 search_engine/src/main/java/unipi/aide/mircv/parsing/Parser.java:93-101),
 so outputs must match token-for-token.
 
-``stem()`` is pure; ``CachedStemmer`` memoizes per process — corpus
-vocabulary repeats heavily, so stemming amortizes to a dict lookup.
+``stem()`` is pure; the batch tokenizer memoizes it per unique word —
+corpus vocabulary repeats heavily, so stemming amortizes to a dict lookup.
 """
 
 from __future__ import annotations
@@ -150,16 +150,3 @@ def stem(word: str) -> str:
 
     return b
 
-
-class CachedStemmer:
-    """Per-process memoizing wrapper (vocabulary repeats across batches)."""
-
-    def __init__(self) -> None:
-        self._cache: dict[str, str] = {}
-
-    def __call__(self, word: str) -> str:
-        s = self._cache.get(word)
-        if s is None:
-            s = stem(word)
-            self._cache[word] = s
-        return s

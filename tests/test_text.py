@@ -2,6 +2,7 @@
 and Porter stemmer sanity (canonical algorithm cases)."""
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from mircv_ray.text import Tokenizer, tokenize_text, stem
@@ -112,6 +113,146 @@ class TestBatchTokenizer:
         assert tok._memo["running"] == "run"
         tok(pa.table({"content": pa.array(["running again"])}))
         assert tok._memo["running"] == "run"
+
+
+MODES = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def _batch_tokens(content, parse, squeeze):
+    if isinstance(content, list):
+        content = pa.array(content, pa.string())
+    tokens, doc_len = Tokenizer(parse=parse, squeeze=squeeze).tokenize_column(
+        content)
+    got = tokens.to_pylist()
+    assert doc_len.tolist() == [len(t) for t in got]
+    return got
+
+
+def _scalar_tokens(docs, parse, squeeze):
+    return [tokenize_text(d or "", parse=parse, squeeze=squeeze) for d in docs]
+
+
+class TestBatchKernels:
+    """The byte-table / ASCII fast path of ``Tokenizer.tokenize_column``
+    against the scalar ``tokenize_text`` in all four parse/squeeze modes."""
+
+    @pytest.mark.parametrize("parse,squeeze", MODES)
+    def test_every_ascii_byte(self, parse, squeeze):
+        docs = []
+        for b in range(0x80):
+            c = chr(b)
+            docs += [f"a{c}b", c, f"{c}X{c}{c}{c}Yz {c} Run{c}ning"]
+        assert _batch_tokens(docs, parse, squeeze) == \
+            _scalar_tokens(docs, parse, squeeze)
+
+    @pytest.mark.parametrize("parse,squeeze", MODES)
+    def test_code_points_that_lowercase_to_ascii(self, parse, squeeze):
+        # U+0130 lowercases to "i" + U+0307 in Python and Java but to a
+        # bare "i" in Arrow; the Kelvin sign U+212A gives "k" in all three
+        cps = [c for c in range(0x80, 0x110000) if not 0xD800 <= c <= 0xDFFF]
+        chars = [chr(c) for c in cps]
+        arrow = pc.utf8_lower(pa.array(chars)).to_pylist()
+        special = [c for c, low in zip(chars, arrow)
+                   if c.lower().isascii() or low.isascii()]
+        assert {"\u0130", "\u212a"} <= set(special)
+        docs = [f"a{c}b" for c in special] + ["\u0130stanbul city"]
+        assert _batch_tokens(docs, parse, squeeze) == \
+            _scalar_tokens(docs, parse, squeeze)
+        assert _batch_tokens(["\u0130stanbul city"], False, True) == [["city"]]
+
+    @pytest.mark.parametrize("parse,squeeze", MODES)
+    def test_sliced_and_chunked_input(self, parse, squeeze):
+        docs = ["skip Me", "Hello, World! <b>x</b>", "caf\u00e9 na\u00efve ok",
+                "running RUNS", "a\tb  c", "THE End."]
+        want = _scalar_tokens(docs[2:5], parse, squeeze)
+        sliced = pa.array(docs).slice(2, 3)
+        assert sliced.offset == 2
+        assert _batch_tokens(sliced, parse, squeeze) == want
+        chunked = pa.chunked_array([pa.array(docs[2:3]), pa.array(docs[3:5])])
+        assert _batch_tokens(chunked, parse, squeeze) == want
+
+    @pytest.mark.parametrize("parse,squeeze", MODES)
+    def test_null_content(self, parse, squeeze):
+        docs = [None, "Foo bar", None, "caf\u00e9 Bar", None]
+        assert _batch_tokens(docs, parse, squeeze) == \
+            _scalar_tokens(docs, parse, squeeze)
+        assert _batch_tokens([None, None], parse, squeeze) == [[], []]
+
+
+def _corpus_block(contents):
+    n = len(contents)
+    return pa.table({"repo": ["r"] * n,
+                     "path": [f"p{i:02d}" for i in range(n)],
+                     "content": contents})
+
+
+class TestFusedTokenize:
+    """``tokenize_corpus``'s per-block UDF: blank filter, then one
+    ``tokenize_column`` per slice of at most ``TOKENIZE_BATCH_SIZE`` docs."""
+
+    def _run(self, monkeypatch, block, sha256=True):
+        from mircv_ray.build import index_build
+        from mircv_ray.config import IndexConfig
+        seen = []
+        real = Tokenizer.tokenize_column
+
+        def spy(self, content):
+            seen.append(len(content))
+            return real(self, content)
+
+        monkeypatch.setattr(index_build, "TOKENIZE_BATCH_SIZE", 4)
+        monkeypatch.setattr(Tokenizer, "tokenize_column", spy)
+        udf = index_build._TokenizeBlock(IndexConfig(), sha256)
+        out = pa.concat_tables(list(udf(block)))
+        return out, seen
+
+    def test_slices_equal_one_call(self, monkeypatch):
+        contents = [f"Doc {i}: running <i>dogs</i> and cats, #{i}"
+                    for i in range(10)]
+        block = _corpus_block(contents)
+        want, _ = Tokenizer().tokenize_column(block["content"])
+        out, seen = self._run(monkeypatch, block)
+        assert seen == [4, 4, 2]
+        assert out["tokens"].to_pylist() == want.to_pylist()
+        assert out.column_names == ["repo", "path", "doc_len", "sha256",
+                                    "tokens"]
+        assert out["doc_len"].to_pylist() == [len(t) for t in
+                                              want.to_pylist()]
+
+    def test_ascii_and_mixed_slices_in_one_block(self, monkeypatch):
+        # slice 1 is all ASCII, slice 2 holds non-ASCII words
+        contents = ["Foo BAR", "x.y", "RUNNING", "tab\there",
+                    "caf\u00e9 Bar", "\u0130stanbul city", "a\u212ab", "ok"]
+        out, seen = self._run(monkeypatch, _corpus_block(contents),
+                              sha256=False)
+        assert seen == [4, 4]
+        assert "sha256" not in out.column_names
+        assert out["tokens"].to_pylist() == _scalar_tokens(contents, True,
+                                                           True)
+
+    def test_blank_docs_dropped_before_slicing(self, monkeypatch):
+        contents = ["a b", "", "   ", None, "c d", "e", "f", "g", "h"]
+        out, seen = self._run(monkeypatch, _corpus_block(contents))
+        assert seen == [4, 2]
+        assert out["path"].to_pylist() == ["p00", "p04", "p05", "p06",
+                                           "p07", "p08"]
+        out, seen = self._run(monkeypatch, _corpus_block(["", " \t"]))
+        assert seen == [0] and out.num_rows == 0
+        assert "tokens" in out.column_names
+
+    def test_fused_into_the_read(self, ray_session, tmp_path):
+        import pyarrow.parquet as pq
+        import ray.data as rd
+        from mircv_ray.build.index_build import tokenize_corpus
+        from mircv_ray.config import IndexConfig
+        contents = ["Running dogs", "hello, world"]
+        pq.write_table(_corpus_block(contents), tmp_path / "c.parquet")
+        # one block per file: a read that splits its blocks does not fuse
+        read = rd.read_parquet(str(tmp_path), override_num_blocks=1)
+        ds = tokenize_corpus(read, IndexConfig()).materialize()
+        assert "ReadParquet->MapBatches(_TokenizeBlock)" in ds.stats()
+        assert [list(r["tokens"]) for r in ds.take_all()] == \
+            _scalar_tokens(contents, True, True)
 
 
 class TestPorter:
