@@ -68,21 +68,12 @@ def use_push_shuffle(ds=None) -> None:
     (magnet-style) shuffle is also the right topology for multi-node
     clusters. Called at the entry of every shuffle-heavy pipeline.
 
-    ``MIRCV_SHUFFLE`` overrides the strategy ("push" default, "hash" for
-    the streaming hash shuffle, "pull" for Ray's default) — the scaling
-    experiments A/B these.
-
     A Dataset captures its DataContext at CREATION time, so setting the
     global context inside a pipeline does not affect datasets the caller
     already built — pass ``ds`` to retarget its captured context too."""
-    import os
     from ray.data import DataContext
     from ray.data.context import ShuffleStrategy
-    strat = {
-        "push": ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED,
-        "pull": ShuffleStrategy.SORT_SHUFFLE_PULL_BASED,
-        "hash": ShuffleStrategy.HASH_SHUFFLE,
-    }[os.environ.get("MIRCV_SHUFFLE", "push")]
+    strat = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
     DataContext.get_current().shuffle_strategy = strat
     if ds is not None:
         try:

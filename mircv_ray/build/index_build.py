@@ -10,7 +10,7 @@ Pipeline (SURVEY.md §3 "Ray Data restatement"):
          counter InvertedIndex.java:22,51: docId = 1 + rank in (repo, path)
          order, computed as per-repo base offsets + within-repo path rank —
          data-dependent only, so identical at any parallelism)
-      -> doc table parquet + collection stats  (D5/D6)
+      -> doc table parquet + doc_len.i64 + collection stats  (D5/D6)
       -> explode + (shard, seg) map/reduce     (M11 partial posting lists;
          THE shuffle, _exchange; replaces SPIMI flush + k-way merge
          InvertedIndex.java:85-205)
@@ -27,10 +27,12 @@ Scale design:
   concatenation in seg order is the sorted posting list) and the lexicon
   aggregates only per-segment metadata. Per-group memory is bounded by
   segment size, not by a mega-term's df.
-- doc lengths are written as a seg-partitioned parquet sidecar during the
-  docs stage and loaded per segment by REMOTE tasks (J2 as a
-  per-partition lookup, never a shuffle) — the driver holds only
-  O(salt_buckets) object refs, never an O(n_docs) array.
+- doc lengths live in ONE dense file, ``doc_len.i64`` (int64, entry
+  docId-1; the reference's documentIndex.dat), written by the docs
+  stage: the postings reduces memory-map their segment's docId range of
+  it (J2 as a per-partition lookup, never a shuffle) and the query
+  readers load or memory-map it — the driver never holds an O(n_docs)
+  array.
 - output is partitioned Parquet with per-stage manifests (lineage +
   tokens/s + postings/s + bytes + a config fingerprint) — completed
   stages are skipped on rerun, and a stage whose manifest fingerprint
@@ -193,8 +195,13 @@ def attach_ids_via_join(tok_ds, mapping_ds, num_partitions: int | None = None):
     if num_partitions is None:
         num_partitions = default_join_partitions()
     packed = tok_ds.map_batches(_pack_token_lists, batch_format="pyarrow")
+    # the join's aggregator actors reserve no CPU: by default they ask
+    # for a share of the cluster's CPUs, which the upstream tasks hold on
+    # a small cluster, and the join then never starts
     joined = packed.join(mapping_ds, "inner", num_partitions,
-                         on=("repo", "path"))
+                         on=("repo", "path"),
+                         aggregator_ray_remote_args={
+                             "num_cpus": 0, "scheduling_strategy": "SPREAD"})
     return joined.map_batches(_unpack_token_lists, batch_format="pyarrow")
 
 
@@ -270,7 +277,7 @@ def _block_keys(block: pa.Table) -> pa.Table:
 
 
 @ray.remote(num_returns=2)
-def _assign_ids(docs_dir, sidecar, *parts):
+def _assign_ids(docs_dir, out, *parts):
     """Sort the (repo, path) keys and return the broadcast id mapping in
     its lookup-ready form, (key byte width, sorted 'S<w>' key array,
     parallel doc_id array), plus the collection length. Workers read
@@ -280,8 +287,8 @@ def _assign_ids(docs_dir, sidecar, *parts):
     Fed ``parts`` (per-block repo, path, doc_len tables of a fresh
     build): docId = 1 + rank in (repo, path) order (the reference's
     arrival counter, InvertedIndex.java:51, made data-dependent),
-    duplicate keys raise, and ``sidecar = (out, salt)`` writes the
-    per-seg doc-length sidecar from the same sorted table. Fed
+    duplicate keys raise, and ``out/doc_len.i64`` is written from the
+    same sorted table. Fed
     ``docs_dir`` (a written doc table): its own doc_ids are kept.
     ('\\x00' sorts below every other byte, so the joined-key order is
     the two-column order.)"""
@@ -306,15 +313,12 @@ def _assign_ids(docs_dir, sidecar, *parts):
             f"corpus has duplicate (repo, path) keys (e.g. {key}); docId "
             "assignment requires unique keys — dedupe the corpus first "
             "(e.g. ops.exact_dedup_keep)")
-    ids = np.arange(1, n + 1, dtype=np.int64)
-    lens = keys["doc_len"].take(pa.array(order))
-    out, salt = sidecar
-    d = _fresh_doc_lens_dir(out, salt)
-    if n:
-        _write_doc_len_slices(d, pa.table({"doc_id": ids, "doc_len": lens}),
-                              n, salt)
-    write_manifest(str(out), "doc_lens", {"n_docs": n, "salt_buckets": salt})
-    return (width, fixed, ids), int(pc.sum(lens).as_py() or 0)
+    lens = keys["doc_len"].to_numpy()[order]
+    tmp = out / f".{DOC_LEN_FILE}.tmp"
+    lens.tofile(tmp)
+    os.replace(tmp, out / DOC_LEN_FILE)
+    return (width, fixed, np.arange(1, n + 1, dtype=np.int64)), \
+        int(lens.sum())
 
 
 def _mapping_keys(mapping_ref) -> tuple[int, np.ndarray, np.ndarray]:
@@ -355,7 +359,10 @@ class _TokenizeBlock:
     def _tokenize(self, batch: pa.Table) -> pa.Table:
         content = batch["content"].combine_chunks()
         tokens, doc_len = self.tok.tokenize_column(content)
-        out = batch.drop_columns(["content"]).append_column(
+        # a corpus's own sha256 column is dropped: the build's content
+        # hash is the authoritative one
+        drop = [c for c in ("content", "sha256") if c in batch.column_names]
+        out = batch.drop_columns(drop).append_column(
             "doc_len", pa.array(doc_len, type=pa.int64()))
         if self.sha256:
             # the blank filter ran: no NULLs
@@ -523,7 +530,7 @@ def _term_shards_memo(vocab: pa.Array, num_shards: int) -> np.ndarray:
     return (crc32_column(vocab) % np.uint32(num_shards)).astype(np.int64)
 
 
-def _make_build_segments(seg_len_slices, avg_doc_len: float,
+def _make_build_segments(doc_len_path: str, avg_doc_len: float,
                          cfg: IndexConfig, n_docs: int):
     k1 = cfg.k1
     b = cfg.b
@@ -594,10 +601,11 @@ def _make_build_segments(seg_len_slices, avg_doc_len: float,
         shard_val = int(group["shard"][0].as_py())
         seg_val = int(group["seg"][0].as_py())
         # J2 at scale: segments are docId-DISJOINT ranges, so each task
-        # fetches only ITS range's doc-length slice (the whole array
+        # maps only ITS range of the doc-length file (the whole array
         # would be terabytes at 10^12 docs); index = docId-1 - seg_lo
-        seg_lo, seg_hi, seg_dir = seg_len_slices[seg_val]
-        doc_lens = _seg_lens_cached(seg_dir, seg_lo, seg_hi)
+        seg_lo, seg_hi = _seg_bounds(seg_val, n_docs, cfg.salt_buckets)
+        seg_lens = np.memmap(doc_len_path, dtype=np.int64,
+                             mode="r")[seg_lo:seg_hi]
         # merged value stream, term-major, docId-ascending per term:
         # ONE composite (term rank, docId) argsort over the packed
         # value buffers, read as zero-copy typed views (the exchange
@@ -616,7 +624,7 @@ def _make_build_segments(seg_len_slices, avg_doc_len: float,
         df_arr = ends - bounds
         max_arr = ids_all[ends - 1]
         # A6/A7 cores via segment maxima over the whole stream
-        bj_all = 0.3 + b * (doc_lens[ids_all - 1 - seg_lo] / avg_doc_len)
+        bj_all = 0.3 + b * (seg_lens[ids_all - 1 - seg_lo] / avg_doc_len)
         b25_vals = tfs_all / (k1 * bj_all + tfs_all)
         # dtype pinned: np.log10 of a uint16 array (the narrow packed
         # width) would otherwise compute in FLOAT32 and shift the
@@ -1268,26 +1276,16 @@ def _encode_partials(ds, to_partials, batch_rows: int, out: Path,
     shape: term, shard, seg, n, ids_raw, tfs_raw) inside the exchange's
     maps: the build's token blocks through attach + explode, or — one
     row per source shard, ``batch_rows=1`` — the lifecycle ops' shard
-    read + decode + row step (``build/lifecycle.py``). Requires the
-    doc-length sidecar; the caller owns manifests / resume policy.
+    read + decode + row step (``build/lifecycle.py``). Requires
+    ``out/doc_len.i64``; the caller owns manifests / resume policy.
     Returns the exchange's per-phase stats (:func:`_exchange`)."""
-    salt = cfg.salt_buckets
-    _ensure_doc_len_sidecar(out, n_docs, salt)
-    # per-seg doc-length slices (docId ranges match _make_explode's seg
-    # assignment) are read lazily from the sidecar INSIDE the reduce
-    # tasks (memoized per worker) — the driver holds only (lo, hi, path)
-    # triples, never the array, and the build closure carries no
-    # ObjectRefs
-    seg_len_slices = []
-    for s2 in range(salt):
-        lo, hi = _seg_bounds(s2, n_docs, salt)
-        seg_len_slices.append((lo, hi, str(out / "doc_lens" / f"seg={s2}")))
-    build_fn = _make_build_segments(seg_len_slices, avg_doc_len, cfg, n_docs)
+    build_fn = _make_build_segments(str(out / DOC_LEN_FILE), avg_doc_len,
+                                    cfg, n_docs)
     xstats = _exchange(
         ds, to_partials,
         functools.partial(_write_postings_partition, build_fn,
                           str(out / "postings")),
-        str(out / "postings"), cfg.num_shards, salt, batch_rows)
+        str(out / "postings"), cfg.num_shards, cfg.salt_buckets, batch_rows)
     # a zero-postings corpus (all docs stop/stem to nothing) writes no
     # files; later stages still expect the directory
     (out / "postings").mkdir(exist_ok=True)
@@ -1343,7 +1341,14 @@ def load_stats(index_dir: str) -> dict:
     return json.loads((Path(index_dir) / "stats.json").read_text())
 
 
-# --------------------------------------------- per-seg doc-length sidecar
+# ---------------------------------------------------- doc-length file
+
+# D5: the docs stage's dense doc-length file, int64 in native byte order,
+# entry docId-1 = that doc's length (the reference's documentIndex.dat,
+# DocumentIndex.java:37-65). The postings reduces read the BM25 upper
+# bounds' lengths from it; the query readers score with it.
+DOC_LEN_FILE = "doc_len.i64"
+
 
 def _seg_bounds(seg: int, n_docs: int, salt: int) -> tuple[int, int]:
     """0-based (docId-1) half-open range covered by a salt segment —
@@ -1353,115 +1358,33 @@ def _seg_bounds(seg: int, n_docs: int, salt: int) -> tuple[int, int]:
     return -(-seg * n_docs // salt), -(-(seg + 1) * n_docs // salt)
 
 
-def _fresh_doc_lens_dir(out: Path, salt: int) -> Path:
-    """Empty doc_lens/ with one seg=N dir per salt segment."""
-    d = out / "doc_lens"
-    if d.exists():
-        shutil.rmtree(d, ignore_errors=True)
-    for s in range(salt):
-        (d / f"seg={s}").mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _write_doc_len_slices(d: Path, tbl: pa.Table, n_docs: int,
-                          salt: int) -> None:
-    """Write a (doc_id, doc_len) table into the sidecar: one file per
-    salt segment the table touches, named by a fresh uuid so concurrent
-    writers never collide."""
-    import uuid
-    did = tbl["doc_id"].to_numpy()
-    seg = (did - 1) * salt // n_docs
-    order = np.argsort(seg, kind="stable")
-    b = tbl.take(pa.array(order))
-    bounds = np.searchsorted(seg[order], np.arange(salt + 1))
-    name = uuid.uuid4().hex
-    for s in range(salt):
-        lo, hi = int(bounds[s]), int(bounds[s + 1])
-        if hi > lo:
-            pq.write_table(b.slice(lo, hi - lo),
-                           str(d / f"seg={s}" / f"{name}.parquet"))
-
-
-def _write_doc_len_sidecar(out: Path, n_docs: int, salt: int) -> int:
-    """doc_lens/seg=N parquet sidecar: (doc_id, doc_len) partitioned by
-    salt segment, derived DISTRIBUTEDLY from the docs parquet (nothing
-    lands on the driver). The same pass computes and returns the A3
-    collection length (per-batch partial sums -> one tiny aggregate).
-    Each posting-build segment later loads only its own sidecar
-    partition. A fresh broadcast-path build writes the sidecar inside
-    :func:`_assign_ids` instead; vacuum, merge and the scale path use
-    this job."""
-    import ray.data as rd
-    d = _fresh_doc_lens_dir(out, salt)
+@ray.remote
+def _doc_len_file_task(out: Path, n_docs: int) -> int:
+    tmp = out / f".{DOC_LEN_FILE}.tmp"
+    with open(tmp, "wb") as f:
+        f.truncate(8 * n_docs)
     total = 0
-    if n_docs > 0:
-        ds = rd.read_parquet(str(out / "docs"), columns=["doc_id", "doc_len"])
-
-        def write_segs(batch: pa.Table) -> pa.Table:
-            _write_doc_len_slices(d, batch, n_docs, salt)
-            part = int(pc.sum(batch["doc_len"]).as_py() or 0)
-            return pa.table({"part": pa.array([part], type=pa.int64())})
-        # batch_size=None: one batch per block — one sidecar file per
-        # (block, seg), NOT per default-sized micro-batch (a per-batch
-        # write at batch_size 1024 produced ~6000 tiny files per 1.5M
-        # docs and poisoned every downstream _load_seg_lens read)
-        total = int(ds.map_batches(
-            write_segs, batch_format="pyarrow",
-            batch_size=None).sum("part") or 0)
-    write_manifest(str(out), "doc_lens",
-                   {"n_docs": n_docs, "salt_buckets": salt})
+    if n_docs:
+        lens = np.memmap(tmp, dtype=np.int64, mode="r+")
+        for rb in pads.dataset(str(out / "docs"), format="parquet") \
+                .to_batches(columns=["doc_id", "doc_len"]):
+            part = rb.column(1).to_numpy()
+            lens[rb.column(0).to_numpy() - 1] = part
+            total += int(part.sum())
+        lens.flush()
+        del lens
+    os.replace(tmp, out / DOC_LEN_FILE)
     return total
 
 
-def _ensure_doc_len_sidecar(out: Path, n_docs: int, salt: int) -> None:
-    m = read_manifest(str(out), "doc_lens")
-    if (m is None or m.get("n_docs") != n_docs
-            or m.get("salt_buckets") != salt):
-        _write_doc_len_sidecar(out, n_docs, salt)
-
-
-def _load_seg_lens(seg_dir: str, lo: int, hi: int) -> np.ndarray:
-    """Dense doc-length slice for one salt segment (index = docId-1-lo),
-    read from the seg's sidecar partition INSIDE the posting-build task
-    that needs it (memoized per worker process — each worker reads each
-    of its segments' slim 2-column partitions at most once; the driver
-    never holds doc lengths, and no ObjectRefs ride the build closure).
-    A missing partition dir means the segment has no docs
-    (n_docs < salt): all-zeros is correct."""
-    arr = np.zeros(hi - lo, dtype=np.int64)
-    p = Path(seg_dir)
-    if p.exists() and any(p.glob("*.parquet")):
-        tbl = pq.read_table(str(p), columns=["doc_id", "doc_len"])
-        arr[tbl["doc_id"].to_numpy() - 1 - lo] = tbl["doc_len"].to_numpy()
-    return arr
-
-
-def _seg_lens_cached(seg_dir: str, lo: int, hi: int) -> np.ndarray:
-    key = ("seg_lens", seg_dir, lo, hi)
-    if key not in _worker_cache:
-        _worker_cache[key] = _load_seg_lens(seg_dir, lo, hi)
-    return _worker_cache[key]
-
-
-def _docs_stats(out: Path) -> tuple[int, int]:
-    """(n_docs, total_doc_len) without pulling the doc table: both come
-    from the docs manifest; fallbacks are parquet-footer row counts
-    (metadata-only) and a distributed Ray sum over the slim doc_len
-    column (old checkpoint dirs written before the manifest carried
-    total_doc_len)."""
-    m = read_manifest(str(out), "docs") or {}
-    n = m.get("n_docs")
-    if n is None:
-        n = pads.dataset(str(out / "docs"), format="parquet").count_rows()
-    tot = m.get("total_doc_len")
-    if tot is None:
-        if n == 0:
-            tot = 0
-        else:
-            import ray.data as rd
-            tot = rd.read_parquet(str(out / "docs"),
-                                  columns=["doc_len"]).sum("doc_len") or 0
-    return int(n), int(tot)
+def _doc_len_file_from_docs(out: Path, n_docs: int) -> int:
+    """Write ``out/doc_len.i64`` from the doc table at ``out/docs`` and
+    return the collection length (A3). One Ray task streams the table's
+    (doc_id, doc_len) batches into the memory-mapped file (memory = one
+    batch, whatever n_docs); the driver sees only the sum. The scale
+    path, vacuum and merge call it; a broadcast-path build writes the
+    file inside :func:`_assign_ids`."""
+    return ray.get(_doc_len_file_task.remote(out, n_docs))
 
 
 # ------------------------------------------- stage fingerprints (resume)
@@ -1469,10 +1392,12 @@ def _docs_stats(out: Path) -> tuple[int, int]:
 def _docs_fingerprint(cfg: IndexConfig, lineage: dict | None) -> dict:
     """Everything the docs-stage output depends on: tokenizer config +
     declared corpus lineage. A manifest whose fingerprint differs from
-    the requested build must NOT be resumed (stale tokens/docIds)."""
+    the requested build must NOT be resumed (stale tokens/docIds).
+    ``doc_len_file`` marks the docs-stage layout: a checkpoint from
+    before the stage wrote ``doc_len.i64`` lacks it and is rebuilt."""
     return {"parse": cfg.parse, "squeeze": cfg.squeeze,
             "term_dimension": cfg.term_dimension,
-            "lineage": lineage or {}}
+            "lineage": lineage or {}, "doc_len_file": DOC_LEN_FILE}
 
 
 def _postings_fingerprint(cfg: IndexConfig, docs_stamp) -> dict:
@@ -1523,6 +1448,7 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
 
     Stages (each manifest-checkpointed, skipped when already complete):
       docs      doc table parquet (doc_id, repo, path, lang, doc_len, sha256)
+                + doc_len.i64
       postings  block-encoded posting segments, partitioned by term shard
       lexicon   per-term df/idf/upper-bounds, sorted by term
     """
@@ -1543,7 +1469,7 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
     if docs_m is not None and docs_m.get("fingerprint") != docs_fp:
         logger.warning("docs checkpoint is from a different config/corpus "
                        "— rebuilding the whole index")
-        for st in ("docs", "doc_lens", "postings", "lexicon"):
+        for st in ("docs", "postings", "lexicon"):
             _invalidate_stage(out, st)
     post_m = read_manifest(out_dir, "postings")
     if post_m is not None:
@@ -1581,12 +1507,11 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
             # as the reference's SPIMI pass hands out ids and collects
             # lengths together. Per-block tasks beside the token blocks
             # cut them to (repo, path, doc_len); the assign task sorts the
-            # keys, numbers the docs, writes the doc-length sidecar and
+            # keys, numbers the docs, writes doc_len.i64 and
             # returns the lookup-ready mapping, whose ref AttachIds reads
             # (the driver sees the ref and the collection length only)
             keys = [_block_keys.remote(b) for b in tok0.to_arrow_refs()]
-            mapping_ref, total_ref = _assign_ids.remote(
-                None, (out, cfg.salt_buckets), *keys)
+            mapping_ref, total_ref = _assign_ids.remote(None, out, *keys)
             total0 = ray.get(total_ref)
             tok_mat = tok0.map_batches(AttachIds(mapping_ref),
                                        batch_format="pyarrow")
@@ -1607,19 +1532,18 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
         sub["docs_write_s"] = round(time.time() - tm, 3)
         tm = time.time()
         if mapping_ref is None:
-            # scale path: A3 collection length + the per-seg doc-length
-            # sidecar in ONE job over the just-written docs parquet (slim
-            # 2-column pruned read); the driver sees only per-batch sums
-            total0 = _write_doc_len_sidecar(out, n_keys, cfg.salt_buckets)
+            # scale path: doc_len.i64 + the A3 collection length from the
+            # just-written docs parquet
+            total0 = _doc_len_file_from_docs(out, n_keys)
         sub["sidecar_s"] = round(time.time() - tm, 3)
         write_manifest(out_dir, "docs", {
             "lineage": lineage or {}, "n_docs": n_keys,
             "total_doc_len": total0, "fingerprint": docs_fp,
             "seconds": time.time() - t0, "sub": sub,
         })
-    n_docs, total_doc_len = _docs_stats(out)
+    docs_m2 = read_manifest(out_dir, "docs")
+    n_docs, total_doc_len = docs_m2["n_docs"], docs_m2["total_doc_len"]
     avg_doc_len = total_doc_len / max(n_docs, 1)
-    docs_m2 = read_manifest(out_dir, "docs") or {}
     metrics["docs_seconds"] = docs_m2.get("seconds")
     metrics["docs_sub"] = docs_m2.get("sub")
     metrics["n_docs"] = n_docs

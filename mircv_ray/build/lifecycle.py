@@ -92,8 +92,8 @@ def rewrite_index(op: str, src_stats: dict, out_dir: str,
     ``cfg`` is the output layout; it defaults to ``src_stats``' (the
     source, or a merge's base), whose tokenizer knobs it must keep.
     ``out_dir`` is rebuilt from scratch. ``write_docs(out, cfg,
-    metrics)`` writes the docs table and the doc-length sidecar (and
-    any carried tombstones) and returns the collection length. The
+    metrics)`` writes the docs table and ``doc_len.i64`` (and any
+    carried tombstones) and returns the collection length. The
     postings are those of ``sources``, (index_dir, doc_offset) pairs,
     with ``step`` applied to each source shard's decoded rows."""
     import ray.data as rd

@@ -57,7 +57,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import IndexConfig
-from .index_build import _write_doc_len_sidecar, load_stats
+from .index_build import _doc_len_file_from_docs, load_stats
 
 logger = logging.getLogger(__name__)
 
@@ -95,8 +95,6 @@ def merge_indexes(base_dir: str, delta_dir: str, out_dir: str,
                 "— their vocabularies are incompatible; rebuild instead")
     n_base = int(base_stats["n_docs"])
     n_docs = n_base + int(delta_stats["n_docs"])
-    total_doc_len = (int(base_stats["total_doc_len"])
-                     + int(delta_stats["total_doc_len"]))
 
     def write_docs(out: Path, cfg: IndexConfig, metrics: dict) -> int:
         import ray.data as rd
@@ -105,7 +103,7 @@ def merge_indexes(base_dir: str, delta_dir: str, out_dir: str,
             rd.read_parquet(f"{delta_dir}/docs").map_batches(
                 _offset_doc_ids(n_base), batch_format="pyarrow"))
         docs.write_parquet(str(out / "docs"), min_rows_per_file=200_000)
-        _write_doc_len_sidecar(out, n_docs, cfg.salt_buckets)
+        total_doc_len = _doc_len_file_from_docs(out, n_docs)
         # pending deletions survive the merge: the merged store carries
         # the union of both sides' tombstone sidecars (delta ids shifted
         # by n_base), so a deleted document stays invisible to every

@@ -252,7 +252,8 @@ def build_positions_index(index_dir: str, corpus, cfg: IndexConfig,
     out_dir = str(Path(index_dir) / "positions")
     # staleness guard: the sidecar is valid only for the docs stage it
     # was built against (an in-place index rebuild must invalidate it —
-    # the doc_len.i64 lesson). Stamp = docs manifest completed_at.
+    # a size check cannot see a rebuild with the same n_docs). Stamp =
+    # docs manifest completed_at.
     stamp = str((read_manifest(index_dir, "docs") or {})
                 .get("completed_at"))
     # completion marker: the stage manifest, not a file count — an

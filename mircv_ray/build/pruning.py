@@ -31,7 +31,7 @@ from pathlib import Path
 import pyarrow as pa
 
 from ..config import IndexConfig
-from .index_build import load_stats
+from .index_build import DOC_LEN_FILE, load_stats
 
 
 def prune_index(index_dir: str, out_dir: str, keep_per_term: int,
@@ -55,13 +55,12 @@ def prune_index(index_dir: str, out_dir: str, keep_per_term: int,
             shutil.copytree(Path(index_dir, "docs"), out / "docs")
         else:
             (out / "docs").mkdir()
+        shutil.copyfile(Path(index_dir, DOC_LEN_FILE), out / DOC_LEN_FILE)
         # tombstones CARRY THROUGH like merge_indexes (build/merge.py):
         # the pruned index keeps the same docId space, so the deletion
         # record stays valid verbatim
-        for side in ("doc_lens", "tombstones"):
-            p = Path(index_dir, side)
-            if p.exists():
-                shutil.copytree(p, out / side)
+        if Path(index_dir, "tombstones").exists():
+            shutil.copytree(Path(index_dir, "tombstones"), out / "tombstones")
         return int(stats["total_doc_len"])
 
     def top_k(rows: pa.Table) -> pa.Table:

@@ -41,7 +41,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..config import IndexConfig
-from .index_build import _write_doc_len_sidecar, load_stats
+from .index_build import _doc_len_file_from_docs, load_stats
 
 logger = logging.getLogger(__name__)
 
@@ -126,10 +126,9 @@ def vacuum_index(index_dir: str, out_dir: str,
             .map_batches(remap, batch_format="pyarrow") \
             .write_parquet(str(out / "docs"), min_rows_per_file=200_000)
         (out / "docs").mkdir(exist_ok=True)  # all-deleted: empty, present
-        # surviving collection length comes out of the sidecar pass
-        # itself (per-batch partial sums; nothing corpus-sized on the
-        # driver)
-        return _write_doc_len_sidecar(out, n_new, cfg.salt_buckets)
+        # the surviving collection length comes out of the doc-length
+        # file's pass (nothing corpus-sized on the driver)
+        return _doc_len_file_from_docs(out, n_new)
 
     return rewrite_index(
         "vacuum", stats, out_dir, cfg, n_docs=n_new,
@@ -147,8 +146,8 @@ def reshard_index(index_dir: str, out_dir: str,
     operational fix when a fleet resizes or term skew evolves (a shard
     layout tuned for N nodes starves 4N; finer salting splits a
     mega-term that emerged after the build). Runs the vacuum pipeline
-    (postings decode -> re-encode into the new layout, docs/doc-length
-    sidecar rewritten for the new salt ranges) with the SOURCE index's
+    (postings decode -> re-encode into the new layout, docs table and
+    doc-length file renumbered) with the SOURCE index's
     tombstones applied along the way, producing exactly what a
     from-scratch build over the surviving docs with the new knobs
     would produce — every query path runs on it unmodified.

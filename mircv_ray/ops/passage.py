@@ -13,7 +13,7 @@ order (chunk paths are (doc_id, chunk_id) zero-padded, so the builder's
 (repo, path) docId order IS the (doc_id, chunk_id) sort — row i of the
 sidecar is docno i). Query-side the mapping loads once per process as
 one int64 column (8 B/chunk; at 10^12 chunks this becomes the same
-mmap-or-join treatment as the doc-length sidecar — engine.py:186-219 —
+mmap-or-join treatment as the doc-length file, doc_len.i64 —
 documented, not needed at gate scale). Per query the work is the same
 posting decodes any disjunctive query pays, plus a vectorized group-max
 over the matched chunks.

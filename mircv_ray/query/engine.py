@@ -26,7 +26,6 @@ holds the term, with an LRU cache of decoded terms per actor.
 from __future__ import annotations
 
 import json
-import os
 from bisect import bisect_left
 from collections import OrderedDict
 from itertools import groupby
@@ -179,48 +178,14 @@ def _load_lexicon(index_dir: str) -> _LexiconView:
     return view
 
 
-# Readers of indexes beyond this many docs memory-map a dense docId-
-# ordered doc-length sidecar instead of materializing the array in every
-# actor's heap: at the 10^12-doc north star the dense array is 8 TB per
-# scorer actor, while the mmap pages in only the doc-length slots the
-# query's postings actually touch (and the OS shares the pages across
-# every actor on the node). 2^26 docs = 512 MB dense, a comfortable
-# per-actor ceiling.
+# Readers of indexes beyond this many docs memory-map the dense doc-length
+# file instead of loading it into every actor's heap: at the 10^12-doc
+# north star the array is 8 TB per scorer actor, while the mmap pages in
+# only the doc-length slots the query's postings actually touch (and the
+# OS shares the pages across every actor on the node). 2^26 docs =
+# 512 MB dense, a comfortable per-actor ceiling. The same gate routes
+# TAAT, whose accumulators are O(n_docs) too.
 DENSE_DOCLEN_MAX_DOCS = 1 << 26
-
-
-def _doclen_sidecar(index_dir: str, n_docs: int) -> np.memmap:
-    """Dense int64 doc-length file (docId-1 -> len), built ONCE per node
-    by streaming the docs parquet one record batch at a time (peak
-    memory = one batch, independent of n_docs), then memory-mapped
-    read-only by every reader. Concurrent builders write to pid-suffixed
-    temps and converge via atomic rename."""
-    from ..build.manifests import read_manifest
-    # the sidecar is READER-created, so an in-place index rebuild wipes
-    # stage dirs but not this file — size alone cannot catch a rebuild
-    # with the same n_docs. The docs manifest's completed_at stamp
-    # identifies the docs-stage output; a stamp mismatch regenerates.
-    stamp = str((read_manifest(index_dir, "docs") or {}).get("completed_at"))
-    path = Path(index_dir) / "doc_len.i64"
-    stamp_p = Path(index_dir) / "doc_len.i64.stamp"
-    fresh = (path.exists() and path.stat().st_size == 8 * n_docs
-             and stamp_p.exists() and stamp_p.read_text() == stamp)
-    if not fresh:
-        tmp = path.with_name(f"doc_len.i64.tmp{os.getpid()}")
-        mm = np.memmap(tmp, dtype=np.int64, mode="w+", shape=(n_docs,))
-        for fp in sorted((Path(index_dir) / "docs").glob("**/*.parquet")):
-            pf = pq.ParquetFile(str(fp))
-            for rb in pf.iter_batches(columns=["doc_id", "doc_len"]):
-                mm[rb.column(0).to_numpy() - 1] = rb.column(1).to_numpy()
-        mm.flush()
-        del mm
-        os.replace(tmp, path)
-        # stamp published AFTER the data (a crash in between just
-        # triggers one redundant rebuild on the next reader)
-        tmp_s = stamp_p.with_name(f"{stamp_p.name}.tmp{os.getpid()}")
-        tmp_s.write_text(stamp)
-        os.replace(tmp_s, stamp_p)
-    return np.memmap(path, dtype=np.int64, mode="r", shape=(n_docs,))
 
 
 class IndexReader:
@@ -234,18 +199,18 @@ class IndexReader:
         self.avg_doc_len = self.stats["avg_doc_len"]
         self.k1 = self.stats.get("k1", 1.5)
         self.b = self.stats.get("b", 0.7)
-        # T4: doc lengths, docId-1 -> len. Small indexes keep the
-        # reference's dense in-heap array (fastest gathers); past
-        # DENSE_DOCLEN_MAX_DOCS the array is a node-shared read-only
-        # mmap so actor init memory is independent of n_docs.
+        # T4: doc lengths, docId-1 -> len, from the docs stage's
+        # doc_len.i64. Small indexes keep the reference's dense in-heap
+        # array (fastest gathers); past DENSE_DOCLEN_MAX_DOCS the array
+        # is a node-shared read-only mmap so actor init memory is
+        # independent of n_docs.
+        from ..build.index_build import DOC_LEN_FILE
+        doc_len_path = Path(index_dir) / DOC_LEN_FILE
         if self.n_docs <= DENSE_DOCLEN_MAX_DOCS:
-            dt = pq.read_table(str(Path(index_dir) / "docs"),
-                               columns=["doc_id", "doc_len"])
-            self.doc_len = np.zeros(self.n_docs, dtype=np.int64)
-            self.doc_len[dt["doc_id"].to_numpy() - 1] = \
-                dt["doc_len"].to_numpy()
+            self.doc_len = np.fromfile(doc_len_path, dtype=np.int64)
         else:
-            self.doc_len = _doclen_sidecar(index_dir, self.n_docs)
+            self.doc_len = np.memmap(doc_len_path, dtype=np.int64, mode="r",
+                                     shape=(self.n_docs,))
         # T3: lexicon as sorted arrays + searchsorted (process-shared)
         self._lex = _load_lexicon(index_dir)
         # deleted docs (tombstones/ sidecar, build.tombstones): sorted
@@ -623,9 +588,9 @@ class QueryEngine:
         Scale: candidate-set-sized memory (the union of the query's
         posting lists — what any disjunctive evaluation holds), no dense
         O(n_docs) accumulator, doc lengths gathered per candidate from
-        the dense array or the >2^26-doc mmap sidecar. Expression shapes
-        ((mu*cf)/T association, ln(1+x) not log1p) mirror the SQL oracle
-        so round-6 values are hash-stable.
+        the dense array or the >2^26-doc mmap of doc_len.i64. Expression
+        shapes ((mu*cf)/T association, ln(1+x) not log1p) mirror the SQL
+        oracle so round-6 values are hash-stable.
         """
         r = self.reader
         mu = float(self.qcfg.mu)

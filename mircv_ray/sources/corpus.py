@@ -293,6 +293,41 @@ def warc_as_corpus(path, repo: str = "warc", lang: str = "html",
     return ds.map_batches(parse, batch_format="pyarrow")
 
 
+def _extracted_tsvs(archive: Path) -> list[str]:
+    """The ``.tsv`` members of a tar collection, extracted into ONE
+    temp directory per archive — keyed by its resolved path, size and
+    mtime — that later calls reuse. The directory outlives the call (the
+    corpus Dataset reads the files lazily). Extraction goes to a private
+    directory renamed into place, so a reader never sees a partial one."""
+    import os
+    import shutil
+    import tarfile
+    import tempfile
+    st = archive.stat()
+    key = hashlib.sha1(f"{archive.resolve()}|{st.st_size}|{st.st_mtime_ns}"
+                       .encode()).hexdigest()[:16]
+    d = Path(tempfile.gettempdir()) / f"mircv_collection_{key}"
+    if not d.exists():
+        tmp = Path(tempfile.mkdtemp(prefix=f".{d.name}.", dir=d.parent))
+        try:
+            with tarfile.open(archive) as tf:
+                members = [m for m in tf.getmembers()
+                           if m.isfile() and m.name.endswith(".tsv")]
+                if not members:
+                    raise ValueError(f"no .tsv member inside {archive}")
+                for m in members:
+                    m.name = Path(m.name).name  # flatten, no path traversal
+                    tf.extract(m, tmp)
+            os.rename(tmp, d)
+        except OSError:
+            if not d.exists():
+                raise
+            # a concurrent call published the directory first
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+    return sorted(str(f) for f in d.glob("*.tsv"))
+
+
 def collection_tsv_as_corpus(path: str, repo: str = "collection",
                              lang: str = "txt"):
     """The reference's own collection format -> corpus-shaped Dataset.
@@ -301,8 +336,9 @@ def collection_tsv_as_corpus(path: str, repo: str = "collection",
     IndexingMain.java:36-43) or a ``.tar.gz``/``.tgz`` archive containing
     it (InvertedIndex.java:35-47 streams TarArchiveInputStream; gzip is
     inherently sequential, so the archive is expanded once to a temp dir
-    and the extracted TSV is then read in parallel — at real scale store
-    the collection as parquet/plain files instead).
+    — see :func:`_extracted_tsvs` — and the extracted TSV is then read in
+    parallel; at real scale store the collection as parquet/plain files
+    instead).
 
     Numeric pids are zero-padded into ``path`` so the engine's
     (repo, path) docId order equals pid order (docno == pid exactly when
@@ -319,18 +355,7 @@ def collection_tsv_as_corpus(path: str, repo: str = "collection",
     import ray.data as rd
     p = Path(path)
     if p.name.endswith((".tar.gz", ".tgz", ".tar")):
-        import tarfile
-        import tempfile
-        tmp = Path(tempfile.mkdtemp(prefix="mircv_collection_"))
-        with tarfile.open(p) as tf:
-            members = [m for m in tf.getmembers()
-                       if m.isfile() and m.name.endswith(".tsv")]
-            if not members:
-                raise ValueError(f"no .tsv member inside {path}")
-            for m in members:
-                m.name = Path(m.name).name  # flatten, no path traversal
-                tf.extract(m, tmp)
-        paths = [str(tmp / m.name) for m in members]
+        paths = _extracted_tsvs(p)
     else:
         paths = [str(p)]
 

@@ -110,23 +110,20 @@ def test_broadcast_build_rejects_duplicates(ray_session, tmp_path):
 
 def test_all_blank_corpus_builds_empty_index(ray_session, tmp_path):
     """Blank docs get no docId, so an all-blank corpus is a zero-doc
-    index: empty doc-length sidecar, one empty dir per salt segment."""
+    index: an empty doc-length file, which the reader loads."""
     import ray.data as rd
 
     from mircv_ray.build import build_index
-    from mircv_ray.build.manifests import read_manifest
     from mircv_ray.config import IndexConfig
+    from mircv_ray.query import IndexReader
     t = _keyed_corpus(["a", "b", "c", "d"], ["", "   ", None, "\n\t"])
     out = tmp_path / "idx"
     stats = build_index(rd.from_arrow(t), str(out),
                         IndexConfig(num_shards=2, salt_buckets=3))
     assert stats["n_docs"] == 0
     assert stats["total_doc_len"] == 0
-    m = read_manifest(str(out), "doc_lens")
-    assert (m["n_docs"], m["salt_buckets"]) == (0, 3)
-    segs = sorted((out / "doc_lens").iterdir())
-    assert [d.name for d in segs] == ["seg=0", "seg=1", "seg=2"]
-    assert not any(f for d in segs for f in d.iterdir())
+    assert (out / "doc_len.i64").stat().st_size == 0
+    assert len(IndexReader(str(out)).doc_len) == 0
     # resume with the docs stage done: the mapping comes from a doc
     # table that has no files
     for stage in ("postings", "lexicon"):

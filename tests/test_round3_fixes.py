@@ -57,28 +57,33 @@ class TestCrc32Column:
         assert got.tolist() == want
 
 
-# ------------------------------------------------- doc-len sidecar (J2)
+# ------------------------------------------------- doc-length file (J2)
 
 class TestDocLenSidecar:
+    """doc_len.i64 holds docs/ (doc_id, doc_len) densely at docId-1, from
+    the broadcast path's assign task and from the scale path's writer
+    alike."""
+
     def test_sidecar_matches_docs(self, ray_session, tmp_path):
+        self._check(ray_session, tmp_path)
+
+    def test_scale_path_file_matches_docs(self, ray_session, tmp_path,
+                                          monkeypatch):
+        from mircv_ray.build import index_build as ib
+        monkeypatch.setattr(ib, "DRIVER_IDMAP_MAX_ROWS", 0)
+        self._check(ray_session, tmp_path)
+
+    def _check(self, ray_session, tmp_path):
         from mircv_ray.build import build_index
         out = tmp_path / "idx"
         cfg = IndexConfig(num_shards=4, salt_buckets=3)
         stats = build_index(_corpus(ray_session), str(out), cfg)
-        segs = sorted((out / "doc_lens").glob("seg=*"))
-        assert len(segs) == 3
-        side = pq.read_table(str(out / "doc_lens"),
-                             columns=["doc_id", "doc_len"]).sort_by("doc_id")
+        lens = np.fromfile(out / "doc_len.i64", dtype=np.int64)
         docs = pq.read_table(str(out / "docs"),
                              columns=["doc_id", "doc_len"]).sort_by("doc_id")
-        assert side.equals(docs)
-        assert stats["total_doc_len"] == sum(
-            docs["doc_len"].to_pylist())
-
-    def test_load_seg_lens_missing_dir(self, tmp_path):
-        from mircv_ray.build.index_build import _load_seg_lens
-        arr = _load_seg_lens(str(tmp_path / "nope"), 5, 12)
-        assert arr.tolist() == [0] * 7
+        assert docs["doc_id"].to_pylist() == list(range(1, len(lens) + 1))
+        assert lens.tolist() == docs["doc_len"].to_pylist()
+        assert stats["total_doc_len"] == int(lens.sum())
 
     def test_seg_bounds_cover_all_docs(self):
         from mircv_ray.build.index_build import _seg_bounds
@@ -304,9 +309,9 @@ class TestPackRowsGuard:
 # ------------------------------- mmap doc lengths (VERDICT r2 item 7)
 
 class TestMmapDocLengths:
-    """Above DENSE_DOCLEN_MAX_DOCS the reader memory-maps a node-shared
-    doc-length sidecar instead of materializing O(n_docs) per actor;
-    scores must stay bit-identical to the dense path."""
+    """Above DENSE_DOCLEN_MAX_DOCS the reader memory-maps the index's
+    doc_len.i64 instead of loading O(n_docs) per actor; scores must stay
+    bit-identical to the dense path."""
 
     @pytest.fixture(scope="class")
     def index_dir(self, ray_session, tmp_path_factory):
@@ -345,19 +350,20 @@ class TestMmapDocLengths:
                               eng_m.reader.bj_at(idx))
 
     def test_sidecar_built_once_and_reused(self, index_dir, monkeypatch):
+        """The build writes doc_len.i64 once; readers of either kind only
+        read it and create no file of their own."""
         import mircv_ray.query.engine as qe
-        monkeypatch.setattr(qe, "DENSE_DOCLEN_MAX_DOCS", 0)
         from mircv_ray.query import IndexReader
-        r1 = IndexReader(index_dir)
         p = Path(index_dir) / "doc_len.i64"
-        assert p.exists() and p.stat().st_size == 8 * r1.n_docs
+        files = sorted(Path(index_dir).iterdir())
         stamp = p.stat().st_mtime_ns
+        r1 = IndexReader(index_dir)
+        monkeypatch.setattr(qe, "DENSE_DOCLEN_MAX_DOCS", 0)
         r2 = IndexReader(index_dir)
-        assert p.stat().st_mtime_ns == stamp     # reused, not rebuilt
-        assert np.array_equal(np.asarray(r1.doc_len),
-                              np.asarray(r2.doc_len))
-        # no stray temp files from the atomic-rename protocol
-        assert not list(Path(index_dir).glob("doc_len.i64.tmp*"))
+        assert p.stat().st_size == 8 * r1.n_docs
+        assert p.stat().st_mtime_ns == stamp     # read, not rewritten
+        assert sorted(Path(index_dir).iterdir()) == files
+        assert np.array_equal(r1.doc_len, np.asarray(r2.doc_len))
 
     def test_taat_guard_on_huge_index(self, index_dir, monkeypatch):
         """auto-algo must not allocate dense accumulators when n_docs
