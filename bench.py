@@ -684,7 +684,7 @@ Round-5 structural additions:
   run-lengths as uint16 when every value fits 16 bits (int32 past
   that — a doc with >= 2^16 occurrences of one term), width
   self-describing per ROW (byte length / n) so mixed-width groups
-  decode exactly. MEASURED (20k-doc explode, MIRCV_TF_WIDE A/B): tf
+  decode exactly. MEASURED (20k-doc explode, against int32 runs): tf
   stream 7.73 -> 3.93 MB (exactly halved), total partial payload
   16.64 -> 12.84 MB (-22.9%) — the bytes every map sort, exchange
   hop and reduce fetch moves. The positions sidecar's exchange gets
@@ -694,11 +694,11 @@ Round-5 structural additions:
   explode. Wall-clock at sf0.1 sits inside run
   noise (the whole tf stream is ~4 MB there); the saving scales
   linearly with data where the exchange is bandwidth-bound. Output
-  pinned: exchange-invariance pytest, a wide-tf (70,000x one term)
-  e2e through the postings and positions exchanges, and a wide≡narrow full-index equality
-  test that catches dtype-promotion drift (np.log10 over uint16
-  computes in float32 without the explicit float64 pin — found and
-  fixed by exactly that test).
+  pinned: a wide-tf (70,000x one term) e2e through the postings and
+  positions exchanges, and the exchange-invariance pytest, whose
+  float64 upper bounds match OracleIndex at 1e-12 and so catch
+  dtype-promotion drift (np.log10 over uint16 computes in float32
+  without the explicit float64 pin).
 
 Round-4 structural fix (the named cause of the r3 efficiency loss):
 the postings exchange's Dataset sort shuffle carried seconds of pure

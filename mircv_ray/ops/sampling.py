@@ -7,6 +7,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .textops import TOKEN_COUNT_RE
+from .windows import _keyed_scan
 
 
 def source_quota_sample(ds, budget_tokens: int, source_col: str = "source",
@@ -16,135 +17,35 @@ def source_quota_sample(ds, budget_tokens: int, source_col: str = "source",
     cap each source's contribution at ``budget_tokens``).
 
     Documents are taken in ascending ``id_col`` order within each source
-    while the running token total (inclusive) stays <= the budget.
-    Returns (doc_id, source, n_tokens, cum_tokens) for the KEPT docs.
+    while the running token total (inclusive) stays <= the budget; a
+    NULL text counts 0 tokens. Returns (doc_id, source, n_tokens,
+    cum_tokens) for the KEPT docs.
 
     Shape: one vectorized counting scan (content never shuffles — only
     slim (id, source, n_tokens) rows move), then a per-source group task
     doing a sort + cumsum. A source whose row count dwarfs a worker
     (the mega-source analogue of `sessionize`'s mega-user) passes
-    ``salt_ids``: rows fragment into (source, id // salt_ids) ranges,
-    a METADATA-SIZED exchange turns per-range token sums into exclusive
-    prefix offsets, and each fragment filters locally against
-    ``offset + cumsum`` — identical output (prefix sums associate),
+    ``salt_ids``: rows fragment into (source, id // salt_ids) ranges of
+    :func:`~mircv_ray.ops.windows._keyed_scan`, whose carry is the token
+    sum of the ranges before, and each fragment filters locally against
+    ``carry + cumsum`` — identical output (prefix sums associate),
     pytest-pinned, with no task ever holding a whole source.
     """
-    if salt_ids is not None:
-        return _quota_salted(ds, budget_tokens, source_col, id_col,
-                             text_col, salt_ids)
-
-    def count(batch: pa.Table) -> pa.Table:
-        n = pc.count_substring_regex(batch[text_col], TOKEN_COUNT_RE)
-        n = n.combine_chunks() if isinstance(n, pa.ChunkedArray) else n
-        return pa.table({id_col: batch[id_col],
-                         source_col: batch[source_col],
-                         "n_tokens": n.cast(pa.int64())})
-
-    def quota(group: pa.Table) -> pa.Table:
-        empty = pa.table({id_col: pa.array([], type=pa.int64()),
-                          source_col: pa.array([], type=pa.string()),
-                          "n_tokens": pa.array([], type=pa.int64()),
-                          "cum_tokens": pa.array([], type=pa.int64())})
-        if group.num_rows == 0 or group.num_columns == 0:
-            return empty
-        order = pc.sort_indices(group[id_col])
-        g = group.take(order)
-        cum = np.cumsum(g["n_tokens"].to_numpy())
-        keep = cum <= budget_tokens
-        sel = pa.array(keep)
-        return pa.table({id_col: g[id_col].filter(sel),
-                         source_col: g[source_col].filter(sel),
-                         "n_tokens": g["n_tokens"].filter(sel),
-                         "cum_tokens": pa.array(cum[keep])})
-
-    counted = ds.map_batches(count, batch_format="pyarrow")
-    return counted.groupby(source_col).map_groups(quota,
-                                                  batch_format="pyarrow")
-
-
-def _quota_salted(ds, budget_tokens: int, source_col: str, id_col: str,
-                  text_col: str, salt_ids: int):
-    """Two-phase quota for mega-sources: (source, id-range) fragments +
-    a metadata-sized prefix-offset exchange. See source_quota_sample."""
-    if salt_ids <= 0:
+    if salt_ids is not None and salt_ids <= 0:
         raise ValueError("salt_ids must be positive")
 
     def count(batch: pa.Table) -> pa.Table:
         n = pc.count_substring_regex(batch[text_col], TOKEN_COUNT_RE)
-        n = n.combine_chunks() if isinstance(n, pa.ChunkedArray) else n
-        frag = batch[id_col].to_numpy(zero_copy_only=False) // salt_ids
-        return pa.table({id_col: batch[id_col],
+        rows = pa.table({id_col: batch[id_col],
                          source_col: batch[source_col],
-                         "n_tokens": n.cast(pa.int64()),
-                         "__frag": pa.array(frag, type=pa.int64())})
+                         "n_tokens": pc.fill_null(n, 0).cast(pa.int64())})
+        if salt_ids is not None:
+            frag = batch[id_col].to_numpy() // salt_ids
+            rows = rows.append_column("__frag", pa.array(frag, pa.int64()))
+        return rows
 
-    counted = ds.map_batches(count, batch_format="pyarrow")
-
-    # per-(source, frag) token sums, map-side combined, then a per-source
-    # task over the FRAGMENT ROWS ONLY computes exclusive prefix offsets
-    def partial_sums(batch: pa.Table) -> pa.Table:
-        a = batch.group_by([source_col, "__frag"]).aggregate(
-            [("n_tokens", "sum")])
-        return pa.table({source_col: a[source_col],
-                         "__frag": a["__frag"],
-                         "s": a["n_tokens_sum"]})
-
-    from ray.data.aggregate import Sum
-    frag_sums = (counted.map_batches(partial_sums, batch_format="pyarrow")
-                 .groupby([source_col, "__frag"])
-                 .aggregate(Sum("s", alias_name="frag_tokens")))
-
-    def offsets(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group["__frag"])
-        g = group.take(order)
-        s = g["frag_tokens"].to_numpy()
-        off = np.concatenate([[0], np.cumsum(s[:-1])]).astype(np.int64)
-        return pa.table({source_col: g[source_col],
-                         "__frag": g["__frag"],
-                         "__offset": pa.array(off)})
-
-    frag_offsets = frag_sums.groupby(source_col).map_groups(
-        offsets, batch_format="pyarrow")
-
-    # join offsets back per (source, frag) via the tagged-union groupby
-    # (one offset row per group; Dataset.join rejects sparse partitions)
-    schema = pa.schema([(id_col, pa.int64()), (source_col, pa.string()),
-                        ("n_tokens", pa.int64()), ("__frag", pa.int64()),
-                        ("__offset", pa.int64()), ("__side", pa.int8())])
-
-    def tag_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            id_col: batch[id_col], source_col: batch[source_col],
-            "n_tokens": batch["n_tokens"], "__frag": batch["__frag"],
-            "__offset": pa.nulls(batch.num_rows, pa.int64()),
-            "__side": pa.array(np.zeros(batch.num_rows, np.int8)),
-        }, schema=schema)
-
-    def tag_offsets(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            id_col: pa.nulls(batch.num_rows, pa.int64()),
-            source_col: batch[source_col],
-            "n_tokens": pa.nulls(batch.num_rows, pa.int64()),
-            "__frag": batch["__frag"], "__offset": batch["__offset"],
-            "__side": pa.array(np.ones(batch.num_rows, np.int8)),
-        }, schema=schema)
-
-    def quota_frag(group: pa.Table) -> pa.Table:
-        side = group["__side"].to_numpy(zero_copy_only=False)
-        rows = group.filter(pa.array(side == 0))
-        offs = group.filter(pa.array(side == 1))
-        empty = pa.table({id_col: pa.array([], type=pa.int64()),
-                          source_col: pa.array([], type=pa.string()),
-                          "n_tokens": pa.array([], type=pa.int64()),
-                          "cum_tokens": pa.array([], type=pa.int64())})
-        if rows.num_rows == 0:
-            return empty
-        off = int(offs["__offset"][0].as_py()) if offs.num_rows else 0
-        if off > budget_tokens:     # cut landed in an earlier fragment
-            return empty
-        order = pc.sort_indices(rows[id_col])
-        g = rows.take(order)
-        cum = off + np.cumsum(g["n_tokens"].to_numpy())
+    def finish(g: pa.Table, carry: np.ndarray) -> pa.Table:
+        cum = carry[0] + np.cumsum(g["n_tokens"].to_numpy())
         keep = cum <= budget_tokens
         sel = pa.array(keep)
         return pa.table({id_col: g[id_col].filter(sel),
@@ -152,10 +53,14 @@ def _quota_salted(ds, budget_tokens: int, source_col: str, id_col: str,
                          "n_tokens": g["n_tokens"].filter(sel),
                          "cum_tokens": pa.array(cum[keep])})
 
-    tagged = counted.map_batches(tag_rows, batch_format="pyarrow").union(
-        frag_offsets.map_batches(tag_offsets, batch_format="pyarrow"))
-    return tagged.groupby([source_col, "__frag"]).map_groups(
-        quota_frag, batch_format="pyarrow")
+    empty = pa.schema([(id_col, pa.int64()), (source_col, pa.string()),
+                       ("n_tokens", pa.int64()), ("cum_tokens", pa.int64())])
+    return _keyed_scan(
+        ds.map_batches(count, batch_format="pyarrow"), source_col, [id_col],
+        empty, np.zeros(1, dtype=np.int64), finish,
+        lambda run: np.array([pc.sum(run["n_tokens"]).as_py()]),
+        lambda carry, parts: carry + sum(parts),
+        salted=salt_ids is not None)
 
 
 def hash_split(ds, id_col: str, fractions: dict[str, float],

@@ -415,40 +415,103 @@ def _running_prep(batch: pa.Table, key_col: str, order_col: str,
     return out
 
 
-_RUNNING_EMPTY = {"row_number": pa.int64(),
-                  "running_sum_cents": pa.int64(),
-                  "lag_value_cents": pa.int64()}
+def _keyed_scan(rows, key_col: str, order: list, empty: pa.Schema,
+                start: np.ndarray, finish, part, hand, salted: bool):
+    """One ordered scan per key: ``finish(group, carry)`` gets rows of
+    one key sorted by the ``order`` columns (ascending) and an int64
+    carry array from the rows before them, and returns output rows.
 
+    Unsalted, each key is one ``groupby(key).map_groups`` group whose
+    carry is ``start``. Salted (``rows`` hold ``__frag``), a key splits
+    into (key, frag) groups, so no task holds a mega-key whole:
 
-def _running_rank(group: pa.Table, key_col: str, id_col: str,
-                  rn_off: int = 0, sum_off: int = 0,
-                  lag_carry=None) -> pa.Table:
-    """Sort one (key[, fragment]) group by (__us, id) and stamp
-    row_number / inclusive running sum / lag, all exact int64 cents."""
-    order = pc.sort_indices(group, sort_keys=[("__us", "ascending"),
-                                              (id_col, "ascending")])
-    g = group.take(order)
-    cents = g["__cents"].fill_null(0).to_numpy()
-    rn = rn_off + np.arange(1, len(cents) + 1, dtype=np.int64)
-    run = sum_off + np.cumsum(cents)
-    lag = np.empty(len(cents), dtype=np.int64)
-    lag[1:] = cents[:-1]
-    lag_mask = np.zeros(len(cents), dtype=bool)
-    lag_mask[1:] = g["__cents"].is_null().to_numpy(
-        zero_copy_only=False)[:-1]
-    if len(cents):
-        if lag_carry is None:
-            lag[0] = 0
-            lag_mask[0] = True          # NULL: no previous row
-        else:
-            lag[0] = lag_carry
-    return pa.table({
-        id_col: g[id_col], key_col: g[key_col],
-        "row_number": pa.array(rn),
-        "running_sum_cents": pa.array(run.astype(np.int64)),
-        "lag_value_cents": pa.array(
-            np.ma.masked_array(lag, mask=lag_mask)),
-    })
+    1. per batch, ``part(run)`` summarizes each sorted (key, frag) run
+       as an int64 array;
+    2. one groupby(key) folds them in fragment order,
+       ``carry(next frag) = hand(carry(frag), [parts of frag])``;
+    3. ``lookup_join`` attaches each carry (one row per (key, frag):
+       metadata-sized, so it broadcasts) to the first row of its run in
+       every batch, so a carry is never copied per row;
+    4. one groupby(key, frag) finishes each fragment.
+
+    A NULL key is one partition. Every groupby and the lookup key on
+    ``__k``, which is "" for it and "+" + the key otherwise: a lookup
+    matches NULL keys to nothing, and Ray's sort shuffle cannot place a
+    NULL among strings.
+    """
+    from .equijoin import lookup_join
+
+    sort_keys = [(c, "ascending") for c in order]
+
+    def run(group: pa.Table) -> pa.Table:
+        if group.num_rows == 0 or group.num_columns == 0:
+            return empty.empty_table()
+        carry = start
+        if "__carry" in group.column_names:
+            carry = np.frombuffer(
+                pc.drop_null(group["__carry"])[0].as_py(), dtype=np.int64)
+        return finish(group.take(pc.sort_indices(group, sort_keys=sort_keys)),
+                      carry)
+
+    def add_k(batch: pa.Table) -> pa.Table:
+        k = pc.cast(batch[key_col], pa.string())
+        return batch.append_column("__k", pc.fill_null(
+            pc.binary_join_element_wise("+", k, ""), ""))
+
+    rows = rows.map_batches(add_k, batch_format="pyarrow")
+    if not salted:
+        return rows.groupby("__k").map_groups(run, batch_format="pyarrow")
+
+    frame = ["__k", "__frag"]
+
+    def partials(batch: pa.Table) -> pa.Table:
+        g = batch.take(pc.sort_indices(
+            batch, sort_keys=[(c, "ascending") for c in frame] + sort_keys))
+        n = g.num_rows
+        new = np.ones(n, dtype=bool)
+        if n > 1:
+            k = g["__k"]
+            new[1:] = pc.not_equal(k.slice(1), k.slice(0, n - 1)) \
+                .to_numpy() | (np.diff(g["__frag"].to_numpy()) != 0)
+        starts = np.flatnonzero(new)
+        ends = np.append(starts[1:], n)
+        return pa.table({
+            "__k": g["__k"].take(starts), "__frag": g["__frag"].take(starts),
+            "__p": pa.array([part(g.slice(s, e - s)).tobytes()
+                             for s, e in zip(starts, ends)], pa.binary())})
+
+    def fold(group: pa.Table) -> pa.Table:
+        if group.num_rows == 0 or group.num_columns == 0:
+            return pa.table({"__k": pa.array([], pa.string()),
+                             "__frag": pa.array([], pa.int64()),
+                             "__carry": pa.array([], pa.binary())})
+        g = group.take(pc.sort_indices(group["__frag"]))
+        frags, firsts = np.unique(g["__frag"].to_numpy(), return_index=True)
+        parts = [np.frombuffer(p, dtype=np.int64)
+                 for p in g["__p"].to_pylist()]
+        carries, carry = [], start
+        for s, e in zip(firsts, np.append(firsts[1:], len(parts))):
+            carries.append(carry.tobytes())
+            carry = hand(carry, parts[s:e])
+        return pa.table({"__k": g["__k"].take(firsts),
+                         "__frag": pa.array(frags, pa.int64()),
+                         "__carry": pa.array(carries, pa.binary())})
+
+    def attach(batch: pa.Table, carries: pa.Table) -> pa.Table:
+        heads = (batch.append_column("__row",
+                                     pa.array(np.arange(batch.num_rows)))
+                 .group_by(frame).aggregate([("__row", "min")])
+                 .join(carries, keys=frame))
+        at = np.full(batch.num_rows, -1)
+        at[heads["__row_min"].to_numpy()] = np.arange(heads.num_rows)
+        return batch.append_column("__carry", heads["__carry"].take(
+            pa.array(at, mask=at < 0)))
+
+    rows = rows.materialize()      # read by the partials and the attach
+    carries = (rows.map_batches(partials, batch_format="pyarrow")
+               .groupby("__k").map_groups(fold, batch_format="pyarrow"))
+    return (lookup_join(rows, carries, frame, lambda t: t, attach)
+            .groupby(frame).map_groups(run, batch_format="pyarrow"))
 
 
 def running_agg(events_ds, key_col: str = "user_id",
@@ -470,184 +533,49 @@ def running_agg(events_ds, key_col: str = "user_id",
     Unsalted: slim (id, key, us, cents) rows only enter ONE key
     groupby; each group sorts + cumsums. A key whose rows dwarf a
     worker (the mega-user) passes ``salt_bucket_us``: rows fragment
-    into (key, order // width) groups, ONE metadata-sized fragment
-    exchange turns per-fragment (count, sum, last-value) partials into
-    exclusive prefix offsets + the lag carry for each fragment's first
-    row, and every fragment finishes locally — pytest pins salted ≡
-    unsalted. (The source_quota_sample salting shape, sampling.py:65.)
+    into (key, order // width) groups of :func:`_keyed_scan`, whose
+    carry is (row count, cents sum, last cents, its NULL flag) of the
+    fragments before — pytest pins salted ≡ unsalted.
     """
-    if salt_bucket_us is not None:
-        return _running_salted(events_ds, key_col, order_col, value_col,
-                               id_col, salt_bucket_us)
-
-    prep = events_ds.map_batches(
-        lambda b: _running_prep(b, key_col, order_col, value_col,
-                                id_col, None),
-        batch_format="pyarrow")
-
-    def rank(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.table(
-                {id_col: pa.array([], type=pa.int64()),
-                 key_col: pa.array([], type=pa.int64()),
-                 **{k: pa.array([], type=t)
-                    for k, t in _RUNNING_EMPTY.items()}})
-        return _running_rank(group, key_col, id_col)
-
-    return prep.groupby(key_col).map_groups(rank, batch_format="pyarrow")
-
-
-def _running_salted(events_ds, key_col: str, order_col: str,
-                    value_col: str, id_col: str, bucket_us: int):
-    if bucket_us <= 0:
+    if salt_bucket_us is not None and salt_bucket_us <= 0:
         raise ValueError("salt_bucket_us must be positive")
 
-    prep = events_ds.map_batches(
-        lambda b: _running_prep(b, key_col, order_col, value_col,
-                                id_col, bucket_us),
-        batch_format="pyarrow").materialize()
+    def part(run: pa.Table) -> np.ndarray:
+        last = run.slice(run.num_rows - 1).to_pylist()[0]
+        return np.array([run.num_rows, pc.sum(run["__cents"]).as_py() or 0,
+                         last["__us"], last[id_col], last["__cents"] or 0,
+                         last["__cents"] is None], dtype=np.int64)
 
-    # per-(key, frag) partials, map-side combined: count, cents sum and
-    # the LAST row's cents under the (us, id) order
-    def partials(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({key_col: pa.array([], type=pa.int64()),
-                             "__frag": pa.array([], type=pa.int64()),
-                             "cnt": pa.array([], type=pa.int64()),
-                             "s": pa.array([], type=pa.int64()),
-                             "last_us": pa.array([], type=pa.int64()),
-                             "last_id": pa.array([], type=pa.int64()),
-                             "last_cents": pa.array([], type=pa.int64())})
-        order = pc.sort_indices(
-            batch, sort_keys=[(key_col, "ascending"),
-                              ("__frag", "ascending"),
-                              ("__us", "ascending"),
-                              (id_col, "ascending")])
-        g = batch.take(order)
-        key = g[key_col].to_numpy()
-        frag = g["__frag"].to_numpy()
-        new = np.concatenate(
-            [[True], (key[1:] != key[:-1]) | (frag[1:] != frag[:-1])])
-        starts = np.flatnonzero(new)
-        ends = np.concatenate([starts[1:], [len(key)]]) - 1
+    def hand(carry: np.ndarray, parts: list) -> np.ndarray:
+        p = np.stack(parts)
+        last = p[np.lexsort((p[:, 3], p[:, 2]))[-1]]
+        return np.array([carry[0] + p[:, 0].sum(), carry[1] + p[:, 1].sum(),
+                         last[4], last[5]], dtype=np.int64)
+
+    def finish(g: pa.Table, carry: np.ndarray) -> pa.Table:
+        rn_off, sum_off, lag0, lag0_null = carry
         cents = g["__cents"].fill_null(0).to_numpy()
-        sums = np.add.reduceat(cents, starts)
+        lag = np.concatenate([[lag0], cents[:-1]])
+        lag_null = np.concatenate([[lag0_null != 0], g["__cents"].is_null()
+                                   .to_numpy()[:-1]])
         return pa.table({
-            key_col: pa.array(key[starts]),
-            "__frag": pa.array(frag[starts]),
-            "cnt": pa.array((ends - starts + 1).astype(np.int64)),
-            "s": pa.array(sums.astype(np.int64)),
-            "last_us": pa.array(g["__us"].to_numpy()[ends]),
-            "last_id": pa.array(g[id_col].to_numpy()[ends]),
-            "last_cents": g["__cents"].take(pa.array(ends))})
+            id_col: g[id_col], key_col: g[key_col],
+            "row_number": pa.array(
+                rn_off + np.arange(1, len(cents) + 1, dtype=np.int64)),
+            "running_sum_cents": pa.array(sum_off + np.cumsum(cents)),
+            "lag_value_cents": pa.array(lag, mask=lag_null)})
 
-    def combine(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.table({key_col: pa.array([], type=pa.int64()),
-                             "__frag": pa.array([], type=pa.int64()),
-                             "cnt": pa.array([], type=pa.int64()),
-                             "s": pa.array([], type=pa.int64()),
-                             "last_cents": pa.array([], type=pa.int64())})
-        order = pc.sort_indices(group,
-                                sort_keys=[("last_us", "ascending"),
-                                           ("last_id", "ascending")])
-        g = group.take(order)
-        return pa.table({
-            key_col: g[key_col].slice(0, 1),
-            "__frag": g["__frag"].slice(0, 1),
-            "cnt": pa.array([int(g["cnt"].to_numpy().sum())]),
-            "s": pa.array([int(g["s"].to_numpy().sum())]),
-            "last_cents": g["last_cents"].slice(g.num_rows - 1, 1)})
-
-    frag_stats = (prep.map_batches(partials, batch_format="pyarrow")
-                  .groupby([key_col, "__frag"])
-                  .map_groups(combine, batch_format="pyarrow"))
-
-    # per-key exclusive prefix offsets + the previous fragment's last
-    # value (the lag carry) — fragment rows only, metadata-sized
-    def offsets(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.table({key_col: pa.array([], type=pa.int64()),
-                             "__frag": pa.array([], type=pa.int64()),
-                             "rn_off": pa.array([], type=pa.int64()),
-                             "sum_off": pa.array([], type=pa.int64()),
-                             "carry": pa.array([], type=pa.int64())})
-        order = pc.sort_indices(group["__frag"])
-        g = group.take(order)
-        cnt = g["cnt"].to_numpy()
-        s = g["s"].to_numpy()
-        last = g["last_cents"].fill_null(0).to_numpy()
-        rn_off = np.concatenate([[0], np.cumsum(cnt[:-1])])
-        sum_off = np.concatenate([[0], np.cumsum(s[:-1])])
-        carry = np.empty(len(last), dtype=np.int64)
-        carry[1:] = last[:-1]
-        # a NULL last value carries as a NULL lag
-        mask = np.zeros(len(last), dtype=bool)
-        mask[1:] = g["last_cents"].is_null().to_numpy(
-            zero_copy_only=False)[:-1]
-        if len(last):
-            carry[0] = 0
-            mask[0] = True
-        return pa.table({
-            key_col: g[key_col], "__frag": g["__frag"],
-            "rn_off": pa.array(rn_off.astype(np.int64)),
-            "sum_off": pa.array(sum_off.astype(np.int64)),
-            "carry": pa.array(np.ma.masked_array(carry, mask=mask))})
-
-    frag_offsets = frag_stats.groupby(key_col).map_groups(
-        offsets, batch_format="pyarrow")
-
-    schema = pa.schema([(id_col, pa.int64()), (key_col, pa.int64()),
-                        ("__us", pa.int64()), ("__cents", pa.int64()),
-                        ("__frag", pa.int64()),
-                        ("rn_off", pa.int64()), ("sum_off", pa.int64()),
-                        ("carry", pa.int64()), ("__side", pa.int8())])
-
-    def tag_rows(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({
-            id_col: batch[id_col], key_col: batch[key_col],
-            "__us": batch["__us"], "__cents": batch["__cents"],
-            "__frag": batch["__frag"],
-            "rn_off": pa.nulls(m, pa.int64()),
-            "sum_off": pa.nulls(m, pa.int64()),
-            "carry": pa.nulls(m, pa.int64()),
-            "__side": pa.array(np.zeros(m, np.int8))}, schema=schema)
-
-    def tag_offsets(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({
-            id_col: pa.nulls(m, pa.int64()),
-            key_col: batch[key_col],
-            "__us": pa.nulls(m, pa.int64()),
-            "__cents": pa.nulls(m, pa.int64()),
-            "__frag": batch["__frag"],
-            "rn_off": batch["rn_off"], "sum_off": batch["sum_off"],
-            "carry": batch["carry"],
-            "__side": pa.array(np.ones(m, np.int8))}, schema=schema)
-
-    def rank_frag(group: pa.Table) -> pa.Table:
-        empty = pa.table({id_col: pa.array([], type=pa.int64()),
-                          key_col: pa.array([], type=pa.int64()),
-                          **{k: pa.array([], type=t)
-                             for k, t in _RUNNING_EMPTY.items()}})
-        if group.num_rows == 0 or group.num_columns == 0:
-            return empty
-        side = group["__side"].to_numpy(zero_copy_only=False)
-        rows = group.filter(pa.array(side == 0))
-        offs = group.filter(pa.array(side == 1))
-        if rows.num_rows == 0:
-            return empty
-        rn_off = int(offs["rn_off"][0].as_py()) if offs.num_rows else 0
-        sum_off = int(offs["sum_off"][0].as_py()) if offs.num_rows else 0
-        carry = offs["carry"][0].as_py() if offs.num_rows else None
-        return _running_rank(rows, key_col, id_col, rn_off, sum_off,
-                             carry)
-
-    tagged = prep.map_batches(tag_rows, batch_format="pyarrow").union(
-        frag_offsets.map_batches(tag_offsets, batch_format="pyarrow"))
-    return tagged.groupby([key_col, "__frag"]).map_groups(
-        rank_frag, batch_format="pyarrow")
+    empty = pa.schema([(id_col, pa.int64()), (key_col, pa.int64()),
+                       ("row_number", pa.int64()),
+                       ("running_sum_cents", pa.int64()),
+                       ("lag_value_cents", pa.int64())])
+    prep = events_ds.map_batches(
+        lambda b: _running_prep(b, key_col, order_col, value_col, id_col,
+                                salt_bucket_us), batch_format="pyarrow")
+    # start: no rows before, so the first row's lag is NULL
+    return _keyed_scan(prep, key_col, ["__us", id_col], empty,
+                       np.array([0, 0, 0, 1], dtype=np.int64), finish,
+                       part, hand, salted=salt_bucket_us is not None)
 
 
 def funnel(events_ds, stages: list[str], key_col: str = "user_id",
@@ -737,208 +665,61 @@ def moving_agg(events_ds, window_rows: int, key_col: str = "user_id",
     ROWS BETWEEN N-1 PRECEDING AND CURRENT ROW): the trailing-spend /
     rolling-activity feature. Exact int64-cents arithmetic like
     :func:`running_agg` (moving sum = cumsum difference — associative,
-    bit-identical at any partitioning and in SQL).
+    bit-identical at any partitioning and in SQL); a NULL value adds 0
+    and still counts.
 
     Returns (id, key, moving_sum_cents, moving_count) with
     moving_count = min(row_number, N).
 
     Unsalted: one key groupby, per-group sort + cumsum-difference.
-    Mega-key: ``salt_bucket_us`` fragments by (key, order // width); the
-    per-key offsets task additionally threads each fragment the TAIL of
-    the previous fragments' last min(N, count) cents (an N-int list per
-    fragment — metadata-sized for the small N a rolling feature uses),
-    so every fragment computes its windows locally over
-    concat(tail, own cents). pytest pins salted ≡ unsalted.
+    Mega-key: ``salt_bucket_us`` fragments by (key, order // width) in
+    :func:`_keyed_scan`; a fragment's carry is the last min(N, rows
+    before) cents of the fragments before it (N ints — metadata-sized
+    for the small N a rolling feature uses), so every fragment computes
+    its windows locally over concat(carry, own cents). pytest pins
+    salted ≡ unsalted.
     """
     if window_rows <= 0:
         raise ValueError("window_rows must be positive")
+    if salt_bucket_us is not None and salt_bucket_us <= 0:
+        raise ValueError("salt_bucket_us must be positive")
     n_win = int(window_rows)
 
-    def win_from(cents: np.ndarray, tail: np.ndarray):
-        """Moving sums/counts for the rows AFTER the tail prefix."""
-        full = np.concatenate([tail, cents]) if len(tail) else cents
-        cum = np.cumsum(full)
-        lo = np.arange(len(tail), len(full)) - n_win
+    def part(run: pa.Table) -> np.ndarray:
+        t = run.slice(max(run.num_rows - n_win, 0))
+        return np.stack([t["__us"].to_numpy(), t[id_col].to_numpy(),
+                         t["__cents"].fill_null(0).to_numpy()],
+                        axis=1).ravel()
+
+    def hand(carry: np.ndarray, parts: list) -> np.ndarray:
+        # runs of one fragment from different batches can INTERLEAVE in
+        # time, but every row of the fragment's last N is among its own
+        # run's last N: so sort the runs' (us, id, cents) rows and keep
+        # the last N
+        p = np.concatenate(parts).reshape(-1, 3)
+        p = p[np.lexsort((p[:, 1], p[:, 0]))]
+        return np.concatenate([carry, p[:, 2]])[-n_win:]
+
+    def finish(g: pa.Table, tail: np.ndarray) -> pa.Table:
+        cum = np.cumsum(np.concatenate(
+            [tail, g["__cents"].fill_null(0).to_numpy()]))
+        lo = np.arange(len(tail), len(cum)) - n_win
         sums = cum[len(tail):] - np.where(lo >= 0, cum[np.maximum(lo, 0)],
                                           0)
-        cnt = np.minimum(np.arange(len(tail) + 1, len(full) + 1), n_win)
-        return sums.astype(np.int64), cnt.astype(np.int64)
-
-    empty = {id_col: pa.array([], type=pa.int64()),
-             key_col: pa.array([], type=pa.int64()),
-             "moving_sum_cents": pa.array([], type=pa.int64()),
-             "moving_count": pa.array([], type=pa.int64())}
-
-    if salt_bucket_us is None:
-        prep = events_ds.map_batches(
-            lambda b: _running_prep(b, key_col, order_col, value_col,
-                                    id_col, None),
-            batch_format="pyarrow")
-
-        def rank(group: pa.Table) -> pa.Table:
-            if group.num_rows == 0 or group.num_columns == 0:
-                return pa.table(empty)
-            order = pc.sort_indices(group,
-                                    sort_keys=[("__us", "ascending"),
-                                               (id_col, "ascending")])
-            g = group.take(order)
-            sums, cnt = win_from(g["__cents"].to_numpy(),
-                                 np.zeros(0, np.int64))
-            return pa.table({id_col: g[id_col], key_col: g[key_col],
-                             "moving_sum_cents": pa.array(sums),
-                             "moving_count": pa.array(cnt)})
-
-        return prep.groupby(key_col).map_groups(rank,
-                                                batch_format="pyarrow")
-
-    if salt_bucket_us <= 0:
-        raise ValueError("salt_bucket_us must be positive")
-    prep = events_ds.map_batches(
-        lambda b: _running_prep(b, key_col, order_col, value_col,
-                                id_col, salt_bucket_us),
-        batch_format="pyarrow").materialize()
-
-    # per-(key, frag) partials: count + the LAST min(N, count) cents in
-    # (us, id) order, packed little-endian (metadata-sized carry)
-    def partials(batch: pa.Table) -> pa.Table:
-        cols = {key_col: pa.array([], type=pa.int64()),
-                "__frag": pa.array([], type=pa.int64()),
-                "cnt": pa.array([], type=pa.int64()),
-                "tail": pa.array([], type=pa.binary())}
-        if batch.num_rows == 0:
-            return pa.table(cols)
-        order = pc.sort_indices(
-            batch, sort_keys=[(key_col, "ascending"),
-                              ("__frag", "ascending"),
-                              ("__us", "ascending"),
-                              (id_col, "ascending")])
-        g = batch.take(order)
-        key = g[key_col].to_numpy()
-        frag = g["__frag"].to_numpy()
-        cents = g["__cents"].to_numpy()
-        new = np.concatenate(
-            [[True], (key[1:] != key[:-1]) | (frag[1:] != frag[:-1])])
-        starts = np.flatnonzero(new)
-        ends = np.concatenate([starts[1:], [len(key)]])
-        us_np = g["__us"].to_numpy()
-        id_np = g[id_col].to_numpy()
-        tails = [np.stack([us_np[max(e - n_win, s):e],
-                           id_np[max(e - n_win, s):e],
-                           cents[max(e - n_win, s):e]], axis=1)
-                 .astype("<i8").tobytes()
-                 for s, e in zip(starts, ends)]
-        return pa.table({
-            key_col: pa.array(key[starts]),
-            "__frag": pa.array(frag[starts]),
-            "cnt": pa.array((ends - starts).astype(np.int64)),
-            "tail": pa.array(tails, type=pa.binary())})
-
-    def offsets(group: pa.Table) -> pa.Table:
-        out = {key_col: pa.array([], type=pa.int64()),
-               "__frag": pa.array([], type=pa.int64()),
-               "tail": pa.array([], type=pa.binary())}
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.table(out)
-        order = pc.sort_indices(group["__frag"])
-        g = group.take(order)
-        frags = g["__frag"].to_numpy()
-        tails = g["tail"].to_pylist()
-        rows_frag, rows_tail = [], []
-        roll = np.zeros(0, dtype=np.int64)
-        for f, t in zip(frags.tolist(), tails):
-            rows_frag.append(f)
-            rows_tail.append(roll.astype("<i8").tobytes())
-            tc = np.frombuffer(t, dtype="<i8").reshape(-1, 3)[:, 2]
-            roll = np.concatenate([roll, tc])[-n_win:]
-        return pa.table({
-            key_col: pa.array([int(g[key_col][0].as_py())] *
-                              len(rows_frag), type=pa.int64()),
-            "__frag": pa.array(rows_frag, type=pa.int64()),
-            "tail": pa.array(rows_tail, type=pa.binary())})
-
-    frag_tails = (prep.map_batches(partials, batch_format="pyarrow")
-                  .groupby([key_col, "__frag"])
-                  .map_groups(lambda g: _merge_frag_partials(
-                      g, key_col, n_win), batch_format="pyarrow")
-                  .groupby(key_col)
-                  .map_groups(offsets, batch_format="pyarrow"))
-
-    schema = pa.schema([(id_col, pa.int64()), (key_col, pa.int64()),
-                        ("__us", pa.int64()), ("__cents", pa.int64()),
-                        ("__frag", pa.int64()), ("tail", pa.binary()),
-                        ("__side", pa.int8())])
-
-    def tag_rows(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({
-            id_col: batch[id_col], key_col: batch[key_col],
-            "__us": batch["__us"], "__cents": batch["__cents"],
-            "__frag": batch["__frag"],
-            "tail": pa.nulls(m, pa.binary()),
-            "__side": pa.array(np.zeros(m, np.int8))}, schema=schema)
-
-    def tag_tails(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({
-            id_col: pa.nulls(m, pa.int64()),
-            key_col: batch[key_col],
-            "__us": pa.nulls(m, pa.int64()),
-            "__cents": pa.nulls(m, pa.int64()),
-            "__frag": batch["__frag"], "tail": batch["tail"],
-            "__side": pa.array(np.ones(m, np.int8))}, schema=schema)
-
-    def rank_frag(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.table(empty)
-        side = group["__side"].to_numpy(zero_copy_only=False)
-        rows = group.filter(pa.array(side == 0))
-        tails = group.filter(pa.array(side == 1))
-        if rows.num_rows == 0:
-            return pa.table(empty)
-        tail = np.frombuffer(tails["tail"][0].as_py() or b"",
-                             dtype="<i8") if tails.num_rows else \
-            np.zeros(0, dtype=np.int64)
-        order = pc.sort_indices(rows, sort_keys=[("__us", "ascending"),
-                                                 (id_col, "ascending")])
-        g = rows.take(order)
-        sums, cnt = win_from(g["__cents"].to_numpy(),
-                             tail.astype(np.int64))
+        cnt = np.minimum(np.arange(len(tail) + 1, len(cum) + 1), n_win)
         return pa.table({id_col: g[id_col], key_col: g[key_col],
-                         "moving_sum_cents": pa.array(sums),
-                         "moving_count": pa.array(cnt)})
+                         "moving_sum_cents": pa.array(sums, pa.int64()),
+                         "moving_count": pa.array(cnt, pa.int64())})
 
-    tagged = prep.map_batches(tag_rows, batch_format="pyarrow").union(
-        frag_tails.map_batches(tag_tails, batch_format="pyarrow"))
-    return tagged.groupby([key_col, "__frag"]).map_groups(
-        rank_frag, batch_format="pyarrow")
-
-
-def _merge_frag_partials(group: pa.Table, key_col: str,
-                         n_win: int) -> pa.Table:
-    """Merge one (key, frag)'s per-batch partials into a single row:
-    total count and the fragment's TRUE last-N tail. Tails carry
-    (us, id, cents) triples, because batch slices of a fragment can
-    INTERLEAVE in time — a cents-only concatenation could keep the
-    wrong elements. Exactness: every element of the fragment's global
-    last-N is, within its own batch, followed by fewer than N fragment
-    rows, hence inside that batch's last-N — so the global last-N is a
-    subset of the union of batch tails, and sorting the union by
-    (us, id) and keeping the last N reproduces it exactly, in order."""
-    if group.num_rows == 0 or group.num_columns == 0:
-        return pa.table({key_col: pa.array([], type=pa.int64()),
-                         "__frag": pa.array([], type=pa.int64()),
-                         "cnt": pa.array([], type=pa.int64()),
-                         "tail": pa.array([], type=pa.binary())})
-    cat = np.concatenate([np.frombuffer(t, dtype="<i8").reshape(-1, 3)
-                          for t in group["tail"].to_pylist()])
-    order = np.lexsort((cat[:, 1], cat[:, 0]))
-    cat = cat[order][-n_win:]
-    return pa.table({
-        key_col: group[key_col].slice(0, 1),
-        "__frag": group["__frag"].slice(0, 1),
-        "cnt": pa.array([int(group["cnt"].to_numpy().sum())]),
-        "tail": pa.array([cat.astype("<i8").tobytes()],
-                         type=pa.binary())})
+    empty = pa.schema([(id_col, pa.int64()), (key_col, pa.int64()),
+                       ("moving_sum_cents", pa.int64()),
+                       ("moving_count", pa.int64())])
+    prep = events_ds.map_batches(
+        lambda b: _running_prep(b, key_col, order_col, value_col, id_col,
+                                salt_bucket_us), batch_format="pyarrow")
+    return _keyed_scan(prep, key_col, ["__us", id_col], empty,
+                       np.zeros(0, dtype=np.int64), finish, part, hand,
+                       salted=salt_bucket_us is not None)
 
 
 def rollup_agg(events_ds, width_us: int = US_PER_HOUR):
@@ -1131,197 +912,60 @@ def time_window_agg(events_ds, width_us: int, key_col: str = "user_id",
     the window holds every row with us in [us_i − width, us_i]
     INCLUDING equal-timestamp peers that sort after the current row.
     Exact int64-cents sums (cumsum differences over the sorted key
-    group — associative, engine-identical).
+    group — associative, engine-identical); a NULL value adds 0 and
+    still counts.
 
     Returns (id, key, win_sum_cents, win_count).
 
     Mega-key ``salt_bucket_us`` (must be > width): fragments by
-    (key, us // bucket); each fragment needs only the previous
-    fragment's rows within ``width`` of its boundary — a TIME-bounded
-    carry of (us, cents) pairs assembled by the per-key metadata walk
-    (carry size is the key's event count in one trailing width; pick
-    bucket >> width so it stays small). pytest pins salted ≡ unsalted.
+    (key, us // bucket) in :func:`_keyed_scan`; a fragment's carry is
+    the previous fragment's (us, cents) rows within ``width`` of their
+    shared boundary — a TIME-bounded carry (its size is the key's event
+    count in one trailing width; pick bucket >> width so it stays
+    small). pytest pins salted ≡ unsalted.
     """
     if width_us <= 0:
         raise ValueError("width_us must be positive")
+    if salt_bucket_us is not None and salt_bucket_us <= width_us:
+        raise ValueError("salt_bucket_us must exceed width_us")
 
-    def win_from(us: np.ndarray, cents: np.ndarray, n_tail: int):
-        """RANGE sums/counts for rows after the n_tail carry prefix;
-        (us, cents) must be sorted by us."""
-        cum = np.concatenate([[0], np.cumsum(cents)])
-        q = us[n_tail:]
+    def part(run: pa.Table) -> np.ndarray:
+        # only rows within width of the fragment's end reach the next one
+        end = (run["__frag"][0].as_py() + 1) * salt_bucket_us
+        t = run.filter(pc.greater_equal(run["__us"], end - width_us))
+        return np.stack([t["__us"].to_numpy(),
+                         t["__cents"].fill_null(0).to_numpy()],
+                        axis=1).ravel()
+
+    def hand(carry: np.ndarray, parts: list) -> np.ndarray:
+        # bucket > width, so no window reaches past the previous
+        # fragment: its rows replace the carry (a carry from an older
+        # fragment lies outside every window, and adds nothing)
+        p = np.concatenate(parts).reshape(-1, 2)
+        return p[np.argsort(p[:, 0], kind="stable")].ravel()
+
+    def finish(g: pa.Table, carry: np.ndarray) -> pa.Table:
+        c = carry.reshape(-1, 2)
+        us = np.concatenate([c[:, 0], g["__us"].to_numpy()])
+        cum = np.concatenate([[0], np.cumsum(np.concatenate(
+            [c[:, 1], g["__cents"].fill_null(0).to_numpy()]))])
+        q = us[len(c):]
         hi = np.searchsorted(us, q, side="right")
         lo = np.searchsorted(us, q - width_us, side="left")
-        return ((cum[hi] - cum[lo]).astype(np.int64),
-                (hi - lo).astype(np.int64))
-
-    empty = {id_col: pa.array([], type=pa.int64()),
-             key_col: pa.array([], type=pa.int64()),
-             "win_sum_cents": pa.array([], type=pa.int64()),
-             "win_count": pa.array([], type=pa.int64())}
-
-    if salt_bucket_us is None:
-        prep = events_ds.map_batches(
-            lambda b: _running_prep(b, key_col, order_col, value_col,
-                                    id_col, None),
-            batch_format="pyarrow")
-
-        def rank(group: pa.Table) -> pa.Table:
-            if group.num_rows == 0 or group.num_columns == 0:
-                return pa.table(empty)
-            order = pc.sort_indices(group,
-                                    sort_keys=[("__us", "ascending"),
-                                               (id_col, "ascending")])
-            g = group.take(order)
-            sums, cnt = win_from(g["__us"].to_numpy(),
-                                 g["__cents"].to_numpy(), 0)
-            return pa.table({id_col: g[id_col], key_col: g[key_col],
-                             "win_sum_cents": pa.array(sums),
-                             "win_count": pa.array(cnt)})
-
-        return prep.groupby(key_col).map_groups(rank,
-                                                batch_format="pyarrow")
-
-    if salt_bucket_us <= width_us:
-        raise ValueError("salt_bucket_us must exceed width_us")
-    bucket = int(salt_bucket_us)
-    prep = events_ds.map_batches(
-        lambda b: _running_prep(b, key_col, order_col, value_col,
-                                id_col, bucket),
-        batch_format="pyarrow").materialize()
-
-    # per-(key, frag) partials: the rows within `width` of the
-    # fragment's END boundary, as (us, cents) pairs (only those can be
-    # visible to the NEXT fragment — RANGE looks back at most width)
-    def partials(batch: pa.Table) -> pa.Table:
-        cols = {key_col: pa.array([], type=pa.int64()),
-                "__frag": pa.array([], type=pa.int64()),
-                "tail": pa.array([], type=pa.binary())}
-        if batch.num_rows == 0:
-            return pa.table(cols)
-        order = pc.sort_indices(
-            batch, sort_keys=[(key_col, "ascending"),
-                              ("__frag", "ascending"),
-                              ("__us", "ascending")])
-        g = batch.take(order)
-        key = g[key_col].to_numpy()
-        frag = g["__frag"].to_numpy()
-        us = g["__us"].to_numpy()
-        cents = g["__cents"].to_numpy()
-        new = np.concatenate(
-            [[True], (key[1:] != key[:-1]) | (frag[1:] != frag[:-1])])
-        starts = np.flatnonzero(new)
-        ends = np.concatenate([starts[1:], [len(key)]])
-        tails = []
-        for s, e in zip(starts, ends):
-            boundary = (frag[s] + 1) * bucket   # fragment end (excl.)
-            k = np.searchsorted(us[s:e], boundary - width_us,
-                                side="left")
-            tails.append(np.stack([us[s + k:e], cents[s + k:e]],
-                                  axis=1).astype("<i8").tobytes())
-        return pa.table({
-            key_col: pa.array(key[starts]),
-            "__frag": pa.array(frag[starts]),
-            "tail": pa.array(tails, type=pa.binary())})
-
-    def merge_partials(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.table({key_col: pa.array([], type=pa.int64()),
-                             "__frag": pa.array([], type=pa.int64()),
-                             "tail": pa.array([], type=pa.binary())})
-        cat = np.concatenate(
-            [np.frombuffer(t, dtype="<i8").reshape(-1, 2)
-             for t in group["tail"].to_pylist()])
-        cat = cat[np.argsort(cat[:, 0], kind="stable")]
-        return pa.table({
-            key_col: group[key_col].slice(0, 1),
-            "__frag": group["__frag"].slice(0, 1),
-            "tail": pa.array([cat.astype("<i8").tobytes()],
-                             type=pa.binary())})
-
-    # per-key walk: fragment i's carry = the PREVIOUS fragment's tail
-    # rows still within width of any row fragment i can hold (only the
-    # immediately preceding fragment can reach, since bucket > width)
-    def offsets(group: pa.Table) -> pa.Table:
-        out = {key_col: pa.array([], type=pa.int64()),
-               "__frag": pa.array([], type=pa.int64()),
-               "tail": pa.array([], type=pa.binary())}
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.table(out)
-        order = pc.sort_indices(group["__frag"])
-        g = group.take(order)
-        frags = g["__frag"].to_numpy()
-        tails = g["tail"].to_pylist()
-        rows_frag, rows_tail = [], []
-        for i, f in enumerate(frags.tolist()):
-            if i > 0 and frags[i - 1] == f - 1:
-                rows_tail.append(tails[i - 1])
-            else:
-                rows_tail.append(b"")
-            rows_frag.append(f)
-        return pa.table({
-            key_col: pa.array([int(g[key_col][0].as_py())] *
-                              len(rows_frag), type=pa.int64()),
-            "__frag": pa.array(rows_frag, type=pa.int64()),
-            "tail": pa.array(rows_tail, type=pa.binary())})
-
-    frag_tails = (prep.map_batches(partials, batch_format="pyarrow")
-                  .groupby([key_col, "__frag"])
-                  .map_groups(merge_partials, batch_format="pyarrow")
-                  .groupby(key_col)
-                  .map_groups(offsets, batch_format="pyarrow"))
-
-    schema = pa.schema([(id_col, pa.int64()), (key_col, pa.int64()),
-                        ("__us", pa.int64()), ("__cents", pa.int64()),
-                        ("__frag", pa.int64()), ("tail", pa.binary()),
-                        ("__side", pa.int8())])
-
-    def tag_rows(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({
-            id_col: batch[id_col], key_col: batch[key_col],
-            "__us": batch["__us"], "__cents": batch["__cents"],
-            "__frag": batch["__frag"],
-            "tail": pa.nulls(m, pa.binary()),
-            "__side": pa.array(np.zeros(m, np.int8))}, schema=schema)
-
-    def tag_tails(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({
-            id_col: pa.nulls(m, pa.int64()),
-            key_col: batch[key_col],
-            "__us": pa.nulls(m, pa.int64()),
-            "__cents": pa.nulls(m, pa.int64()),
-            "__frag": batch["__frag"], "tail": batch["tail"],
-            "__side": pa.array(np.ones(m, np.int8))}, schema=schema)
-
-    def rank_frag(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.table(empty)
-        side = group["__side"].to_numpy(zero_copy_only=False)
-        rows = group.filter(pa.array(side == 0))
-        tails = group.filter(pa.array(side == 1))
-        if rows.num_rows == 0:
-            return pa.table(empty)
-        carry = np.zeros((0, 2), dtype=np.int64)
-        if tails.num_rows:
-            raw = tails["tail"][0].as_py() or b""
-            carry = np.frombuffer(raw, dtype="<i8").reshape(-1, 2) \
-                .astype(np.int64)
-        order = pc.sort_indices(rows, sort_keys=[("__us", "ascending"),
-                                                 (id_col, "ascending")])
-        g = rows.take(order)
-        us = np.concatenate([carry[:, 0], g["__us"].to_numpy()])
-        cents = np.concatenate([carry[:, 1], g["__cents"].to_numpy()])
-        sums, cnt = win_from(us, cents, len(carry))
         return pa.table({id_col: g[id_col], key_col: g[key_col],
-                         "win_sum_cents": pa.array(sums),
-                         "win_count": pa.array(cnt)})
+                         "win_sum_cents": pa.array(cum[hi] - cum[lo],
+                                                   pa.int64()),
+                         "win_count": pa.array(hi - lo, pa.int64())})
 
-    tagged = prep.map_batches(tag_rows, batch_format="pyarrow").union(
-        frag_tails.map_batches(tag_tails, batch_format="pyarrow"))
-    return tagged.groupby([key_col, "__frag"]).map_groups(
-        rank_frag, batch_format="pyarrow")
+    empty = pa.schema([(id_col, pa.int64()), (key_col, pa.int64()),
+                       ("win_sum_cents", pa.int64()),
+                       ("win_count", pa.int64())])
+    prep = events_ds.map_batches(
+        lambda b: _running_prep(b, key_col, order_col, value_col, id_col,
+                                salt_bucket_us), batch_format="pyarrow")
+    return _keyed_scan(prep, key_col, ["__us", id_col], empty,
+                       np.zeros(0, dtype=np.int64), finish, part, hand,
+                       salted=salt_bucket_us is not None)
 
 
 def event_transitions(events_ds, key_col: str = "user_id",

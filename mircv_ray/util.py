@@ -116,12 +116,7 @@ def packed_tf_values(col, n_col) -> "np.ndarray":
 
 def packed_tf_dtype(tfs: "np.ndarray"):
     """Exchange width for a batch's tf run lengths: uint16 while every
-    value fits, int32 past 2^16 (see :func:`packed_tf_values`).
-    MIRCV_TF_WIDE=1 forces the legacy int32 packing everywhere — the
-    A/B knob for measuring the narrow format's traffic saving."""
-    import os
-    if os.environ.get("MIRCV_TF_WIDE") == "1":
-        return np.int32
+    value fits, int32 past 2^16 (see :func:`packed_tf_values`)."""
     if len(tfs) == 0 or int(tfs.max()) < (1 << 16):
         return np.uint16
     return np.int32

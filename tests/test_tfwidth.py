@@ -103,36 +103,6 @@ class TestWideTfEndToEnd:
         assert pos_p[start:start + 70000].tolist() == \
             list(range(70000))
 
-    def test_narrow_equals_legacy_wide_exactly(self, ray_session,
-                                               tmp_path, monkeypatch):
-        # the narrow width must be INVISIBLE in the output — including
-        # the float64 upper-bound cores (np.log10 over a uint16 array
-        # silently computes in float32 without the dtype pin; this is
-        # the regression test for that class)
-        import ray.data as rd
-        from mircv_ray.build import build_index
-        from mircv_ray.config import IndexConfig
-        from mircv_ray.query.engine import IndexReader
-        from mircv_ray.sources import generate_corpus_table
-
-        table = generate_corpus_table(60, seed=17).drop_columns(
-            ["sha256"])
-        cfg = dict(parse=True, num_shards=4, salt_buckets=2)
-        monkeypatch.setenv("MIRCV_TF_WIDE", "1")
-        build_index(rd.from_arrow(table), str(tmp_path / "wide"),
-                    IndexConfig(**cfg))
-        monkeypatch.delenv("MIRCV_TF_WIDE")
-        build_index(rd.from_arrow(table), str(tmp_path / "narrow"),
-                    IndexConfig(**cfg))
-        a = IndexReader(str(tmp_path / "wide"))
-        b = IndexReader(str(tmp_path / "narrow"))
-        assert a._lex == b._lex          # df/idf/UB float64-exact
-        for term in a._lex:
-            ia, ta = a.decoded(term)
-            ib, tb = b.decoded(term)
-            assert ia.tolist() == ib.tolist()
-            assert ta.tolist() == tb.tolist()
-
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
