@@ -48,7 +48,7 @@ from mircv_ray.query import (QueryEngine, bm25f, boolean, champions, dump,
 from mircv_ray.sources import documents_as_corpus, documents_as_corpus_table
 
 _CACHE_ROOT = Path("/tmp/mircv_ray_cache")
-_CACHE_VERSION = 4  # bump when corpus mapping / index layout changes
+_CACHE_VERSION = 5  # bump when corpus mapping / index layout changes
 
 # ---------------------------------------------------------------------------
 # SQL building blocks (basic tokenizer: M2-M6 + trim; squeeze off — RE2 has

@@ -186,10 +186,11 @@ def run_bench() -> dict:
         if v is not None:
             timings[f"stage_{st}"] = v
     # sub-stage walls of the best rep (docs: tokenize/idmap/write/sidecar;
-    # postings: explode/submit/reduce walls + reduce busy/skew) — the
-    # scaling analysis reads these to locate lost efficiency
+    # postings: explode/submit/reduce walls + reduce busy/skew; lexicon:
+    # task count + slowest task) — the scaling analysis reads these to
+    # locate lost efficiency
     stage_sub = {k: stats["metrics"].get(k)
-                 for k in ("docs_sub", "postings_sub")
+                 for k in ("docs_sub", "postings_sub", "lexicon_sub")
                  if stats["metrics"].get(k)}
     n_postings = stats["metrics"]["n_postings"]
 

@@ -15,12 +15,18 @@ Pipeline (SURVEY.md §3 "Ray Data restatement"):
          THE shuffle, _exchange; replaces SPIMI flush + k-way merge
          InvertedIndex.java:85-205)
       -> postings parquet (hash-partitioned by term shard)
-      -> lexicon = segment-meta group_by on term + idf/UB columns (A1,A5-A8)
+      -> lexicon: one task per postings shard group_bys its segment
+         metadata on term + idf/UB columns (A1,A5-A8) -> one term-sorted
+         lexicon file per shard; stats.json reads the stage manifest's sums
 
 Scale design:
 - the only full-data exchanges are the postings exchange and, past
   DRIVER_IDMAP_MAX_ROWS docs, the id assignment's groupby on repo;
   everything else is map-side or metadata-sized.
+- term -> shard is functional (crc32, ``term_shard``), so a term's
+  segments all sit in one postings shard: the lexicon is one plain task
+  per shard at every size, with no shuffle, no global sort and nothing
+  on the driver but the per-shard sums.
 - hot terms (code corpora: `def`, `return`, `0`) are split across
   ``salt_buckets`` docId-range segments: each (term, seg) encodes
   independently (segments are docId-disjoint ranges, so their
@@ -87,15 +93,6 @@ BLOCK_STRUCT = pa.struct([
 POSTINGS_ROW_GROUP_ROWS = 128
 TERM_ROW_GROUPS = {"row_group_size": POSTINGS_ROW_GROUP_ROWS,
                    "write_statistics": ["term"], "use_dictionary": False}
-
-# above this many (term, seg) metadata rows the lexicon aggregation runs as
-# shard-local Ray tasks instead of a driver-side Arrow group_by. Measured at
-# 2.4M seg rows (1.58M-doc build): shard-local 3.9 s / 4.1 s at 8 / 32 cpus
-# vs driver 6.7 s / 12.6 s — the driver path is a fixed cost that doesn't
-# scale with the cluster (and its host-thread arrow agg skews single-box
-# scaling measurements), so it only remains for small builds where its
-# term-sorted single output file gives byte-stable reference parity.
-DRIVER_LEXICON_MAX_SEGROWS = 1_000_000
 
 
 def term_shard(terms: list[str], num_shards: int) -> np.ndarray:
@@ -1168,103 +1165,64 @@ def _exchange(ds, to_partials, write_part, out_dir: str, num_shards: int,
 
 # ------------------------------------------------------------------ stage 3
 
+# the per-(term, seg) metadata columns of a postings file, and how the
+# lexicon folds a term's segment rows into its one entry
+_SEG_META = pa.schema([
+    ("term", pa.string()), ("df", pa.int64()), ("max_doc_id", pa.int64()),
+    ("bm25_core", pa.float64()), ("tfidf_core", pa.float64()),
+    ("bytes_ids", pa.int64()), ("bytes_tfs", pa.int64())])
 _SEG_AGG = [("df", "sum"), ("max_doc_id", "max"), ("bm25_core", "max"),
             ("tfidf_core", "max"), ("bytes_ids", "sum"),
             ("bytes_tfs", "sum")]
+# what each lexicon task returns (before its wall) and the stage's
+# manifest sums, which stats.json reads
+_LEX_SUMS = ("num_terms", "n_postings", "bytes_ids", "bytes_tfs")
 
 
-def _agg_to_lex(a: pa.Table, shard_col, n_docs: int) -> pa.Table:
-    return _lexicon_finalize(pa.table({
-        "term": a["term"], "df": a["df_sum"],
-        "max_doc_id": a["max_doc_id_max"],
-        "bm25_core": a["bm25_core_max"],
-        "tfidf_core": a["tfidf_core_max"],
-        "bytes_ids": a["bytes_ids_sum"],
-        "bytes_tfs": a["bytes_tfs_sum"],
-        "shard": shard_col}), n_docs)
+@ray.remote
+def _lexicon_shard_task(out: Path, shard: int, n_docs: int) -> tuple:
+    """Fold postings shard ``shard``'s per-(term, seg) metadata rows
+    into ``lexicon/shard-S.parquet``, one term-sorted row per term
+    (df/idf/upper bounds, A1/A5-A8). term -> shard is functional, so a
+    term's segments are all in its shard; a shard with no files writes
+    an empty file with the full schema. Returns the ``_LEX_SUMS`` of
+    the file, then the task's wall."""
+    t0 = time.time()
+    files = sorted((out / "postings" / f"shard={shard}").glob("*.parquet"))
+    segs = pa.concat_tables(
+        [pq.ParquetFile(f).read(columns=_SEG_META.names, use_threads=False)
+         for f in files] or [_SEG_META.empty_table()])
+    a = segs.group_by("term", use_threads=False).aggregate(_SEG_AGG)
+    lex = _lexicon_finalize(pa.table({
+        "term": a["term"], **{c: a[f"{c}_{f}"] for c, f in _SEG_AGG},
+        "shard": pa.array(np.full(a.num_rows, shard), pa.int64()),
+    }), n_docs).sort_by("term")
+    # terms are unique and readers load whole files: no dictionary or
+    # statistics pages
+    pq.write_table(lex, str(out / "lexicon" / f"shard-{shard}.parquet"),
+                   use_dictionary=False, write_statistics=False)
+    return (lex.num_rows, *(int(pc.sum(lex[c]).as_py() or 0)
+                            for c in ("df", "bytes_ids", "bytes_tfs")),
+            time.time() - t0)
 
 
-def _build_lexicon_files(out: Path, n_docs: int) -> None:
-    """Aggregate the postings store's per-(term, seg) metadata rows into
-    the lexicon parquet (df/idf/upper bounds per term, A1/A5-A8). Three
-    paths by metadata size: empty store, driver-side Arrow group_by
-    (term-sorted single file, reference parity), or shard-local Ray
-    tasks (term->shard is functional, so aggregation never crosses
-    shards — no term-wide shuffle). Writes ``out/lexicon``; the caller
-    owns manifests."""
-    # seg-row count from the postings manifest's partition lineage when
-    # available (zero I/O) — the footer scan re-opens every partition
-    # file, a ~seconds-long SERIAL driver cost at 256 partitions that
-    # ate into the build's scaling efficiency (it is the same absolute
-    # time at every cluster size)
-    post_m = read_manifest(str(out), "postings") or {}
-    parts = post_m.get("partitions")
-    if parts:
-        seg_rows = sum(p["rows"] for p in parts.values())
-    else:
-        seg_rows = pads.dataset(str(out / "postings"), format="parquet",
-                                partitioning="hive").count_rows()
-    if seg_rows == 0:
-        lex_tbl = _agg_to_lex(pa.table({
-            "term": pa.array([], pa.string()),
-            "df_sum": pa.array([], pa.int64()),
-            "max_doc_id_max": pa.array([], pa.int64()),
-            "bm25_core_max": pa.array([], pa.float64()),
-            "tfidf_core_max": pa.array([], pa.float64()),
-            "bytes_ids_sum": pa.array([], pa.int64()),
-            "bytes_tfs_sum": pa.array([], pa.int64()),
-        }), pa.array([], pa.int64()), n_docs)
-        (out / "lexicon").mkdir(exist_ok=True)
-        pq.write_table(lex_tbl, str(out / "lexicon" / "part-0.parquet"))
-    elif seg_rows <= DRIVER_LEXICON_MAX_SEGROWS:
-        # vocabulary metadata is tiny relative to the corpus (Heaps'
-        # law) — a driver-side Arrow group_by beats a Ray shuffle for
-        # anything that fits one heap
-        seg_cols = pq.read_table(
-            str(out / "postings"),
-            columns=["term", "shard", "df", "max_doc_id", "bm25_core",
-                     "tfidf_core", "bytes_ids", "bytes_tfs"])
-        # hive partition column reads back dictionary-encoded
-        i = seg_cols.schema.get_field_index("shard")
-        seg_cols = seg_cols.set_column(
-            i, "shard", seg_cols["shard"].cast(pa.int64()))
-        agg = seg_cols.group_by("term").aggregate(
-            _SEG_AGG + [("shard", "max")])
-        lex_tbl = _agg_to_lex(agg, agg["shard_max"], n_docs)
-        lex_tbl = lex_tbl.take(pc.sort_indices(lex_tbl["term"]))
-        (out / "lexicon").mkdir(exist_ok=True)
-        pq.write_table(lex_tbl, str(out / "lexicon" / "part-0.parquet"))
-    else:
-        # term -> shard is functional, so lexicon aggregation never
-        # crosses shards: run the SAME arrow group_by shard-locally,
-        # one task per postings shard partition (no term-wide shuffle
-        # and no global sort — the query side loads the lexicon as a
-        # dict, where order is irrelevant; the driver path keeps the
-        # sorted output for reference parity on small builds)
-        import ray.data as rd
-        shard_dirs = sorted(
-            p for p in (out / "postings").iterdir()
-            if p.is_dir() and p.name.startswith("shard="))
-
-        def shard_lexicon(batch: pa.Table) -> pa.Table:
-            sub = []
-            for d, s in zip(batch["dir"].to_pylist(),
-                            batch["shard"].to_pylist()):
-                t = pq.read_table(d, columns=[
-                    "term", "df", "max_doc_id", "bm25_core",
-                    "tfidf_core", "bytes_ids", "bytes_tfs"])
-                a = t.group_by("term").aggregate(_SEG_AGG)
-                sub.append(_agg_to_lex(
-                    a, pa.array([s] * a.num_rows, type=pa.int64()),
-                    n_docs))
-            return pa.concat_tables(sub)
-        rd.from_arrow(pa.table({
-            "dir": pa.array([str(p) for p in shard_dirs]),
-            "shard": pa.array([int(p.name.split("=")[1])
-                               for p in shard_dirs], type=pa.int64()),
-        })).repartition(len(shard_dirs)).map_batches(
-            shard_lexicon, batch_format="pyarrow",
-            batch_size=1).write_parquet(str(out / "lexicon"))
+def _lexicon_stage(out: Path, n_docs: int, num_shards: int) -> dict:
+    """Stage 3: one :func:`_lexicon_shard_task` per postings shard writes
+    ``out/lexicon``. The manifest records the lexicon's ``_LEX_SUMS``,
+    the task count and the slowest task's wall; returns it."""
+    t0 = time.time()
+    _fresh_stage_dir(out, "lexicon")
+    (out / "lexicon").mkdir()
+    *sums, secs = zip(*ray.get([_lexicon_shard_task.remote(out, s, n_docs)
+                                for s in range(num_shards)]))
+    write_manifest(str(out), "lexicon", {
+        "seconds": time.time() - t0,
+        **{k: sum(v) for k, v in zip(_LEX_SUMS, sums)},
+        "sub": {"n_tasks": len(secs), "task_max_s": round(max(secs), 3)},
+        "postings_completed_at":
+            (read_manifest(str(out), "postings") or {}).get("completed_at"),
+    })
+    return read_manifest(str(out), "lexicon")
 
 
 def _encode_partials(ds, to_partials, batch_rows: int, out: Path,
@@ -1293,21 +1251,18 @@ def _encode_partials(ds, to_partials, batch_rows: int, out: Path,
 
 
 def _write_stats(out: Path, cfg: IndexConfig, n_docs: int,
-                 total_doc_len: int, metrics: dict) -> dict:
-    """Read lexicon size metadata, assemble + write stats.json (D6)."""
-    lex_meta = pq.read_table(str(out / "lexicon"),
-                             columns=["df", "bytes_ids", "bytes_tfs"])
-    num_terms = lex_meta.num_rows
-    n_postings = int(pc.sum(lex_meta["df"]).as_py() or 0)
-    bytes_ids = int(pc.sum(lex_meta["bytes_ids"]).as_py() or 0)
-    bytes_tfs = int(pc.sum(lex_meta["bytes_tfs"]).as_py() or 0)
-    metrics["n_postings"] = n_postings
-    metrics["bytes_ids"] = bytes_ids
-    metrics["bytes_tfs"] = bytes_tfs
+                 total_doc_len: int, metrics: dict, lex_m: dict) -> dict:
+    """Assemble + write stats.json (D6); the lexicon's sizes come from
+    its stage manifest ``lex_m``."""
+    metrics["lexicon_seconds"] = lex_m["seconds"]
+    metrics["lexicon_sub"] = lex_m["sub"]
+    n_postings = metrics["n_postings"] = lex_m["n_postings"]
+    bytes_ids = metrics["bytes_ids"] = lex_m["bytes_ids"]
+    bytes_tfs = metrics["bytes_tfs"] = lex_m["bytes_tfs"]
     stats = {
         "n_docs": n_docs,                  # A2 collectionSize
         "total_doc_len": total_doc_len,    # A3 documentsLen
-        "num_terms": num_terms,            # A4 numberOfTokens
+        "num_terms": lex_m["num_terms"],   # A4 numberOfTokens
         "avg_doc_len": total_doc_len / max(n_docs, 1),
         "parse": cfg.parse, "squeeze": cfg.squeeze, "codec": cfg.codec,
         "num_shards": cfg.num_shards, "salt_buckets": cfg.salt_buckets,
@@ -1450,7 +1405,8 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
       docs      doc table parquet (doc_id, repo, path, lang, doc_len, sha256)
                 + doc_len.i64
       postings  block-encoded posting segments, partitioned by term shard
-      lexicon   per-term df/idf/upper-bounds, sorted by term
+      lexicon   per-term df/idf/upper-bounds, one term-sorted file per
+                postings shard
     """
     cfg = cfg or IndexConfig()
     cfg.codec_valid()
@@ -1482,7 +1438,10 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
     lex_m = read_manifest(out_dir, "lexicon")
     if lex_m is not None:
         stamp = (read_manifest(out_dir, "postings") or {}).get("completed_at")
-        if lex_m.get("postings_completed_at") != stamp:
+        # a manifest without the lexicon's sums is from the one-file
+        # layout, whose stats cannot be read from it
+        if (lex_m.get("postings_completed_at") != stamp
+                or "num_terms" not in lex_m):
             _invalidate_stage(out, "lexicon")
 
     # ---------------- stage 1: docs ----------------
@@ -1614,19 +1573,9 @@ def build_index(corpus, out_dir: str, cfg: IndexConfig | None = None,
     metrics["postings_seconds"] = post_m2.get("seconds")
     metrics["postings_sub"] = post_m2.get("sub")
 
-    # ---------------- stage 3: lexicon ----------------
-    t2 = time.time()
-    if not stage_complete(out_dir, "lexicon"):
-        _fresh_stage_dir(out, "lexicon")
-        _build_lexicon_files(out, n_docs)
-        write_manifest(out_dir, "lexicon", {
-            "seconds": time.time() - t2,
-            "postings_completed_at":
-                (read_manifest(out_dir, "postings") or {}).get("completed_at"),
-        })
-    metrics["lexicon_seconds"] = (read_manifest(out_dir, "lexicon") or {}).get("seconds")
-
-    # ---------------- stats sidecar ----------------
-    return _write_stats(out, cfg, n_docs, total_doc_len, metrics)
+    # ---------------- stage 3: lexicon + stats sidecar ----------------
+    lex_m = (read_manifest(out_dir, "lexicon")
+             or _lexicon_stage(out, n_docs, cfg.num_shards))
+    return _write_stats(out, cfg, n_docs, total_doc_len, metrics, lex_m)
 
 

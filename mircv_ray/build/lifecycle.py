@@ -37,9 +37,9 @@ from ..config import IndexConfig
 from ..util import packed_tf_dtype, sort_pairs
 from .index_build import (
     EMPTY_PARTIALS,
-    _build_lexicon_files,
     _encode_partials,
     _ids_dtype,
+    _lexicon_stage,
     _pack_partials,
     _partition_stats,
     _write_stats,
@@ -147,8 +147,5 @@ def rewrite_index(op: str, src_stats: dict, out_dir: str,
     })
     metrics["postings_seconds"] = time.time() - t1
 
-    t2 = time.time()
-    _build_lexicon_files(out, n_docs)
-    write_manifest(str(out), "lexicon", {"seconds": time.time() - t2})
-    metrics["lexicon_seconds"] = time.time() - t2
-    return _write_stats(out, cfg, n_docs, total_len, metrics)
+    return _write_stats(out, cfg, n_docs, total_len, metrics,
+                        _lexicon_stage(out, n_docs, cfg.num_shards))

@@ -42,7 +42,7 @@ Scale shape (the point of the design):
   output's.
 - doc tables merge as a streamed union + constant docId offset.
 - everything downstream (encode, lexicon, stats) is the from-scratch
-  build's own stage code (_encode_partials / _build_lexicon_files),
+  build's own stage code (_encode_partials / _lexicon_stage),
   so merge output cannot drift from build output.
 """
 

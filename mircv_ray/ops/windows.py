@@ -35,6 +35,22 @@ def _value_cents(value) -> np.ndarray:
     return _round_half_away(pc.fill_null(value, 0).to_numpy() * 100.0)
 
 
+def _key_stand_in(col) -> pa.Array:
+    """A group key as a non-NULL string: "" for NULL, "+" + the key
+    otherwise. Ray's sort shuffle cannot place a NULL among strings (a
+    groupby on a nullable string key raises once its rows span blocks),
+    and a lookup matches NULL keys to nothing; on the stand-in NULL
+    stays one group, as in SQL's GROUP BY."""
+    k = pc.cast(col, pa.string())
+    return pc.fill_null(pc.binary_join_element_wise("+", k, ""), "")
+
+
+def _key_from_stand_in(k) -> pa.Array:
+    """The string key a :func:`_key_stand_in` value stands for."""
+    return pc.if_else(pc.equal(k, ""), pa.scalar(None, pa.string()),
+                      pc.utf8_slice_codeunits(k, 1))
+
+
 def tumbling_window_agg(events_ds, width_us: int = US_PER_HOUR):
     """(window_start_us, event_type) -> n_events, sum_value.
 
@@ -333,7 +349,8 @@ def top_users_by_type(events_ds, k: int = 5):
     blocks) rows even when one type has billions of users (the
     pre-cut is lossless: a row dropped at a block's (total desc,
     user asc) boundary is preceded by >= k rows of that type globally,
-    so it can never enter the global top-k)."""
+    so it can never enter the global top-k). The type groups on its
+    :func:`_key_stand_in`, so NULL is one type."""
     from ray.data.aggregate import Sum
 
     from .. import use_push_shuffle
@@ -342,13 +359,13 @@ def top_users_by_type(events_ds, k: int = 5):
     def partial(batch: pa.Table) -> pa.Table:
         a = batch.group_by(["event_type", "user_id"]).aggregate(
             [("value", "sum")])
-        return pa.table({"event_type": a["event_type"],
+        return pa.table({"__k": _key_stand_in(a["event_type"]),
                          "user_id": a["user_id"],
                          "v": a["value_sum"]})
 
     sums = (events_ds.select_columns(["event_type", "user_id", "value"])
             .map_batches(partial, batch_format="pyarrow")
-            .groupby(["event_type", "user_id"])
+            .groupby(["__k", "user_id"])
             .aggregate(Sum("v", alias_name="total")))
 
     def pre_topk(batch: pa.Table) -> pa.Table:
@@ -356,19 +373,19 @@ def top_users_by_type(events_ds, k: int = 5):
         # rank on integer cents: float totals summed in different orders
         # can differ by 1 ulp, which would make tie order engine-dependent
         if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.table({"event_type": pa.array([], pa.string()),
+            return pa.table({"__k": pa.array([], pa.string()),
                              "user_id": pa.array([], pa.int64()),
                              "total_cents": pa.array([], pa.int64())})
         cents = pc.round(pc.multiply(batch["total"], 100.0),
                          round_mode="half_towards_infinity").cast(pa.int64())
-        t = pa.table({"event_type": batch["event_type"],
+        t = pa.table({"__k": batch["__k"],
                       "user_id": batch["user_id"],
                       "total_cents": cents})
         order = pc.sort_indices(t, sort_keys=[
-            ("event_type", "ascending"), ("total_cents", "descending"),
+            ("__k", "ascending"), ("total_cents", "descending"),
             ("user_id", "ascending")])
         t = t.take(order)
-        et = t["event_type"].combine_chunks()
+        et = t["__k"].combine_chunks()
         neq = pc.not_equal(et.slice(1), et.slice(0, len(et) - 1)) \
             .to_numpy(zero_copy_only=False) if len(et) > 1 else \
             np.zeros(0, dtype=bool)
@@ -382,14 +399,14 @@ def top_users_by_type(events_ds, k: int = 5):
             ("total_cents", "descending"), ("user_id", "ascending")])
         g = group.take(order.slice(0, k))
         return pa.table({
-            "event_type": g["event_type"],
+            "event_type": _key_from_stand_in(g["__k"]),
             "user_id": g["user_id"],
             "rank": pa.array(np.arange(1, g.num_rows + 1)),
             "total_cents": g["total_cents"],
         })
 
     return (sums.map_batches(pre_topk, batch_format="pyarrow")
-                .groupby("event_type")
+                .groupby("__k")
                 .map_groups(topk, batch_format="pyarrow"))
 
 
@@ -434,10 +451,8 @@ def _keyed_scan(rows, key_col: str, order: list, empty: pa.Schema,
        every batch, so a carry is never copied per row;
     4. one groupby(key, frag) finishes each fragment.
 
-    A NULL key is one partition. Every groupby and the lookup key on
-    ``__k``, which is "" for it and "+" + the key otherwise: a lookup
-    matches NULL keys to nothing, and Ray's sort shuffle cannot place a
-    NULL among strings.
+    A NULL key is one partition: every groupby and the lookup key on
+    ``__k``, the key's :func:`_key_stand_in`.
     """
     from .equijoin import lookup_join
 
@@ -454,9 +469,7 @@ def _keyed_scan(rows, key_col: str, order: list, empty: pa.Schema,
                       carry)
 
     def add_k(batch: pa.Table) -> pa.Table:
-        k = pc.cast(batch[key_col], pa.string())
-        return batch.append_column("__k", pc.fill_null(
-            pc.binary_join_element_wise("+", k, ""), ""))
+        return batch.append_column("__k", _key_stand_in(batch[key_col]))
 
     rows = rows.map_batches(add_k, batch_format="pyarrow")
     if not salted:
@@ -982,7 +995,8 @@ def event_transitions(events_ds, key_col: str = "user_id",
     each group sorts and emits its arrow-combined (from, to) counts —
     only type-pair rows (|types|² at most) leave the group; one tiny
     pair groupby sums and ONE constant-key task row-normalizes
-    (types²-sized, never event-sized).
+    (types²-sized, never event-sized). The pairs group on their types'
+    :func:`_key_stand_in`, so NULL is one type.
     """
     from ray.data.aggregate import Sum
 
@@ -990,8 +1004,8 @@ def event_transitions(events_ds, key_col: str = "user_id",
                                      type_col])
 
     def pairs(group: pa.Table) -> pa.Table:
-        empty = pa.table({"from_type": pa.array([], type=pa.string()),
-                          "to_type": pa.array([], type=pa.string()),
+        empty = pa.table({"__from": pa.array([], type=pa.string()),
+                          "__to": pa.array([], type=pa.string()),
                           "c": pa.array([], type=pa.int64())})
         if group.num_rows < 2 or group.num_columns == 0:
             return empty
@@ -1007,13 +1021,13 @@ def event_transitions(events_ds, key_col: str = "user_id",
                        "to_type": t.slice(1, n - 1)})
         a = tp.group_by(["from_type", "to_type"]).aggregate(
             [([], "count_all")])
-        return pa.table({"from_type": a["from_type"],
-                         "to_type": a["to_type"],
+        return pa.table({"__from": _key_stand_in(a["from_type"]),
+                         "__to": _key_stand_in(a["to_type"]),
                          "c": a["count_all"].cast(pa.int64())})
 
     counts = (prep.groupby(key_col)
               .map_groups(pairs, batch_format="pyarrow")
-              .groupby(["from_type", "to_type"])
+              .groupby(["__from", "__to"])
               .aggregate(Sum("c", alias_name="n_transitions")))
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -1025,9 +1039,9 @@ def event_transitions(events_ds, key_col: str = "user_id",
                           "to_type": pa.array([], type=pa.string()),
                           "n_transitions": pa.array([], type=pa.int64()),
                           "prob": pa.array([], type=pa.float64())})
-        if group.num_rows == 0 or "from_type" not in group.column_names:
+        if group.num_rows == 0 or "__from" not in group.column_names:
             return empty
-        f = group["from_type"]
+        f = group["__from"]
         if isinstance(f, pa.ChunkedArray):
             f = f.combine_chunks()
         n = group["n_transitions"].to_numpy().astype(np.float64)
@@ -1038,7 +1052,8 @@ def event_transitions(events_ds, key_col: str = "user_id",
         tot = np.bincount(codes, weights=n)
         p = n / tot[codes]
         p = np.trunc(p * 1e6 + 0.5) / 1e6
-        return pa.table({"from_type": f, "to_type": group["to_type"],
+        return pa.table({"from_type": _key_from_stand_in(f),
+                         "to_type": _key_from_stand_in(group["__to"]),
                          "n_transitions": group["n_transitions"]
                          .cast(pa.int64()),
                          "prob": pa.array(p, type=pa.float64())})

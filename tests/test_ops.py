@@ -342,6 +342,36 @@ class TestTopUsersPreTopK:
         assert [tuple(r) for r in got.itertuples(index=False)] == \
             self._expected(tbl)
 
+    def test_null_event_type_is_one_group(self, ray_session):
+        """Rows with a NULL event_type over 3 blocks: NULL is its own
+        type, as in SQL's GROUP BY (a groupby on the nullable string
+        itself raised in Ray's sort shuffle)."""
+        from mircv_ray.ops import top_users_by_type
+        types = ["a", None, "b", None, "a", None,
+                 "b", None, "a", "a", None, "b"]
+        users = [1, 2, 3, 4, 2, 2, 1, 5, 3, 1, 4, 3]
+        values = [1.0, 2.5, 3.0, 0.5, 4.0, 1.0,
+                  2.0, 7.0, 0.25, 2.0, 1.5, 1.0]
+        tbl = pa.table({"event_type": pa.array(types, pa.string()),
+                        "user_id": pa.array(users, pa.int64()),
+                        "value": pa.array(values)})
+        ds = rd.from_arrow([tbl.slice(0, 4), tbl.slice(4, 4),
+                            tbl.slice(8, 4)])
+        got = top_users_by_type(ds, k=2).take_all()
+        totals: dict = {}
+        for t, u, v in zip(types, users, values):
+            totals[(t, u)] = totals.get((t, u), 0) + round(v * 100)
+        want = []
+        for t in ("a", "b", None):
+            rows = sorted(((-c, u) for (tt, u), c in totals.items()
+                           if tt == t))[:2]
+            want += [{"event_type": t, "user_id": u, "rank": r,
+                      "total_cents": -c}
+                     for r, (c, u) in enumerate(rows, start=1)]
+        key = lambda r: (r["event_type"] is None, r["event_type"] or "",
+                         r["rank"])
+        assert sorted(got, key=key) == want
+
 
 class TestUnigramLogprob:
     def test_matches_brute_force(self, ray_session):

@@ -507,10 +507,12 @@ def test_dump_postings_codec_equivalence(ray_session, tmp_path):
 
 # ----------------------------------------------- reference TSV ingestion
 
-def test_collection_tsv_and_targz_ingestion(ray_session, tmp_path):
+def test_collection_tsv_and_targz_ingestion(ray_session, tmp_path,
+                                            monkeypatch):
     """The reference's collection.tsv (and .tar.gz) format builds the
     same index as the parquet path, with docno == pid."""
     import tarfile
+    import tempfile
     from pathlib import Path
 
     import ray.data as rd
@@ -523,6 +525,10 @@ def test_collection_tsv_and_targz_ingestion(ray_session, tmp_path):
     rows = [(0, "hash join table scan"), (1, "merge sort run"),
             (2, "   "),                      # blank -> dropped
             (3, "hash table probe build"), (4, "window stream state")]
+    # the archive extracts under the system temp dir: keep it in tmp_path
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     tsv = tmp_path / "collection.tsv"
     tsv.write_text("".join(f"{pid}\t{txt}\n" for pid, txt in rows))
     tgz = tmp_path / "collection.tar.gz"

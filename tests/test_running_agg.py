@@ -470,6 +470,40 @@ class TestEventTransitions:
                 out.n_transitions[0], out.prob[0]) == ("a", "b", 1, 1.0)
 
 
+    def test_null_event_type_is_one_type(self, ray_session):
+        """Events with a NULL event_type over 3 blocks: NULL is one type
+        on both sides of a transition, as in SQL's GROUP BY (a groupby
+        on the nullable type pair raised in Ray's sort shuffle)."""
+        import ray.data as rd
+        from mircv_ray.ops import event_transitions
+        types = ["a", None, "b", None, "a", None,
+                 "b", None, "a", "a", None, "b"]
+        users = [1, 1, 1, 2, 2, 2, 1, 2, 3, 3, 3, 3]
+        tbl = pa.table({
+            "event_id": pa.array(np.arange(12), type=pa.int64()),
+            "ts": pa.array(np.arange(12) * 10, type=pa.timestamp("us")),
+            "user_id": pa.array(users, type=pa.int64()),
+            "event_type": pa.array(types, type=pa.string()),
+        })
+        ds = rd.from_arrow([tbl.slice(0, 4), tbl.slice(4, 4),
+                            tbl.slice(8, 4)])
+        got = {(r["from_type"], r["to_type"]): (r["n_transitions"],
+                                                r["prob"])
+               for r in event_transitions(ds).take_all()}
+        seqs: dict = {}
+        for u, t in zip(users, types):
+            seqs.setdefault(u, []).append(t)
+        n: dict = {}
+        for seq in seqs.values():
+            for pair in zip(seq, seq[1:]):
+                n[pair] = n.get(pair, 0) + 1
+        out_n = {f: sum(c for (ff, _), c in n.items() if ff == f)
+                 for f, _ in n}
+        assert got == {p: (c, np.trunc(c / out_n[p[0]] * 1e6 + 0.5) / 1e6)
+                       for p, c in n.items()}
+        assert (None, None) in got and ("a", None) in got
+
+
 class TestFunnelRates:
     def test_matches_brute_force(self, ray_session):
         import ray.data as rd
