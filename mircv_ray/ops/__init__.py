@@ -17,9 +17,9 @@ from .ngramrep import ngram_repetition_stats
 from .c4filter import c4_line_filter
 from .cooccur import cooccurrence_counts
 from .topngrams import top_ngrams
-from .graph import bfs_depths, hits, pagerank
+from .graph import bfs_depths, connected_components, hits, pagerank
 from .keywords import tfidf_keywords
-from .dedup import connected_components, contamination_fuzzy, corpus_diff, exact_dedup_keep, jaccard_simjoin_exact, minhash_signatures, minhash_candidate_pairs, simhash64, near_dup_pairs, ngram_jaccard_pairs, shingle_sets
+from .dedup import contamination_fuzzy, corpus_diff, exact_dedup_keep, jaccard_simjoin_exact, minhash_signatures, minhash_candidate_pairs, simhash64, near_dup_pairs, ngram_jaccard_pairs, shingle_sets
 from .similarity import cosine_all_pairs, cosine_topk, mmr_rerank, rocchio_dense, ivf_build_centroids, ivf_cosine_topk, embedding_near_dup_pairs, knn_graph, knn_graph_lsh, pq_cosine_topk, pq_cosine_topk_rerank, pq_encode, pq_train
 from .clustering import kmeans_assign, kmeans_fit, semantic_dedup
 from .dsir import dsir_weights

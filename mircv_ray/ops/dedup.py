@@ -869,151 +869,6 @@ def jaccard_simjoin_exact(ds, text_col: str = "text", id_col: str = "doc_id",
                               batch_format="pyarrow")
 
 
-def connected_components(pairs_ds, nodes_ds, id_col: str = "doc_id",
-                         max_iters: int = 50):
-    """Connected components over near-dup pairs: every node labeled with
-    the MINIMUM id reachable from it — the "cluster id" of transitive
-    dedup (keep `cluster_id == id`, drop the rest).
-
-    Min-label propagation WITH pointer jumping (the MapReduce-CC family,
-    cf. Kiveris et al. 2014). Each round, one tagged-union hash exchange
-    routes two kinds of label requests through the same grouped pass:
-
-      1. neighbor propagation — every directed edge (x, y) picks up
-         label(x) and sends it to y;
-      2. path halving — every node x asks for label(label(x)) via a
-         per-round pseudo-edge (label(x) -> x), so label chains collapse
-         geometrically instead of one hop per round;
-
-    then a second exchange takes the min per node. Rounds are
-    O(log diameter) thanks to (2) — a 1000-hop chain settles in ~10
-    rounds — and `_pair_rows_in_partition`'s star pairs already bound
-    over-cap LSH clusters to diameter 2. Only slim (int64, int64) rows
-    ever move — content stays where the pair generators left it.
-    Convergence = the global label sum stops falling (labels only
-    decrease), checked with a distributed `sum` per round; `max_iters`
-    is a backstop with a logged warning.
-    """
-    def to_edges(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return pa.table({"x": pa.array([], type=pa.int64()),
-                             "y": pa.array([], type=pa.int64())})
-        a = batch["a"].to_numpy()
-        b = batch["b"].to_numpy()
-        return pa.table({"x": pa.array(np.concatenate([a, b])),
-                         "y": pa.array(np.concatenate([b, a]))})
-
-    def to_labels(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch[id_col], "label": batch[id_col]})
-
-    edges = pairs_ds.map_batches(to_edges,
-                                 batch_format="pyarrow").materialize()
-    labels = nodes_ds.map_batches(to_labels,
-                                  batch_format="pyarrow").materialize()
-    if edges.count() == 0:
-        return labels
-
-    tag_schema = pa.schema([("key", pa.int64()), ("side", pa.int8()),
-                            ("other", pa.int64()), ("label", pa.int64())])
-
-    def tag_label(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({"key": batch["node"],
-                         "side": pa.array(np.zeros(n, dtype=np.int8)),
-                         "other": pa.nulls(n, pa.int64()),
-                         "label": batch["label"]}).cast(tag_schema)
-
-    def tag_edge(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return pa.Table.from_pylist([], schema=tag_schema)
-        n = batch.num_rows
-        return pa.table({"key": batch["x"],
-                         "side": pa.array(np.ones(n, dtype=np.int8)),
-                         "other": batch["y"],
-                         "label": pa.nulls(n, pa.int64())}).cast(tag_schema)
-
-    def send_labels(group: pa.Table) -> pa.Table:
-        empty = pa.table({"node": pa.array([], type=pa.int64()),
-                          "cand": pa.array([], type=pa.int64())})
-        if group.num_rows == 0 or group.num_columns == 0:
-            return empty
-        side = group["side"].to_numpy(zero_copy_only=False)
-        lab = group.filter(pa.array(side == 0))
-        ed = group.filter(pa.array(side == 1))
-        if ed.num_rows == 0 or lab.num_rows == 0:
-            return empty
-        keys = lab["key"].to_numpy()
-        order = np.argsort(keys, kind="stable")
-        keys_s = keys[order]
-        vals = lab["label"].to_numpy()[order]
-        ek = ed["key"].to_numpy()
-        pos = np.minimum(np.searchsorted(keys_s, ek), len(keys_s) - 1)
-        hit = keys_s[pos] == ek          # endpoints outside nodes_ds drop
-        return pa.table({
-            "node": ed["other"].filter(pa.array(hit)),
-            "cand": pa.array(vals[pos[hit]], type=pa.int64())})
-
-    def norm_label(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch["node"], "cand": batch["label"]})
-
-    def min_per_node(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.table({"node": pa.array([], type=pa.int64()),
-                             "label": pa.array([], type=pa.int64())})
-        nodes = group["node"].to_numpy()
-        cand = group["cand"].to_numpy()
-        order = np.argsort(nodes, kind="stable")
-        n_s, c_s = nodes[order], cand[order]
-        starts = np.flatnonzero(np.append(True, n_s[1:] != n_s[:-1]))
-        mins = np.minimum.reduceat(c_s, starts)
-        return pa.table({"node": pa.array(n_s[starts]),
-                         "label": pa.array(mins)})
-
-    def tag_jump(batch: pa.Table) -> pa.Table:
-        # pseudo-edge label(x) -> x: the grouped pass answers it with
-        # label(label(x)) exactly like a real edge's neighbor request
-        n = batch.num_rows
-        return pa.table({"key": batch["label"],
-                         "side": pa.array(np.ones(n, dtype=np.int8)),
-                         "other": batch["node"],
-                         "label": pa.nulls(n, pa.int64())}).cast(tag_schema)
-
-    prev = labels.sum("label")
-    # the union of (labels, edges, labels) triples the block count, and
-    # sort-based groupby PRESERVES input block count — without a
-    # per-round repartition the label table's blocks grow 3x per round
-    # (4 -> 13 -> 40 -> 121 ... measured) and per-block overhead turns
-    # exponential. One extra slim exchange per round pins it flat.
-    n_blocks = max(labels.num_blocks(), 1)
-    for it in range(max_iters):
-        tagged = (labels.map_batches(tag_label, batch_format="pyarrow")
-                  .union(edges.map_batches(tag_edge,
-                                           batch_format="pyarrow"))
-                  .union(labels.map_batches(tag_jump,
-                                            batch_format="pyarrow"))
-                  .map_batches(lambda b: _add_pkey(b, ["key"]),
-                               batch_format="pyarrow"))
-        msgs = tagged.groupby("pkey").map_groups(send_labels,
-                                                 batch_format="pyarrow")
-        unioned = (labels.map_batches(norm_label, batch_format="pyarrow")
-                   .union(msgs)
-                   .map_batches(lambda b: _add_pkey(b, ["node"]),
-                                batch_format="pyarrow"))
-        labels = unioned.groupby("pkey").map_groups(
-            min_per_node, batch_format="pyarrow") \
-            .repartition(n_blocks).materialize()
-        cur = labels.sum("label")
-        if cur == prev:
-            break
-        prev = cur
-    else:
-        logger.warning(
-            "connected_components hit max_iters=%d before the label sum "
-            "stabilized — component diameter exceeds the round budget; "
-            "labels are an upper bound on the true cluster ids", max_iters)
-    return labels
-
-
 def contamination_fuzzy(ds, probe_texts, threshold: float = 0.5,
                         shingle_k: int = 3, text_col: str = "text",
                         id_col: str = "doc_id", num_perm: int = _NUM_PERM,
@@ -1087,64 +942,20 @@ def corpus_diff(left_ds, right_ds, id_col: str = "doc_id",
     NULL text = a sentinel so NULL matches NULL, mirroring SQL's
     IS NOT DISTINCT FROM) appear nowhere in ``right_ds``.
 
-    Scale shape: both corpora reduce to slim hash rows map-side — the
-    left to (content_hash, id), the right to its batch-DISTINCT
-    content hashes only (ids and text never travel); ONE
-    content-hash-partitioned exchange co-locates equal hashes; each
-    group emits its left ids when no right row shares the hash (one
-    vectorized ``is_in`` per group). Content never shuffles; the
-    exchange is bounded by (left rows + right batch-distinct hashes).
+    Both corpora reduce to slim (id, content_hash) rows map-side, and
+    ``semi_join(anti=True)`` on ``content_hash`` keeps the left rows
+    whose hash the right lacks: only the right's distinct hashes travel
+    (broadcast under the one byte gate, hash-partitioned above it), and
+    content never moves.
 
     Returns (id_col, content_hash) of the new documents.
     """
-    from ..util import crc32_column
-    from .. import use_push_shuffle
-    use_push_shuffle(left_ds)
+    from .equijoin import semi_join
 
-    def pkeyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column("pkey", pa.array(
-            (crc32_column(batch["content_hash"])
-             % np.uint32(_PAIR_PARTITIONS)).astype(np.int64)))
+    def hashed(ds):
+        return ds.map_batches(
+            lambda b: exact_hash_batch(b, text_col, id_col),
+            batch_format="pyarrow")
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        h = exact_hash_batch(batch, text_col, id_col)
-        return pkeyed(pa.table({
-            "content_hash": h["content_hash"],
-            id_col: h[id_col],
-            "side": pa.array(np.zeros(batch.num_rows, np.int8))}))
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        h = exact_hash_batch(batch, text_col, id_col)
-        uniq = pc.unique(h["content_hash"].combine_chunks()
-                         if isinstance(h["content_hash"], pa.ChunkedArray)
-                         else h["content_hash"])
-        m = len(uniq)
-        return pkeyed(pa.table({
-            "content_hash": uniq,
-            id_col: pa.nulls(m, pa.int64()),
-            "side": pa.array(np.ones(m, np.int8))}))
-
-    _EMPTY = pa.schema([(id_col, pa.int64()),
-                        ("content_hash", pa.string())])
-
-    def anti(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return _EMPTY.empty_table()
-        side = group["side"].to_numpy(zero_copy_only=False)
-        lrows = group.filter(pa.array(side == 0))
-        if lrows.num_rows == 0:
-            return _EMPTY.empty_table()
-        rrows = group.filter(pa.array(side == 1))
-        lh = lrows["content_hash"]
-        if rrows.num_rows:
-            hit = pc.is_in(lh, value_set=rrows["content_hash"]
-                           .combine_chunks())
-            keep = pc.invert(hit)
-            lrows = lrows.filter(keep)
-        return pa.table({id_col: lrows[id_col],
-                         "content_hash": lrows["content_hash"]})
-
-    tagged = (left_ds.map_batches(tag_left, batch_format="pyarrow")
-              .union(right_ds.map_batches(tag_right,
-                                          batch_format="pyarrow")))
-    return tagged.groupby("pkey").map_groups(anti, batch_format="pyarrow")
+    return semi_join(hashed(left_ds), hashed(right_ds), "content_hash",
+                     anti=True)

@@ -2,8 +2,10 @@
 
 Every sided operator that attaches a table to rows by key (SQL
 equi/semi joins, the LM / TF-IDF / DSIR count attach, the line-dedup
-dup set, the z-score group stats, the dedup pair-state verify) runs
-through :func:`lookup_join`. The caller supplies two functions:
+dup set, the z-score group stats, the dedup pair-state verify, the
+keyed frames' carry attach, each round of the graph operators in
+``ops/graph.py``, ``corpus_diff`` and ``profile_table``) runs through
+:func:`lookup_join`. The caller supplies two functions:
 
 - ``prepare(right_table) -> state``: build the lookup structure from a
   table of right rows (sorted key arrays, finalized stats);
@@ -308,7 +310,7 @@ def semi_join(left_ds, right_ds, on, right_on=None,
     """SQL SEMI / ANTI join: left rows WHERE [NOT] EXISTS a right row
     with an equal key — the "filter the huge fact table by a key set"
     primitive (semi) and its complement (anti; ``ops.dedup.corpus_diff``
-    is the content-hash special case). Left rows emit AT MOST ONCE
+    runs it on content hashes). Left rows emit AT MOST ONCE
     regardless of right-side duplicates, and NULL keys match nothing
     (SQL EXISTS semantics: a NULL-key left row is dropped by semi,
     kept by anti).

@@ -1,55 +1,127 @@
-"""Distributed PageRank (Page et al. 1999) over an edge Dataset — the
-weighted-iterative companion to ``ops.dedup.connected_components``'
-label propagation.
+"""Iterative graph operators over an edge Dataset: PageRank, HITS,
+multi-source BFS depths and connected components.
 
-    r_{k+1}(v) = (1-d)/N + d * ( sum_{(u,v) in E} r_k(u)/outdeg(u)
-                                 + dangling_mass_k / N )
+Each keeps its node state as a node-sized Dataset and runs rounds of
+one shape, :func:`_round`:
 
-with the standard uniform redistribution of dangling (outdeg 0) mass.
-Multi-edges contribute once each (outdeg counts the multiset).
+1. attach: one ``lookup_join`` attaches the state to every edge by its
+   sending endpoint and emits one (node, message) row per edge whose
+   sender has state. The state is node-sized, so below
+   ``BROADCAST_MAX_BYTES`` it is broadcast and the edges do not move;
+   above the gate both sides hash-partition by node.
+2. fold: the messages union a node-keyed baseline (so a node without
+   messages keeps its row) and fold per node in one packed groupby,
+   one ufunc's ``reduceat`` (``np.add`` or ``np.minimum``) over every
+   value column.
+3. pin: the folded state repartitions to the starting block count and
+   materializes (without the pin its blocks grow every round).
 
-Scale shape — ranks and edges stay node-/edge-sized Datasets end to
-end, exactly two partitioned exchanges per round:
-
-1. scatter: rank rows and edge rows meet co-partitioned by src hash;
-   each group computes the src's out-degree IN-GROUP (every edge of a
-   src lands in its group, so no precomputed degree table) and emits
-   (dst, r/deg) per edge — or one (DANGLING, r) row when the src has
-   no edges.
-2. gather: contributions union the node baseline (so isolated nodes
-   keep ranking) co-partitioned by node hash; each group sums and
-   applies the damping formula.
-
-The only driver-side values per round are the dangling-mass scalar and
-nothing else; N is computed once. Fixed ``n_iter`` rounds (the SQL
-oracle unrolls the same K), no convergence short-circuit — PageRank on
-a fixed budget is deterministic and partition-count-independent.
+An edge whose sender has no state emits nothing; a message to a node
+outside the baseline creates that node's row. Round counts are fixed,
+or end on an order-free driver scalar, so results do not depend on the
+partition count.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-_DANGLING = np.int64(-1)
+from .dedup import _add_pkey
+from .equijoin import lookup_join, probe, sorted_keys
 
-_TAG = pa.schema([("key", pa.int64()), ("side", pa.int8()),
-                  ("dst", pa.int64()), ("r", pa.float64())])
-_CONTRIB = pa.schema([("node", pa.int64()), ("c", pa.float64())])
+logger = logging.getLogger(__name__)
+
+_EDGES = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
 _RANK = pa.schema([("node", pa.int64()), ("rank", pa.float64())])
+_SCORE = pa.schema([("node", pa.int64()), ("s", pa.float64())])
+_HITS = pa.schema([("node", pa.int64()), ("hub", pa.float64()),
+                   ("authority", pa.float64())])
+_DIST = pa.schema([("node", pa.int64()), ("depth", pa.int64())])
+_LABEL = pa.schema([("node", pa.int64()), ("label", pa.int64())])
+
+
+def _edges(ds):
+    """``ds``'s ``src``/``dst`` columns as int64 edges, materialized."""
+    def f(b: pa.Table) -> pa.Table:
+        if b.num_columns == 0:
+            return _EDGES.empty_table()
+        return pa.table([b["src"].cast(pa.int64()),
+                         b["dst"].cast(pa.int64())], schema=_EDGES)
+    return ds.map_batches(f, batch_format="pyarrow").materialize()
+
+
+def _fold(rows, ufunc, n_blocks: int, finish=None):
+    """Per-node fold of ``rows``: every column but ``node`` reduced by
+    ``ufunc.reduceat`` over the node's rows, then ``finish`` (table ->
+    table) if given; pinned to ``n_blocks`` and materialized."""
+    def reduce(group: pa.Table) -> pa.Table:
+        node = group["node"].to_numpy()
+        order = np.argsort(node, kind="stable")
+        n_s = node[order]
+        starts = np.flatnonzero(np.append(True, n_s[1:] != n_s[:-1]))
+        out = pa.table({"node": n_s[starts], **{
+            c: ufunc.reduceat(group[c].to_numpy()[order], starts)
+            for c in group.column_names if c not in ("node", "pkey")}})
+        return finish(out) if finish else out
+
+    return (rows.map_batches(lambda b: _add_pkey(b, ["node"]),
+                             batch_format="pyarrow")
+            .groupby("pkey").map_groups(reduce, batch_format="pyarrow")
+            .repartition(n_blocks).materialize())
+
+
+def _round(edges, state, send, schema: pa.Schema, ufunc, baseline,
+           n_blocks: int, src: str = "src", dst: str = "dst", finish=None):
+    """One graph round. Every edge whose ``src`` node has state sends
+    that node's ``send(state_table)`` values (one array per value column
+    of ``schema``) to its ``dst``; the ``schema``-typed messages union
+    ``baseline`` and :func:`_fold`."""
+    def prepare(t: pa.Table):
+        if t.num_rows == 0:
+            return np.zeros(0, np.int64), {}
+        keys, order = sorted_keys(t["node"])
+        return keys, {c: np.asarray(v)[order] for c, v in send(t).items()}
+
+    def emit(e: pa.Table, state_):
+        keys, vals = state_
+        if e.num_rows == 0 or len(keys) == 0:
+            return schema.empty_table()
+        pos, hit = probe(keys, e[src])
+        return pa.table([e[dst].filter(pa.array(hit))]
+                        + [vals[c][pos[hit]] for c in schema.names[1:]],
+                        schema=schema)
+
+    msgs = lookup_join(edges, state, src, prepare, emit, right_on="node")
+    return _fold(msgs.union(baseline), ufunc, n_blocks, finish)
 
 
 def pagerank(edges, nodes, n_iter: int = 10, damping: float = 0.85):
-    """(node, rank) after ``n_iter`` damped power-iteration rounds.
+    """(node, rank) after ``n_iter`` damped power-iteration rounds
+    (Page et al. 1999):
 
-    ``edges``: Dataset with int64 ``src``/``dst`` columns (node ids
-    must be >= 0; -1 is the internal dangling sentinel).  ``nodes``: a
+        r_{k+1}(v) = (1-d)/N + d * ( sum_{(u,v) in E} r_k(u)/outdeg(u)
+                                     + dangling_mass_k / N )
+
+    with the standard uniform redistribution of dangling (outdeg 0)
+    mass. Multi-edges contribute once each (outdeg counts the multiset).
+
+    ``edges``: Dataset with int64 ``src``/``dst`` columns.  ``nodes``: a
     Dataset with a ``node`` column of every vertex (isolated and
     dangling vertices included — edge endpoints alone can't enumerate
-    them without an extra distinct exchange)."""
+    them without an extra distinct exchange).
+
+    The state rows are (node, rank, deg) and each node sends rank/deg.
+    The baseline, folded once, holds every edge source's out-degree and
+    marks the ``nodes`` rows known; a source outside ``nodes`` joins the
+    state only once a message reaches it. The dangling mass, from state
+    rows of degree 0, is the one driver scalar per round. Fixed
+    ``n_iter`` rounds (the SQL oracle unrolls the same K), no
+    convergence short-circuit."""
     import ray
-    from .dedup import _add_pkey
 
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
@@ -60,119 +132,46 @@ def pagerank(edges, nodes, n_iter: int = 10, damping: float = 0.85):
     n = nodes.count()
     if n == 0:
         return ray.data.from_arrow(_RANK.empty_table())
-    base = 1.0 / n
+    n_blocks = max(nodes.num_blocks(), 1)
+    edges = _edges(edges)
+    msg = pa.schema([("node", pa.int64()), ("c", pa.float64()),
+                     ("deg", pa.int64()), ("known", pa.int64())])
 
-    def init_rank(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch["node"].cast(pa.int64()),
-            "rank": pa.array(np.full(batch.num_rows, base),
-                             type=pa.float64())})
+    def rows(node, deg: int, known: int) -> pa.Table:
+        m = len(node)
+        return pa.table([node.cast(pa.int64()), np.zeros(m),
+                         np.full(m, deg), np.full(m, known)], schema=msg)
 
-    def tag_rank(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({"key": batch["node"],
-                         "side": pa.array(np.zeros(m, dtype=np.int8)),
-                         "dst": pa.nulls(m, pa.int64()),
-                         "r": batch["rank"]}).cast(_TAG)
+    base = _fold(
+        edges.map_batches(lambda b: rows(b["src"], 1, 0),
+                          batch_format="pyarrow")
+        .union(nodes.map_batches(lambda b: rows(b["node"], 0, 1),
+                                 batch_format="pyarrow")),
+        np.add, n_blocks)
 
-    def tag_edge(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return _TAG.empty_table()
-        m = batch.num_rows
-        return pa.table({"key": batch["src"].cast(pa.int64()),
-                         "side": pa.array(np.ones(m, dtype=np.int8)),
-                         "dst": batch["dst"].cast(pa.int64()),
-                         "r": pa.nulls(m, pa.float64())}).cast(_TAG)
+    def ranked(t: pa.Table, rank) -> pa.Table:
+        t = t.filter(pc.greater(t["known"], 0))
+        return pa.table({"node": t["node"], "rank": rank(t["c"].to_numpy()),
+                         "deg": t["deg"]})
 
-    def scatter(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return _CONTRIB.empty_table()
-        side = group["side"].to_numpy(zero_copy_only=False)
-        rk = group.filter(pa.array(side == 0))
-        ed = group.filter(pa.array(side == 1))
-        if rk.num_rows == 0:
-            return _CONTRIB.empty_table()  # edges from unknown nodes
-        keys = rk["key"].to_numpy()
-        order = np.argsort(keys, kind="stable")
-        keys_s, r_s = keys[order], rk["r"].to_numpy()[order]
-        ek = ed["key"].to_numpy() if ed.num_rows else \
-            np.zeros(0, dtype=np.int64)
-        # in-group out-degree: every edge of a src is in this group
-        if ed.num_rows:
-            deg = np.zeros(len(keys_s), dtype=np.int64)
-            pos = np.searchsorted(keys_s, ek)
-            ok = (pos < len(keys_s))
-            ok[ok] &= keys_s[np.minimum(pos, len(keys_s) - 1)][ok] == \
-                ek[ok]
-            np.add.at(deg, pos[ok], 1)
-            contrib_r = r_s[pos[ok]] / deg[pos[ok]]
-            out_dst = ed["dst"].to_numpy()[ok]
-        else:
-            deg = np.zeros(len(keys_s), dtype=np.int64)
-            contrib_r = np.zeros(0)
-            out_dst = np.zeros(0, dtype=np.int64)
-        dangle = deg == 0
-        return pa.table({
-            "node": pa.array(np.concatenate(
-                [out_dst, np.full(int(dangle.sum()), _DANGLING)]),
-                type=pa.int64()),
-            "c": pa.array(np.concatenate([contrib_r, r_s[dangle]]),
-                          type=pa.float64())})
-
-    def base_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch["node"].cast(pa.int64()),
-            "c": pa.array(np.zeros(batch.num_rows),
-                          type=pa.float64())})
-
-    edges = edges.map_batches(tag_edge, batch_format="pyarrow") \
-        .materialize()
-    ranks = nodes.map_batches(init_rank, batch_format="pyarrow") \
-        .materialize()
-    n_blocks = max(ranks.num_blocks(), 1)
-
+    ranks = base.map_batches(
+        lambda b: ranked(b, lambda c: np.full(len(c), 1.0 / n)),
+        batch_format="pyarrow").materialize()
     for _ in range(n_iter):
-        tagged = (ranks.map_batches(tag_rank, batch_format="pyarrow")
-                  .union(edges)
-                  .map_batches(lambda b: _add_pkey(b, ["key"]),
-                               batch_format="pyarrow"))
-        contribs = tagged.groupby("pkey").map_groups(
-            scatter, batch_format="pyarrow").materialize()
-        dm = contribs.map_batches(
-            lambda b: b.filter(pc.equal(b["node"], _DANGLING)),
-            batch_format="pyarrow").sum("c") or 0.0
-        add = dm / n  # dangling share per node
-
-        def gather(group: pa.Table, _add=add) -> pa.Table:
-            if group.num_columns == 0 or group.num_rows == 0:
-                return _RANK.empty_table()
-            node = group["node"].to_numpy()
-            c = group["c"].to_numpy()
-            order = np.argsort(node, kind="stable")
-            n_s, c_s = node[order], c[order]
-            starts = np.flatnonzero(np.append(True, n_s[1:] != n_s[:-1]))
-            sums = np.add.reduceat(c_s, starts)
-            r = (1.0 - damping) / n + damping * (sums + _add)
-            return pa.table({"node": pa.array(n_s[starts]),
-                             "rank": pa.array(r, type=pa.float64())})
-
-        unioned = (contribs.map_batches(
-                       lambda b: b.filter(
-                           pc.invert(pc.equal(b["node"], _DANGLING))),
-                       batch_format="pyarrow")
-                   .union(nodes.map_batches(base_rows,
-                                            batch_format="pyarrow"))
-                   .map_batches(lambda b: _add_pkey(b, ["node"]),
-                                batch_format="pyarrow"))
-        ranks = unioned.groupby("pkey").map_groups(
-            gather, batch_format="pyarrow") \
-            .repartition(n_blocks).materialize()
-    return ranks
-
-
-_SCORE = pa.schema([("node", pa.int64()), ("s", pa.float64())])
-_HITS = pa.schema([("node", pa.int64()), ("hub", pa.float64()),
-                   ("authority", pa.float64())])
+        dm = ranks.map_batches(
+            lambda b: b.filter(pc.equal(b["deg"], 0)),
+            batch_format="pyarrow").sum("rank") or 0.0
+        ranks = _round(
+            edges, ranks,
+            lambda t: {"c": t["rank"].to_numpy()
+                       / np.maximum(t["deg"].to_numpy(), 1),
+                       "deg": np.zeros(t.num_rows, np.int64),
+                       "known": np.ones(t.num_rows, np.int64)},
+            msg, np.add, base, n_blocks,
+            finish=lambda t, _add=dm / n: ranked(
+                t, lambda c: (1.0 - damping) / n + damping * (c + _add)))
+    return ranks.map_batches(lambda b: b.select(["node", "rank"]),
+                             batch_format="pyarrow")
 
 
 def hits(edges, nodes, n_iter: int = 5):
@@ -187,109 +186,32 @@ def hits(edges, nodes, n_iter: int = 5):
     so the normalizer is bit-identical on any partitioning and in the
     SQL oracle). Multi-edges contribute once each.
 
-    Scale shape mirrors :func:`pagerank`: scores and edges stay node-/
-    edge-sized Datasets; each half-step is exactly two partitioned
-    exchanges (scatter: score rows + edge rows co-partitioned by the
-    score-holding endpoint's hash, one emitted contribution per edge;
-    gather: contributions ∪ the all-nodes zero baseline co-partitioned
-    by node hash) plus one driver SCALAR (the max). Fixed ``n_iter``,
-    block count pinned per round, partition-count-independent.
+    Each half-step is one :func:`_round` (authorities along edges,
+    hubs against them) over the all-nodes zero baseline, plus one
+    driver SCALAR (the max). The result is the sum fold of (hub, 0) and
+    (0, authority) rows, so its node set is the outer union of both
+    vectors'.
 
     Returns (node, hub, authority), unnormalized beyond the max rule.
     ``edges``/``nodes`` as in :func:`pagerank`.
     """
     import ray
-    from .dedup import _add_pkey
 
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter}")
     nodes = nodes.materialize()
     if nodes.count() == 0:
         return ray.data.from_arrow(_HITS.empty_table())
+    n_blocks = max(nodes.num_blocks(), 1)
+    edges = _edges(edges)
+    zeros = nodes.map_batches(
+        lambda b: pa.table({"node": b["node"].cast(pa.int64()),
+                            "s": np.zeros(b.num_rows)}),
+        batch_format="pyarrow").materialize()
 
-    def tag_edges(key_col: str, emit_col: str):
-        def f(batch: pa.Table) -> pa.Table:
-            if batch.num_columns == 0 or batch.num_rows == 0:
-                return _TAG.empty_table()
-            m = batch.num_rows
-            return pa.table({"key": batch[key_col].cast(pa.int64()),
-                             "side": pa.array(np.ones(m, dtype=np.int8)),
-                             "dst": batch[emit_col].cast(pa.int64()),
-                             "r": pa.nulls(m, pa.float64())}).cast(_TAG)
-        return f
-
-    e_by_src = edges.map_batches(tag_edges("src", "dst"),
-                                 batch_format="pyarrow").materialize()
-    e_by_dst = edges.map_batches(tag_edges("dst", "src"),
-                                 batch_format="pyarrow").materialize()
-
-    def init_score(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch["node"].cast(pa.int64()),
-                         "s": pa.array(np.ones(batch.num_rows),
-                                       type=pa.float64())})
-
-    def tag_score(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({"key": batch["node"],
-                         "side": pa.array(np.zeros(m, dtype=np.int8)),
-                         "dst": pa.nulls(m, pa.int64()),
-                         "r": batch["s"]}).cast(_TAG)
-
-    def scatter(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return _CONTRIB.empty_table()
-        side = group["side"].to_numpy(zero_copy_only=False)
-        sc = group.filter(pa.array(side == 0))
-        ed = group.filter(pa.array(side == 1))
-        if sc.num_rows == 0 or ed.num_rows == 0:
-            return _CONTRIB.empty_table()
-        keys = sc["key"].to_numpy()
-        order = np.argsort(keys, kind="stable")
-        keys_s, s_s = keys[order], sc["r"].to_numpy()[order]
-        ek = ed["key"].to_numpy()
-        pos = np.searchsorted(keys_s, ek)
-        ok = pos < len(keys_s)
-        ok[ok] &= keys_s[np.minimum(pos, len(keys_s) - 1)][ok] == ek[ok]
-        return pa.table({
-            "node": ed["dst"].to_numpy()[ok],
-            "c": pa.array(s_s[pos[ok]], type=pa.float64())}).cast(_CONTRIB)
-
-    def base_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch["node"].cast(pa.int64()),
-            "c": pa.array(np.zeros(batch.num_rows), type=pa.float64())})
-
-    def gather(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return _SCORE.empty_table()
-        node = group["node"].to_numpy()
-        c = group["c"].to_numpy()
-        order = np.argsort(node, kind="stable")
-        n_s, c_s = node[order], c[order]
-        starts = np.flatnonzero(np.append(True, n_s[1:] != n_s[:-1]))
-        return pa.table({"node": pa.array(n_s[starts]),
-                         "s": pa.array(np.add.reduceat(c_s, starts),
-                                       type=pa.float64())})
-
-    scores = nodes.map_batches(init_score,
-                               batch_format="pyarrow").materialize()
-    n_blocks = max(scores.num_blocks(), 1)
-
-    def matvec(sc, tagged_edges):
-        tagged = (sc.map_batches(tag_score, batch_format="pyarrow")
-                  .union(tagged_edges)
-                  .map_batches(lambda b: _add_pkey(b, ["key"]),
-                               batch_format="pyarrow"))
-        contribs = tagged.groupby("pkey").map_groups(
-            scatter, batch_format="pyarrow")
-        unioned = (contribs
-                   .union(nodes.map_batches(base_rows,
-                                            batch_format="pyarrow"))
-                   .map_batches(lambda b: _add_pkey(b, ["node"]),
-                                batch_format="pyarrow"))
-        out = unioned.groupby("pkey").map_groups(
-            gather, batch_format="pyarrow") \
-            .repartition(n_blocks).materialize()
+    def half_step(sc, src: str, dst: str):
+        out = _round(edges, sc, lambda t: {"s": t["s"].to_numpy()},
+                     _SCORE, np.add, zeros, n_blocks, src, dst)
         mx = out.max("s") or 0.0
         if mx > 0:
             out = out.map_batches(
@@ -299,52 +221,24 @@ def hits(edges, nodes, n_iter: int = 5):
                 batch_format="pyarrow").materialize()
         return out
 
-    h, a = scores, scores
+    h = zeros.map_batches(
+        lambda b: pa.table({"node": b["node"], "s": np.ones(b.num_rows)}),
+        batch_format="pyarrow").materialize()
     for _ in range(n_iter):
-        a = matvec(h, e_by_src)     # authorities gather from hubs
-        h = matvec(a, e_by_dst)     # hubs gather from authorities
+        a = half_step(h, "src", "dst")    # authorities gather from hubs
+        h = half_step(a, "dst", "src")    # hubs gather from authorities
 
-    def tag_side(side: int):
-        def f(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "node": batch["node"],
-                "which": pa.array(np.full(batch.num_rows, side, np.int8)),
-                "s": batch["s"]})
+    def as_pair(hub: bool):
+        def f(b: pa.Table) -> pa.Table:
+            z = np.zeros(b.num_rows)
+            return pa.table([b["node"], b["s"] if hub else z,
+                             z if hub else b["s"]], schema=_HITS)
         return f
 
-    def pivot(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return _HITS.empty_table()
-        which = group["which"].to_numpy(zero_copy_only=False)
-        hrows = group.filter(pa.array(which == 0))
-        arows = group.filter(pa.array(which == 1))
-        hn = hrows["node"].to_numpy()
-        an = arows["node"].to_numpy()
-        # OUTER union of the two node sets: an edge dst absent from the
-        # nodes table appears in the authority vector only (the gather
-        # unions contribs from unknown nodes) — assuming node-complete
-        # sides crashed with unequal column lengths where pagerank
-        # degrades gracefully on the same input (round-5 review)
-        nodes = np.unique(np.concatenate([hn, an]))
-        hub = np.zeros(len(nodes))
-        auth = np.zeros(len(nodes))
-        hub[np.searchsorted(nodes, hn)] = hrows["s"].to_numpy()
-        auth[np.searchsorted(nodes, an)] = arows["s"].to_numpy()
-        return pa.table({
-            "node": pa.array(nodes),
-            "hub": pa.array(hub, type=pa.float64()),
-            "authority": pa.array(auth, type=pa.float64())})
-
-    pair = (h.map_batches(tag_side(0), batch_format="pyarrow")
-            .union(a.map_batches(tag_side(1), batch_format="pyarrow"))
-            .map_batches(lambda b: _add_pkey(b, ["node"]),
-                         batch_format="pyarrow"))
-    return pair.groupby("pkey").map_groups(pivot, batch_format="pyarrow")
-
-
-_DIST = pa.schema([("node", pa.int64()), ("depth", pa.int64())])
-_BTAG = pa.schema([("key", pa.int64()), ("side", pa.int8()),
-                   ("dst", pa.int64()), ("d", pa.int64())])
+    return _fold(h.map_batches(as_pair(True), batch_format="pyarrow")
+                 .union(a.map_batches(as_pair(False),
+                                      batch_format="pyarrow")),
+                 np.add, n_blocks)
 
 
 def bfs_depths(edges, sources, max_depth: int = 6):
@@ -354,93 +248,98 @@ def bfs_depths(edges, sources, max_depth: int = 6):
     :func:`pagerank`). Unreachable nodes are absent from the output.
 
     Bellman-Ford rounds on Datasets (exactly ``max_depth`` of them —
-    deterministic, partition-independent): each round co-partitions the
-    current distance rows with the edges by src hash (scatter emits
-    (dst, depth+1) per edge from a settled src), unions the previous
-    distances, and a node-hash gather keeps the min — the pagerank
-    two-exchange shape with int depths instead of float mass. State is
-    node-sized end to end; the driver holds only the seed list.
+    deterministic, partition-independent): each round is one
+    :func:`_round` that sends depth+1 along every edge from a settled
+    src and keeps the min per node, the previous distances as the
+    baseline. State is node-sized end to end; the driver holds only
+    the seed list.
     """
     import ray
-    from .dedup import _add_pkey
 
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     seeds = sorted(set(int(s) for s in sources))
     if not seeds:
         return ray.data.from_arrow(_DIST.empty_table())
-
-    def tag_edge(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return _BTAG.empty_table()
-        m = batch.num_rows
-        return pa.table({"key": batch["src"].cast(pa.int64()),
-                         "side": pa.array(np.ones(m, dtype=np.int8)),
-                         "dst": batch["dst"].cast(pa.int64()),
-                         "d": pa.nulls(m, pa.int64())}).cast(_BTAG)
-
-    e_tagged = edges.map_batches(tag_edge,
-                                 batch_format="pyarrow").materialize()
-
+    edges = _edges(edges)
     dist = ray.data.from_arrow(pa.table({
         "node": pa.array(seeds, type=pa.int64()),
         "depth": pa.array(np.zeros(len(seeds), np.int64))}))
     n_blocks = max(dist.num_blocks(), 1)
-
-    def tag_dist(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({"key": batch["node"],
-                         "side": pa.array(np.zeros(m, dtype=np.int8)),
-                         "dst": pa.nulls(m, pa.int64()),
-                         "d": batch["depth"]}).cast(_BTAG)
-
-    def scatter(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return _DIST.empty_table()
-        side = group["side"].to_numpy(zero_copy_only=False)
-        dk = group.filter(pa.array(side == 0))
-        ed = group.filter(pa.array(side == 1))
-        if dk.num_rows == 0 or ed.num_rows == 0:
-            return _DIST.empty_table()
-        keys = dk["key"].to_numpy()
-        order = np.argsort(keys, kind="stable")
-        keys_s = keys[order]
-        d_s = dk["d"].to_numpy()[order]
-        ek = ed["key"].to_numpy()
-        pos = np.searchsorted(keys_s, ek)
-        ok = pos < len(keys_s)
-        ok[ok] &= keys_s[np.minimum(pos, len(keys_s) - 1)][ok] == ek[ok]
-        return pa.table({
-            "node": ed["dst"].to_numpy()[ok],
-            "depth": pa.array(d_s[pos[ok]] + 1,
-                              type=pa.int64())}).cast(_DIST)
-
-    def gather(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return _DIST.empty_table()
-        node = group["node"].to_numpy()
-        d = group["depth"].to_numpy()
-        order = np.argsort(node, kind="stable")
-        n_s, d_s = node[order], d[order]
-        starts = np.flatnonzero(np.append(True, n_s[1:] != n_s[:-1]))
-        return pa.table({"node": pa.array(n_s[starts]),
-                         "depth": pa.array(np.minimum.reduceat(d_s,
-                                                               starts),
-                                           type=pa.int64())})
-
     for _ in range(max_depth):
-        tagged = (dist.map_batches(tag_dist, batch_format="pyarrow")
-                  .union(e_tagged)
-                  .map_batches(lambda b: _add_pkey(b, ["key"]),
-                               batch_format="pyarrow"))
-        contribs = tagged.groupby("pkey").map_groups(
-            scatter, batch_format="pyarrow")
-        unioned = (contribs.union(dist.map_batches(
-            lambda b: pa.table({"node": b["node"], "depth": b["depth"]}),
-            batch_format="pyarrow"))
-            .map_batches(lambda b: _add_pkey(b, ["node"]),
-                         batch_format="pyarrow"))
-        dist = unioned.groupby("pkey").map_groups(
-            gather, batch_format="pyarrow") \
-            .repartition(n_blocks).materialize()
+        dist = _round(edges, dist,
+                      lambda t: {"depth": t["depth"].to_numpy() + 1},
+                      _DIST, np.minimum, dist, n_blocks)
     return dist
+
+
+def connected_components(pairs_ds, nodes_ds, id_col: str = "doc_id",
+                         max_iters: int = 50):
+    """Connected components over near-dup pairs: every node labeled with
+    the MINIMUM id reachable from it — the "cluster id" of transitive
+    dedup (keep `cluster_id == id`, drop the rest).
+
+    Min-label propagation WITH pointer jumping (the MapReduce-CC family,
+    cf. Kiveris et al. 2014). Each round is one :func:`_round` against
+    the labels over two kinds of edges:
+
+      1. neighbor propagation — every directed edge (x, y) picks up
+         label(x) and sends it to y;
+      2. path halving — every node x asks for label(label(x)) via a
+         per-round pseudo-edge (label(x) -> x), so label chains collapse
+         geometrically instead of one hop per round;
+
+    and the min per node over those messages and its own label is its
+    new label. Rounds are O(log diameter) thanks to (2) — a 1000-hop
+    chain settles in ~10 rounds — and `_pair_rows_in_partition`'s star
+    pairs already bound over-cap LSH clusters to diameter 2. Only slim
+    (int64, int64) rows ever move — content stays where the pair
+    generators left it. Convergence = the row count and the global
+    label sum both stay put (labels only decrease; a pair endpoint
+    outside ``nodes_ds`` adds a row when first reached), checked with a
+    distributed `sum` per round; `max_iters` is a backstop with a
+    logged warning.
+    """
+    def both_ways(batch: pa.Table) -> pa.Table:
+        if batch.num_columns == 0:
+            return _EDGES.empty_table()
+        a = batch["a"].cast(pa.int64()).to_numpy()
+        b = batch["b"].cast(pa.int64()).to_numpy()
+        return pa.table([np.concatenate([a, b]), np.concatenate([b, a])],
+                        schema=_EDGES)
+
+    def jumps(batch: pa.Table) -> pa.Table:
+        # pseudo-edge label(x) -> x: the round answers it with
+        # label(label(x)) exactly like a real edge's neighbor request
+        return pa.table([batch["label"], batch["node"]], schema=_EDGES)
+
+    edges = pairs_ds.map_batches(both_ways,
+                                 batch_format="pyarrow").materialize()
+    labels = nodes_ds.map_batches(
+        lambda b: pa.table([b[id_col], b[id_col]], schema=_LABEL),
+        batch_format="pyarrow").materialize()
+    if edges.count() == 0:
+        return labels
+
+    def settled(ds) -> tuple:
+        # labels only fall, and a row appears only for a pair endpoint
+        # outside nodes_ds: an equal (row count, sum) means no change
+        return ds.count(), ds.sum("label")
+
+    prev = settled(labels)
+    n_blocks = max(labels.num_blocks(), 1)
+    for _ in range(max_iters):
+        labels = _round(
+            edges.union(labels.map_batches(jumps, batch_format="pyarrow")),
+            labels, lambda t: {"label": t["label"].to_numpy()},
+            _LABEL, np.minimum, labels, n_blocks)
+        cur = settled(labels)
+        if cur == prev:
+            break
+        prev = cur
+    else:
+        logger.warning(
+            "connected_components hit max_iters=%d before the labels "
+            "settled — component diameter exceeds the round budget; "
+            "labels are an upper bound on the true cluster ids", max_iters)
+    return labels

@@ -9,7 +9,8 @@ column types — distinct counts are cast-invariant because the casts are
 injective per engine) plus slim per-batch (column, n, n_null) partials;
 one (column, value) groupby is the only content-sized exchange (bounded
 by the true distinct count per column, the quantity being measured),
-one tiny column groupby folds counts. The approximate twin at
+two tiny column groupbys fold the counts, and ``equi_join(how="left")``
+attaches n_distinct to each column's counts. The approximate twin at
 10^12-distinct scale is `ops.sketches.hll_distinct_per_group` —
 documented pairing, same shape as distinct_users / distinct_users_hll.
 """
@@ -23,8 +24,13 @@ import pyarrow.compute as pc
 
 def profile_table(ds, columns: list[str] | None = None):
     """One row per column: (column, n_rows, n_null, n_distinct).
-    NULLs are excluded from the distinct count (SQL COUNT(DISTINCT))."""
+    NULLs are excluded from the distinct count (SQL COUNT(DISTINCT)).
+    The per-column counts LEFT-join the per-column distinct counts on
+    ``column``; an all-NULL column has no distinct row and gets 0."""
+    import ray.data as rd
     from ray.data.aggregate import Sum
+
+    from .equijoin import equi_join
 
     def pair_partials(batch: pa.Table) -> pa.Table:
         cols = columns or batch.column_names
@@ -84,56 +90,21 @@ def profile_table(ds, columns: list[str] | None = None):
         return pa.table({"column": c["column"],
                          "one": c["count_all"].cast(pa.int64())})
 
+    # the typed empty block keeps the schema when every profiled column
+    # is all-NULL (an aggregate over no rows has none)
     distinct_ds = (pairs_ds.map_batches(add_pk, batch_format="pyarrow")
                    .groupby("pk")
                    .map_groups(count_distinct, batch_format="pyarrow")
                    .groupby("column")
-                   .aggregate(Sum("one", alias_name="n_distinct")))
+                   .aggregate(Sum("one", alias_name="n_distinct"))
+                   .union(rd.from_arrow(pa.table({
+                       "column": pa.array([], type=pa.string()),
+                       "n_distinct": pa.array([], type=pa.int64())}))))
 
-    # two tiny column-keyed tables -> one output row per column
-    schema = pa.schema([("column", pa.string()), ("n_rows", pa.int64()),
-                        ("n_null", pa.int64()),
-                        ("n_distinct", pa.int64()),
-                        ("side", pa.int8())])
+    def fill(b: pa.Table) -> pa.Table:
+        return b.set_column(b.schema.get_field_index("n_distinct"),
+                            "n_distinct",
+                            pc.fill_null(b["n_distinct"], 0))
 
-    def tag_stats(b: pa.Table) -> pa.Table:
-        m = b.num_rows
-        return pa.table({"column": b["column"], "n_rows": b["n_rows"],
-                         "n_null": b["n_null"],
-                         "n_distinct": pa.nulls(m, pa.int64()),
-                         "side": pa.array(np.zeros(m, np.int8))},
-                        schema=schema)
-
-    def tag_distinct(b: pa.Table) -> pa.Table:
-        m = b.num_rows
-        return pa.table({"column": b["column"],
-                         "n_rows": pa.nulls(m, pa.int64()),
-                         "n_null": pa.nulls(m, pa.int64()),
-                         "n_distinct": b["n_distinct"],
-                         "side": pa.array(np.ones(m, np.int8))},
-                        schema=schema)
-
-    def fold(group: pa.Table) -> pa.Table:
-        empty = pa.table({"column": pa.array([], type=pa.string()),
-                          "n_rows": pa.array([], type=pa.int64()),
-                          "n_null": pa.array([], type=pa.int64()),
-                          "n_distinct": pa.array([], type=pa.int64())})
-        if group.num_rows == 0 or "column" not in group.column_names:
-            return empty
-        side = group["side"].to_numpy(zero_copy_only=False)
-        st = group.filter(pa.array(side == 0))
-        di = group.filter(pa.array(side == 1))
-        if st.num_rows == 0:
-            return empty
-        nd = int(di["n_distinct"][0].as_py()) if di.num_rows else 0
-        return pa.table({
-            "column": st["column"].slice(0, 1),
-            "n_rows": st["n_rows"].slice(0, 1),
-            "n_null": st["n_null"].slice(0, 1),
-            "n_distinct": pa.array([nd], type=pa.int64())})
-
-    tagged = (stats_ds.map_batches(tag_stats, batch_format="pyarrow")
-              .union(distinct_ds.map_batches(tag_distinct,
-                                             batch_format="pyarrow")))
-    return tagged.groupby("column").map_groups(fold,
-                                               batch_format="pyarrow")
+    return equi_join(stats_ds, distinct_ds, "column", how="left") \
+        .map_batches(fill, batch_format="pyarrow")

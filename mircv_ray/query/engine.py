@@ -233,8 +233,11 @@ class IndexReader:
         # Bj = 0.3 + 0.7*docLen/avgDocLen (Scorer.java:30): precomputed
         # once for dense doc lengths; for mmap'd ones it is gathered per
         # access in bj_at (identical elementwise IEEE ops -> identical
-        # floats), never materialized whole
-        self._bj = (0.3 + self.b * (self.doc_len / self.avg_doc_len)
+        # floats), never materialized whole. An index without postings
+        # has avg_doc_len 0 and every doc_len 0: dividing by 1 instead
+        # gives them the length ratio 0, not NaN
+        self._len_div = self.avg_doc_len or 1.0
+        self._bj = (0.3 + self.b * (self.doc_len / self._len_div)
                     if isinstance(self.doc_len, np.ndarray)
                     and not isinstance(self.doc_len, np.memmap) else None)
 
@@ -243,7 +246,7 @@ class IndexReader:
         bit-identical either way (same op order as Scorer.java:30)."""
         if self._bj is not None:
             return self._bj[idx0]
-        return 0.3 + self.b * (self.doc_len[idx0] / self.avg_doc_len)
+        return 0.3 + self.b * (self.doc_len[idx0] / self._len_div)
 
     @property
     def num_terms(self) -> int:

@@ -70,7 +70,8 @@ def _ray_up():
 def run_gate(sf_dir: str, only: list[str] | None = None) -> dict:
     """One entry per queries() key: the driver-gate comparison record
     ({rows_match, schema_match, hash_match, spark_rows, oracle_rows,
-    value_sha, err}) — err='no_oracle' for entries without SQL."""
+    value_sha, seconds, err}) — err='no_oracle' for entries without
+    SQL; ``seconds`` is the entry's own wall, oracle SQL excluded."""
     _ray_up()
     import __ray_entry__ as entry_mod
 
@@ -91,20 +92,25 @@ def run_gate(sf_dir: str, only: list[str] | None = None) -> dict:
     for name, fn in qs.items():
         rec = {"rows_match": None, "schema_match": None,
                "hash_match": None, "spark_rows": None,
-               "oracle_rows": None, "value_sha": None, "err": None}
+               "oracle_rows": None, "value_sha": None, "seconds": None,
+               "err": None}
         out[name] = rec
+        t0 = time.perf_counter()
         try:
             got = canon(to_pandas(fn(sf_dir)))
             rec["spark_rows"] = len(got)
             rec["value_sha"] = value_sha(got)
         except Exception as e:
             rec["err"] = f"query raised {type(e).__name__}: {e}"
-            print(f"FAIL  {name}: {rec['err']}")
+        rec["seconds"] = round(time.perf_counter() - t0, 2)
+        wall = f"{rec['seconds']:.2f}s"
+        if rec["err"]:
+            print(f"FAIL  {name}: {rec['err']} {wall}")
             continue
         if name not in oracles:
             rec["err"] = "no_oracle"
             print(f"rows  {name}: {len(got)} rows (no SQL oracle) "
-                  f"sha={rec['value_sha']}")
+                  f"sha={rec['value_sha']} {wall}")
             continue
         try:
             exp = canon(con.execute(oracles[name]).fetchdf())
@@ -126,11 +132,13 @@ def run_gate(sf_dir: str, only: list[str] | None = None) -> dict:
             except AssertionError as e:
                 msg = str(e).splitlines()[0]
         if rec["rows_match"] and rec["schema_match"] and rec["hash_match"]:
-            print(f"OK    {name}: {len(got)} rows sha={rec['value_sha']}")
+            print(f"OK    {name}: {len(got)} rows sha={rec['value_sha']} "
+                  f"{wall}")
         else:
             print(f"FAIL  {name}: rows {len(got)} vs {len(exp)}, "
                   f"cols {list(got.columns)} vs {list(exp.columns)}"
-                  + (f", values differ: {msg}" if msg else ""))
+                  + (f", values differ: {msg}" if msg else "")
+                  + f" {wall}")
     return out
 
 

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tarfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,8 +183,11 @@ def test_zero_postings_corpus(ray_session, tmp_path):
     for f in files:
         t = pq.read_table(str(f))
         assert t.num_rows == 0 and t.schema.equals(schema)
-    eng = QueryEngine(str(out), QueryConfig(standard="BM25", k=5))
-    assert eng.query("the and") == []
+    with warnings.catch_warnings():
+        # avg_doc_len is 0 here: B_j must not divide by it
+        warnings.simplefilter("error")
+        eng = QueryEngine(str(out), QueryConfig(standard="BM25", k=5))
+        assert eng.query("the and") == []
 
 
 def _stats_sans_timing(index_dir: Path) -> dict:

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 
 NODES = list(range(9))
@@ -229,3 +230,52 @@ def test_bfs_cycles_and_partition_invariance(ray_session):
     with _pt.raises(ValueError):
         from mircv_ray.ops import bfs_depths
         bfs_depths(e, [0], max_depth=-1)
+
+
+# ------------------------------------------------ both lookup-join paths
+
+def _partitioned(monkeypatch):
+    """Every round's lookup_join takes the partitioned path."""
+    import mircv_ray.ops.equijoin as ej
+    monkeypatch.setattr(ej, "BROADCAST_MAX_BYTES", 0)
+
+
+@pytest.mark.parametrize("check", [
+    test_pagerank_equals_power_iteration, test_hits_equals_power_iteration,
+    test_bfs_matches_brute_force], ids=["pagerank", "hits", "bfs"])
+def test_partitioned_join(ray_session, monkeypatch, check):
+    _partitioned(monkeypatch)
+    check(ray_session)
+
+
+# 9 is an edge endpoint outside the nodes table, 8 a source that no
+# message ever reaches: 8 -> 0 never fires, while the first message to 9
+# creates its row and 9 -> 3 fires from then on
+MISSING = [(0, 1), (1, 2), (2, 9), (9, 3), (8, 0), (3, 0), (3, 3)]
+NODES5 = [0, 1, 2, 3, 4]
+
+
+def _close(got: dict, exp: dict):
+    assert set(got) == set(exp)
+    for v in exp:
+        assert np.allclose(got[v], exp[v], rtol=0, atol=1e-12), v
+
+
+@pytest.mark.parametrize("bcast", [None, 0])
+def test_missing_endpoint_and_empty_edges(ray_session, monkeypatch, bcast):
+    """Pinned outputs (the values of the tagged-union rounds the join
+    rounds replaced) on both lookup-join paths."""
+    if bcast == 0:
+        _partitioned(monkeypatch)
+    _close(_run(MISSING, NODES5, n_iter=4),
+           {0: 0.193353877625, 1: 0.17718527325, 2: 0.1429767045,
+            3: 0.398002087625, 4: 0.036281432, 9: 0.188729017})
+    _close(_hits_run(MISSING, NODES5, n_iter=3),
+           {0: (1 / 18, 1.0), 1: (1 / 18, 1 / 9), 2: (1 / 18, 1 / 9),
+            3: (1.0, 1.0), 4: (0.0, 0.0), 8: (0.5, 0.0), 9: (0.5, 1 / 9)})
+    assert _bfs_run(MISSING, [0, 8], 5) == \
+        {0: 0, 1: 1, 2: 2, 3: 4, 8: 0, 9: 3}
+    _close(_run([], NODES5, n_iter=4), {v: 0.2 for v in NODES5})
+    _close(_hits_run([], NODES5, n_iter=3),
+           {v: (0.0, 0.0) for v in NODES5})
+    assert _bfs_run([], [0, 8], 5) == {0: 0, 8: 0}

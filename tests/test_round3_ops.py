@@ -210,6 +210,35 @@ class TestConnectedComponents:
     def test_no_pairs_identity(self, ray_session):
         self._check(10, [])
 
+    def test_partitioned_join(self, ray_session, monkeypatch):
+        # every round's lookup_join above the byte gate
+        import mircv_ray.ops.equijoin as ej
+        monkeypatch.setattr(ej, "BROADCAST_MAX_BYTES", 0)
+        self.test_random_graph_vs_union_find(ray_session)
+        self.test_long_chain_diameter(ray_session)
+        self.test_no_pairs_identity(ray_session)
+
+    @pytest.mark.parametrize("bcast", [None, 0])
+    def test_endpoint_outside_nodes(self, ray_session, monkeypatch, bcast):
+        # 8 and 9 are pair endpoints outside the nodes table: the first
+        # label sent to each creates its row, and 9 links 2 and 3. A
+        # label-sum-only convergence check stopped after round 1 here
+        # ({2: 1, 3: 3, 9: 2}): the new rows made up for the fallen sum
+        from mircv_ray.ops import connected_components
+        import mircv_ray.ops.equijoin as ej
+        if bcast == 0:
+            monkeypatch.setattr(ej, "BROADCAST_MAX_BYTES", 0)
+        pairs = [(0, 1), (1, 2), (2, 9), (3, 9), (0, 8), (3, 3)]
+        out = connected_components(
+            rd.from_arrow(pa.table({
+                "a": pa.array([a for a, _ in pairs], type=pa.int64()),
+                "b": pa.array([b for _, b in pairs], type=pa.int64())})),
+            rd.from_arrow(pa.table({
+                "doc_id": pa.array(range(5), type=pa.int64())}))) \
+            .to_pandas().sort_values("node")
+        assert dict(zip(out["node"], out["label"])) == \
+            {0: 0, 1: 0, 2: 0, 3: 0, 4: 4, 8: 0, 9: 0}
+
 
 class TestPqAnn:
     def test_recall_vs_exact_on_clustered_data(self, ray_session):

@@ -159,6 +159,15 @@ class TestCorpusDiff:
 
     @pytest.mark.parametrize("parts", [1, 6])
     def test_matches_brute_force(self, ray_session, parts):
+        self._check(parts)
+
+    def test_partitioned_join(self, ray_session, monkeypatch):
+        import mircv_ray.ops.equijoin as ej
+        monkeypatch.setattr(ej, "BROADCAST_MAX_BYTES", 0)
+        self._check(6)
+        self.test_null_matches_null_and_disjoint(ray_session)
+
+    def _check(self, parts):
         import ray.data as rd
         from mircv_ray.ops import corpus_diff
         old, new = self._snapshots()
@@ -282,6 +291,15 @@ class TestProfileTable:
 
     @pytest.mark.parametrize("parts", [1, 6])
     def test_matches_pandas(self, ray_session, parts):
+        self._check(parts)
+
+    def test_partitioned_join(self, ray_session, monkeypatch):
+        import mircv_ray.ops.equijoin as ej
+        monkeypatch.setattr(ej, "BROADCAST_MAX_BYTES", 0)
+        self._check(6)
+        self.test_column_subset_and_allnull(ray_session)
+
+    def _check(self, parts):
         import ray.data as rd
         from mircv_ray.ops import profile_table
         rng = np.random.default_rng(55)
